@@ -28,7 +28,7 @@ FORMATS = ("table", "csv", "json")
 
 
 class IngestError(Exception):
-    """Input-file validation failure with a stable error code."""
+    """Input-file validation or file I/O failure with a stable error code."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -149,7 +149,11 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
 
 def _open_output(args):
     if args.output:
-        return open(args.output, "w"), True
+        try:
+            return open(args.output, "w"), True
+        except OSError as exc:
+            raise IngestError("IO_ERROR",
+                              f"cannot write {args.output}: {exc}") from exc
     return sys.stdout, False
 
 

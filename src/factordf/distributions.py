@@ -4,8 +4,11 @@ and the one-sample Kolmogorov-Smirnov test.
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
+``map_indexed`` is the thread fan-out those consumers share.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +44,29 @@ def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for stream ``index`` of a domain family under ``seed``."""
     sid = ((domain & _MASK32) << 32) | (index & _MASK32)
     return SeededGenerator(seed, sid).generator()
+
+
+def worker_count(threads: int, tasks: int) -> int:
+    """Threads worth starting: no more than requested, than the cores this
+    process may run on, or than there are tasks; at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(threads, cores, tasks))
+
+
+def map_indexed(func, count: int, threads: int) -> list:
+    """``[func(0), ..., func(count - 1)]``, on up to ``threads`` threads.
+
+    Results are returned in index order, so the output does not depend on the
+    number of threads when ``func(i)`` draws only from streams keyed by ``i``.
+    """
+    workers = worker_count(threads, count)
+    if workers == 1:
+        return [func(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, range(count)))
 
 
 def sample_standard_normal(gen: SeededGenerator, count: int) -> np.ndarray:

@@ -10,14 +10,14 @@ the discovery rates are averaged against the truth's nonzero set.
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DOMAIN_FDR_DATASET, stream
+from .distributions import DOMAIN_FDR_DATASET, map_indexed, stream
 from .dof import DofMethod
-from .inference import compute_direction_stats, df_totals, response_tests
+from .inference import (compute_direction_stats, constant_df_total, df_totals,
+                        response_tests, without_factors)
 from .model import DatasetBundle
 
 BASELINE = "none"   # the unadjusted (r_hat = 0) comparison row
@@ -61,12 +61,14 @@ class GenerativeTruth:
     nonzero_mask: np.ndarray  # (M,) bool
     col_ids: tuple = ()
     row_ids: tuple = ()
+    # (N, M) fixed mean of every bootstrap dataset, formed once per truth
+    mean_surface: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def mean_surface(self) -> np.ndarray:
-        out = self.X @ self.beta.T + self.factor_term
+    def __post_init__(self):
+        mean = self.X @ self.beta.T + self.factor_term
         if self.Z is not None:
-            out = out + self.A_hat @ self.Z.T
-        return out
+            mean = mean + self.A_hat @ self.Z.T
+        object.__setattr__(self, "mean_surface", mean)
 
 
 def build_generative_truth(data: DatasetBundle, k_factors: int, alpha: float,
@@ -98,7 +100,7 @@ def simulate_dataset(truth: GenerativeTruth, seed: int,
     rng = stream(seed, DOMAIN_FDR_DATASET, index)
     N, M = truth.factor_term.shape
     noise = np.sqrt(truth.variances)[None, :] * rng.standard_normal((N, M))
-    return DatasetBundle(truth.mean_surface() + noise, truth.X, truth.Z,
+    return DatasetBundle(truth.mean_surface + noise, truth.X, truth.Z,
                          row_ids=truth.row_ids, col_ids=truth.col_ids)
 
 
@@ -143,32 +145,45 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
     if config.include_baseline:
         labels.append(BASELINE)
 
-    D = config.n_datasets
-    fdr = np.zeros((D, len(labels)))
-    fpr = np.zeros((D, len(labels)))
-    tpr = np.zeros((D, len(labels)))
-    n_disc = np.zeros((D, len(labels)), dtype=int)
+    # Every dataset shares X, Z and the shape, so the df of the schemes that
+    # give all responses one value is computed once here, not per dataset.
+    n, m = data.N - data.p, data.M - data.q
+    constant = {}
+    for meth in config.methods:
+        total = constant_df_total(meth, n, m, config.k_factors,
+                                  config.mandel_reps, config.seed)
+        if total is not None:
+            constant[meth] = np.full(data.M, total)
 
     def one_dataset(d: int):
         bundle = simulate_dataset(truth, config.seed, d)
         stats = compute_direction_stats(bundle, config.k_factors)
         rows = []
         for meth in config.methods:
-            df_tot = df_totals(stats, meth, config.mandel_reps, config.seed)
+            df_tot = constant.get(meth)
+            if df_tot is None:
+                df_tot = df_totals(stats, meth, config.mandel_reps, config.seed)
             _, _, _, p = response_tests(stats, config.coef_index, df_tot)
             rows.append(_dataset_rates(p, config.alpha, mask))
         if config.include_baseline:
-            stats0 = compute_direction_stats(bundle, 0)
             _, _, _, p0 = response_tests(
-                stats0, config.coef_index, np.zeros(bundle.M))
+                without_factors(stats), config.coef_index, np.zeros(bundle.M))
             rows.append(_dataset_rates(p0, config.alpha, mask))
         return rows
 
-    if config.threads <= 1:
-        all_rows = [one_dataset(d) for d in range(D)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            all_rows = list(pool.map(one_dataset, range(D)))
+    all_rows = map_indexed(one_dataset, config.n_datasets, config.threads)
+    return _summarize(all_rows, labels, config.alpha, mask)
+
+
+def _summarize(all_rows: list, labels: list, alpha: float,
+               mask: np.ndarray) -> FdrReport:
+    """Average per-dataset ``_dataset_rates`` rows (one per label) into rates
+    with standard errors."""
+    D = len(all_rows)
+    fdr = np.zeros((D, len(labels)))
+    fpr = np.zeros((D, len(labels)))
+    tpr = np.zeros((D, len(labels)))
+    n_disc = np.zeros((D, len(labels)), dtype=int)
     for d, rows in enumerate(all_rows):
         for c, (f, fp_, tp_, nd) in enumerate(rows):
             fdr[d, c], fpr[d, c], tpr[d, c], n_disc[d, c] = f, fp_, tp_, nd
@@ -185,8 +200,7 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
             fpr_se=100.0 * float(fpr[:, c].std(ddof=1) / root),
             tpr_se=100.0 * float(tpr[:, c].std(ddof=1) / root),
         )
-    return FdrReport(rates, D, config.alpha,
-                     int(mask.sum()), int((~mask).sum()))
+    return FdrReport(rates, D, alpha, int(mask.sum()), int((~mask).sum()))
 
 
 def _fmt(x) -> str:

@@ -7,7 +7,7 @@ rotated back, so no explicit complement bases are materialized.  A single
 the degrees-of-freedom schemes then differ only in arithmetic on top of it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,6 +127,37 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int) -> DirectionStats
                           left, sing, loadings, E)
 
 
+def without_factors(stats: DirectionStats) -> DirectionStats:
+    """The r_hat = 0 statistics of the same fit: no factor is removed, so the
+    residual sums of squares are those of the doubly projected residuals."""
+    E = stats.residuals
+    N, M = E.shape
+    return replace(stats, proj_sq=np.zeros((M, 0)),
+                   rss=np.einsum("ij,ij->j", E, E),
+                   factor_left=np.zeros((N, 0)), factor_sing=np.zeros(0),
+                   factor_loadings=np.zeros((M, 0)))
+
+
+def constant_df_total(method: DofMethod | None, n: int, m: int, r_hat: int,
+                      mandel_reps: int = 1000,
+                      seed: int | None = None) -> float | None:
+    """Total df of a scheme that gives every response the same value.
+
+    Such a df depends only on the shape ``(n, m)``, ``r_hat`` and, for Mandel,
+    the draw count and seed, so it is shared by all datasets of that shape.
+    Returns None for the proposed scheme, whose df depends on the data.
+    """
+    if method == DofMethod.PROPOSED:
+        return None
+    if method == DofMethod.GOLLOB:
+        return dof_mod.df_gollob(n, m, r_hat).total
+    if method == DofMethod.MANDEL:
+        return dof_mod.df_mandel(n, m, r_hat, mandel_reps, seed).total
+    if method == DofMethod.NAIVE:
+        return float(r_hat)
+    raise ValueError(f"unsupported df method: {method}")
+
+
 def df_totals(stats: DirectionStats, method: DofMethod | None,
               mandel_reps: int = 1000, seed: int | None = None) -> np.ndarray:
     """Total df per response for one scheme (length-M array)."""
@@ -134,17 +165,11 @@ def df_totals(stats: DirectionStats, method: DofMethod | None,
     M = stats.rss.shape[0]
     if r_hat == 0:
         return np.zeros(M)
-    if method == DofMethod.PROPOSED:
-        floor = dof_mod.noise_floor(stats.n, stats.m)
-        return stats.n * stats.proj_sq.sum(axis=1) + r_hat * floor
-    if method == DofMethod.GOLLOB:
-        return np.full(M, dof_mod.df_gollob(stats.n, stats.m, r_hat).total)
-    if method == DofMethod.MANDEL:
-        est = dof_mod.df_mandel(stats.n, stats.m, r_hat, mandel_reps, seed)
-        return np.full(M, est.total)
-    if method == DofMethod.NAIVE:
-        return np.full(M, float(r_hat))
-    raise ValueError(f"unsupported df method: {method}")
+    total = constant_df_total(method, stats.n, stats.m, r_hat, mandel_reps, seed)
+    if total is not None:
+        return np.full(M, total)
+    floor = dof_mod.noise_floor(stats.n, stats.m)
+    return stats.n * stats.proj_sq.sum(axis=1) + r_hat * floor
 
 
 def response_tests(stats: DirectionStats, coef_index: int,

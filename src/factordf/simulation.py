@@ -10,13 +10,13 @@ count.
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .distributions import DOMAIN_SIM, KsResult, chi2_cdf, ks_test, stream
+from .distributions import (DOMAIN_SIM, KsResult, chi2_cdf, ks_test,
+                            map_indexed, stream)
 from .dof import df_noise, df_signal_total, is_above_transition
 from .linalg import canonical_signs
 
@@ -185,18 +185,6 @@ def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
     return est.total, alt, est.conjectural
 
 
-def _map_indexed(func, count: int, threads: int) -> list:
-    out = [None] * count
-    if threads <= 1:
-        for i in range(count):
-            out[i] = func(i)
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, value in zip(range(count), pool.map(func, range(count))):
-            out[i] = value
-    return out
-
-
 def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     """Aggregate the replicates and compare against the theoretical df.
 
@@ -205,7 +193,7 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     """
     if config.replicates < 100:
         raise ValueError("replicates must be >= 100")
-    pairs = _map_indexed(lambda i: run_replicate(config, i),
+    pairs = map_indexed(lambda i: run_replicate(config, i),
                          config.replicates, threads)
     rss = np.array([p[0] for p in pairs])
     dfo = np.array([p[1] for p in pairs])
@@ -337,7 +325,7 @@ def spike_replicate(config: SimConfig, index: int) -> tuple[float, float]:
 
 
 def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
-    pairs = _map_indexed(lambda i: spike_replicate(config, i),
+    pairs = map_indexed(lambda i: spike_replicate(config, i),
                          config.replicates, threads)
     mu1 = np.array([p[0] for p in pairs])
     ovl = np.array([p[1] for p in pairs])

@@ -223,6 +223,18 @@ def test_cli_error_exit_status(tmp_path, capsys):
     assert out == ""
 
 
+def test_cli_output_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "absent" / "out.csv"
+    code, out, err = run_cli(["simulate", "--n", "10", "--m", "10",
+                              "--replicates", "20", "--seed", "1",
+                              "--output", str(target)], capsys)
+    assert code == 1
+    assert err.startswith("error [IO_ERROR]: ")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not target.parent.exists()
+
+
 def test_cli_seed_required_for_stochastic(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--n", "10", "--m", "10"])

@@ -1,10 +1,15 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from factordf import distributions
 from factordf.distributions import (SeededGenerator, chi2_cdf, chi2_quantile,
-                                    kolmogorov_sf, ks_test,
-                                    sample_standard_normal, stream, t_cdf)
+                                    kolmogorov_sf, ks_test, map_indexed,
+                                    sample_standard_normal, stream, t_cdf,
+                                    worker_count)
 
 
 def test_sampling_is_deterministic():
@@ -125,3 +130,31 @@ def test_ks_rejects_bad_inputs():
         ks_test([0.5] * 5, lambda q: q)
     with pytest.raises(ValueError):
         ks_test(np.linspace(0, 1, 20), lambda q: q * 2.0)
+
+
+def test_worker_count_arithmetic(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert worker_count(8, 100) == 4      # capped by usable cores
+    assert worker_count(2, 100) == 2      # capped by the request
+    assert worker_count(8, 3) == 3        # capped by the task count
+    assert worker_count(1, 100) == 1
+    assert worker_count(0, 100) == 1      # at least one
+    assert worker_count(8, 0) == 1
+
+
+def test_map_indexed_order_and_pool_size(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(distributions, "ThreadPoolExecutor", Recording)
+    assert map_indexed(lambda i: i * i, 7, threads=64) == [i * i for i in range(7)]
+    assert sizes == [2]
+    assert map_indexed(lambda i: -i, 3, threads=1) == [0, -1, -2]
+    assert sizes == [2]                   # one worker runs in the caller

@@ -1,10 +1,16 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from factordf import dof as dof_mod
 from factordf.datasets import AGE_COEF_INDEX, synthetic_study
 from factordf.dof import DofMethod
-from factordf.fdr import (BootstrapConfig, build_generative_truth, evaluate,
+from factordf.fdr import (BASELINE, BootstrapConfig, _dataset_rates, _summarize,
+                          build_generative_truth, evaluate, report_to_json,
                           simulate_dataset)
+from factordf.inference import (compute_direction_stats, df_totals,
+                                response_tests)
 
 
 def test_truth_null_input_retains_few():
@@ -47,7 +53,7 @@ def test_simulate_zero_noise_reproduces_mean_surface():
                          truth.factor_term, np.zeros_like(truth.variances),
                          truth.coef_index, truth.nonzero_mask)
     bundle = simulate_dataset(silent, seed=3, index=0)
-    np.testing.assert_allclose(bundle.Y, truth.mean_surface(), atol=1e-12)
+    np.testing.assert_allclose(bundle.Y, truth.mean_surface, atol=1e-12)
 
 
 def test_simulate_seeds_differ_but_share_mean():
@@ -108,6 +114,67 @@ def test_evaluate_deterministic_across_threads(small_report):
                                                  DofMethod.NAIVE),
                                         mandel_reps=200, threads=8), bundle)
     assert threaded == report
+
+
+ALL_METHODS = (DofMethod.PROPOSED, DofMethod.GOLLOB, DofMethod.MANDEL,
+               DofMethod.NAIVE)
+
+
+def reference_report(cfg, bundle):
+    """Per-dataset loop that recomputes everything for every dataset: the df
+    of every scheme (Mandel included) and a fresh r_hat = 0 fit for the
+    baseline."""
+    truth = build_generative_truth(bundle, cfg.k_factors, cfg.alpha,
+                                   cfg.coef_index, mandel_reps=cfg.mandel_reps,
+                                   seed=cfg.seed)
+    mask = truth.nonzero_mask
+    all_rows = []
+    for d in range(cfg.n_datasets):
+        data = simulate_dataset(truth, cfg.seed, d)
+        stats = compute_direction_stats(data, cfg.k_factors)
+        rows = []
+        for meth in cfg.methods:
+            df_tot = df_totals(stats, meth, cfg.mandel_reps, cfg.seed)
+            p = response_tests(stats, cfg.coef_index, df_tot)[3]
+            rows.append(_dataset_rates(p, cfg.alpha, mask))
+        stats0 = compute_direction_stats(data, 0)
+        p0 = response_tests(stats0, cfg.coef_index, np.zeros(data.M))[3]
+        rows.append(_dataset_rates(p0, cfg.alpha, mask))
+        all_rows.append(rows)
+    labels = [m.value for m in cfg.methods] + [BASELINE]
+    return _summarize(all_rows, labels, cfg.alpha, mask)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evaluate_matches_per_dataset_reference(small_report, threads):
+    _, _, bundle = small_report
+    cfg = BootstrapConfig(k_factors=2, alpha=0.001, n_datasets=10, seed=91,
+                          coef_index=AGE_COEF_INDEX, methods=ALL_METHODS,
+                          mandel_reps=200, threads=threads)
+    expected = report_to_json(reference_report(cfg, bundle))
+    assert report_to_json(evaluate(cfg, bundle)) == expected
+
+
+@pytest.mark.parametrize("methods, calls", [
+    (ALL_METHODS, 1),
+    ((DofMethod.PROPOSED, DofMethod.GOLLOB, DofMethod.NAIVE), 0),
+])
+def test_evaluate_draws_mandel_once(small_report, monkeypatch, methods, calls):
+    _, _, bundle = small_report
+    seen = []
+    real = dof_mod.df_mandel
+
+    def counting(*args, **kwargs):
+        seen.append(inspect.signature(real).bind(*args, **kwargs).args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dof_mod, "df_mandel", counting)
+    evaluate(BootstrapConfig(k_factors=2, alpha=0.001, n_datasets=10, seed=5,
+                             coef_index=AGE_COEF_INDEX, methods=methods,
+                             mandel_reps=100), bundle)
+    # the one draw is the one every dataset would have made
+    n, m = bundle.N - bundle.p, bundle.M - bundle.q
+    assert seen == [(n, m, 2, 100, 5)] * calls
 
 
 def test_config_validation():
