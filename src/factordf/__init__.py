@@ -8,19 +8,14 @@ from .dof import (AsymptoticPrediction, DofEstimate, DofMethod,
                   asymptotic_predictions, df_conservative, df_gollob,
                   df_mandel, df_naive, df_noise, df_signal_k, df_signal_total,
                   noise_floor)
-from .factors import (FactorEstimate, FactorModelTruth, ScreeTable,
-                      adjusted_residuals, extract_factors, rss,
-                      rss_expansion_oracle, variance_explained)
+from .factors import ScreeTable, variance_explained
 from .fdr import (BootstrapConfig, FdrReport, GenerativeTruth,
                   build_generative_truth, evaluate, simulate_dataset)
-from .inference import (DirectionStats, TestResult, VarianceEstimate,
-                        compute_direction_stats, test_all_responses,
-                        test_response, t_statistic, variance_estimate)
-from .linalg import (SvdTruncation, hat_matrix, orthonormal_complement,
-                     polar_factors, truncated_svd)
-from .model import (CoefficientEstimates, DatasetBundle, ReducedModel,
-                    ResidualMatrix, TestDirection, fit_two_sided,
-                    reduce_to_covariate_free, test_direction)
+from .inference import (DirectionStats, TestResult, compute_direction_stats,
+                        test_all_responses)
+from .linalg import polar_factors
+from .model import (CoefficientEstimates, DatasetBundle, ResidualMatrix,
+                    fit_two_sided)
 from .simulation import (GridCell, SignalShape, SimConfig, SimResult,
                          SpikeResult, noise_preset, run_grid, run_replicate,
                          run_sim, run_spike_sim)
@@ -28,18 +23,14 @@ from .simulation import (GridCell, SignalShape, SimConfig, SimResult,
 __all__ = [
     "AsymptoticPrediction", "BootstrapConfig", "CoefficientEstimates",
     "DatasetBundle", "DirectionStats", "DofEstimate", "DofMethod",
-    "FactorEstimate", "FactorModelTruth", "FdrReport", "GenerativeTruth",
-    "GridCell", "KsResult", "ReducedModel", "ResidualMatrix", "ScreeTable",
-    "SeededGenerator", "SignalShape", "SimConfig", "SimResult", "SpikeResult",
-    "SvdTruncation", "TestDirection", "TestResult", "VarianceEstimate",
-    "adjusted_residuals", "asymptotic_predictions", "build_generative_truth",
-    "chi2_cdf", "chi2_quantile", "compute_direction_stats", "df_conservative",
-    "df_gollob", "df_mandel", "df_naive", "df_noise", "df_signal_k",
-    "df_signal_total", "evaluate", "extract_factors", "fit_two_sided",
-    "hat_matrix", "ks_test", "noise_floor", "noise_preset",
-    "orthonormal_complement", "polar_factors", "reduce_to_covariate_free",
-    "rss", "rss_expansion_oracle", "run_grid", "run_replicate", "run_sim",
-    "run_spike_sim", "sample_standard_normal", "simulate_dataset", "t_cdf",
-    "t_statistic", "test_all_responses", "test_direction", "test_response",
-    "truncated_svd", "variance_estimate", "variance_explained",
+    "FdrReport", "GenerativeTruth", "GridCell", "KsResult", "ResidualMatrix",
+    "ScreeTable", "SeededGenerator", "SignalShape", "SimConfig", "SimResult",
+    "SpikeResult", "TestResult", "asymptotic_predictions",
+    "build_generative_truth", "chi2_cdf", "chi2_quantile",
+    "compute_direction_stats", "df_conservative", "df_gollob", "df_mandel",
+    "df_naive", "df_noise", "df_signal_k", "df_signal_total", "evaluate",
+    "fit_two_sided", "ks_test", "noise_floor", "noise_preset", "polar_factors",
+    "run_grid", "run_replicate", "run_sim", "run_spike_sim",
+    "sample_standard_normal", "simulate_dataset", "t_cdf",
+    "test_all_responses", "variance_explained",
 ]

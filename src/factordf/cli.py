@@ -21,8 +21,9 @@ from .factors import variance_explained
 from .fdr import BootstrapConfig, evaluate, report_to_csv, report_to_json
 from .inference import compute_direction_stats, df_totals, response_tests
 from .model import DatasetBundle, fit_two_sided
-from .simulation import (SignalShape, SimConfig, grid_to_csv, grid_to_json,
-                         noise_preset, basis_signal_preset, run_grid, run_sim)
+from .simulation import (CSV_COLUMNS, GridCell, SignalShape, SimConfig,
+                         basis_signal_preset, cell_rows, grid_to_csv,
+                         grid_to_json, noise_preset, run_grid, run_sim)
 
 FORMATS = ("table", "csv", "json")
 
@@ -185,14 +186,13 @@ def cmd_fit(args, out) -> None:
     bundle = ingest(args.y, args.x, args.z, args.add_intercepts)
     if bundle.X is None:
         raise ValueError("fit output requires row covariates (--x)")
-    _, resid = fit_two_sided(bundle)
     stats = compute_direction_stats(bundle, 0)
     header = ["response"] + [f"coef{k}" for k in range(bundle.p)]
     rows = [[bundle.col_ids[j]] + [float(stats.estimates[k, j])
                                    for k in range(bundle.p)]
             for j in range(bundle.M)]
     _emit_rows(header, rows, args.format, out)
-    print(f"residual frobenius norm: {np.linalg.norm(resid.E_hat):.10g}",
+    print(f"residual frobenius norm: {np.linalg.norm(stats.residuals):.10g}",
           file=sys.stderr)
 
 
@@ -213,13 +213,8 @@ def cmd_test(args, out) -> None:
     if method is DofMethod.MANDEL and args.seed is None:
         raise ValueError("--method mandel requires --seed")
     stats = compute_direction_stats(bundle, r_hat)
-    if r_hat > 0:
-        df_tot = df_totals(stats, method, args.mandel_reps, args.seed)
-    else:
-        df_tot = np.zeros(bundle.M)
-    est, t, df_resid, p = response_tests(stats, args.coef_index, df_tot)
-    se = np.sqrt(stats.rss / df_resid
-                 * stats.xtx_inv[args.coef_index, args.coef_index])
+    df_tot = df_totals(stats, method, args.mandel_reps, args.seed)
+    est, se, t, df_resid, p = response_tests(stats, args.coef_index, df_tot)
     order = sorted(range(bundle.M), key=lambda j: (p[j], bundle.col_ids[j]))
     header = ["response", "estimate", "se", "t", "df_resid", "p", "method"]
     label = method.value if method else "none"
@@ -231,20 +226,22 @@ def cmd_test(args, out) -> None:
           file=sys.stderr)
 
 
+def _write_cells(cells, fmt, out) -> None:
+    out.write(grid_to_json(cells) if fmt == "json" else grid_to_csv(cells))
+
+
 def cmd_simulate(args, out) -> None:
     mu = tuple(args.mu or ())
     cfg = SimConfig(n=args.n, m=args.m, r=len(mu), mu=mu,
                     shape=SignalShape(args.shape), sigma_sq=args.sigma_sq,
                     r_hat=args.r_hat, replicates=args.replicates,
                     seed=args.seed)
-    res = run_sim(cfg, threads=args.threads)
-    header = ["n", "m", "mu", "shape", "mean_df", "se_df", "theoretical_df",
-              "ks_D", "ks_p"]
-    row = [args.n, args.m, mu[0] if mu else None, args.shape,
-           res.mean_df, res.se_df, res.theoretical_df,
-           res.ks.statistic if res.ks else None,
-           res.ks.p_value if res.ks else None]
-    _emit_rows(header, [row], args.format, out)
+    cell = GridCell(args.n, args.m, mu[0] if mu else None, args.shape,
+                    run_sim(cfg, threads=args.threads))
+    if args.format == "table":
+        _emit_rows(list(CSV_COLUMNS), cell_rows([cell]), "table", out)
+    else:
+        _write_cells([cell], args.format, out)
 
 
 def cmd_kstable(args, out) -> None:
@@ -257,11 +254,7 @@ def cmd_kstable(args, out) -> None:
         configs = [SimConfig(n=n, m=m, r=0, r_hat=args.r_hat,
                              replicates=args.replicates, seed=args.seed)
                    for n in args.n_list for m in args.m_list]
-    cells = run_grid(configs, threads=args.threads)
-    if args.format == "json":
-        out.write(grid_to_json(cells))
-    else:
-        out.write(grid_to_csv(cells))
+    _write_cells(run_grid(configs, threads=args.threads), args.format, out)
 
 
 def cmd_bootstrap(args, out) -> None:

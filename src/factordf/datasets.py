@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DOMAIN_GENERATE, stream
-from .linalg import hat_matrix
+from .linalg import polar_factors
 from .model import DatasetBundle
 
 N_SUBJECTS = 39
@@ -71,7 +71,8 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
 
     # two latent subject factors, orthogonal to X, unit-norm scores
     G = rng.standard_normal((N, 2))
-    G = G - hat_matrix(X) @ G
+    Q, _ = polar_factors(X)
+    G = G - Q @ (Q.T @ G)
     U, _ = np.linalg.qr(G)
     loadings = rng.standard_normal((M, 2))
     if unexposed_fraction > 0:
@@ -79,7 +80,8 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
         off = rng.choice(M, size=n_off, replace=False)
         loadings[off] = 0.0
     exposure = np.sum(loadings**2, axis=1)
-    loadings = loadings - hat_matrix(Z) @ loadings
+    P, _ = polar_factors(Z)
+    loadings = loadings - P @ (P.T @ loadings)
     noise_sd = rng.uniform(noise_sd_range[0], noise_sd_range[1], size=M)
     # per-gene factor energy sum_k d_k^2 L_jk^2 targets factor_to_noise * N * sd^2
     d = np.sqrt(factor_to_noise * N / 2.0)

@@ -1,59 +1,19 @@
-"""Latent factor extraction by truncated SVD in the sqrt(n) scaling.
+"""Scree table of a residual matrix in the sqrt(n) factor scaling.
 
 The scaling convention is fixed here once: for an n x m input, the factor
 strengths mu_hat_k are the leading eigenvalues of (1/n) M'M, i.e.
-mu_hat_k = sigma_k^2 / n, and sqrt(n) U_hat diag(sqrt(mu_hat)) V_hat' equals
-the leading terms of the SVD.  All degrees-of-freedom formulas consume this
-normalization.
+mu_hat_k = sigma_k^2 / n, so factor k explains n mu_hat_k / ||M||_F^2 of the
+variance.  All degrees-of-freedom formulas consume this normalization.  The
+top factors themselves come from ``linalg.top_factors``; the explicit
+truncated-SVD extraction and the adjusted residuals are test oracles
+(``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_matrix, truncated_svd
-from .model import TestDirection
-
-
-@dataclass(frozen=True)
-class FactorEstimate:
-    """Truncated-SVD factors of a residual matrix, sqrt(n)-scaled."""
-
-    U_hat: np.ndarray    # (n, r_hat) orthonormal columns
-    mu_hat: np.ndarray   # (r_hat,) descending positive
-    V_hat: np.ndarray    # (m, r_hat) orthonormal columns
-    n: int
-
-    @property
-    def r_hat(self) -> int:
-        return len(self.mu_hat)
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        return np.sqrt(self.n * self.mu_hat)
-
-    def factor_term(self) -> np.ndarray:
-        """sqrt(n) U_hat D_hat V_hat', the fitted rank-r_hat mean component."""
-        return (self.U_hat * self.singular_values) @ self.V_hat.T
-
-
-@dataclass(frozen=True)
-class FactorModelTruth:
-    """Known factors of a generating model Y = sqrt(n) U D V' + E."""
-
-    U: np.ndarray    # (n, r)
-    mu: np.ndarray   # (r,) strictly decreasing positive
-    V: np.ndarray    # (m, r)
-
-    @property
-    def r(self) -> int:
-        return len(self.mu)
-
-    def signal_matrix(self) -> np.ndarray:
-        n = self.U.shape[0]
-        if self.r == 0:
-            return np.zeros((n, self.V.shape[0]))
-        return (self.U * np.sqrt(n * np.asarray(self.mu))) @ self.V.T
+from .linalg import _as_matrix
 
 
 @dataclass(frozen=True)
@@ -66,62 +26,6 @@ class ScreeTable:
     def rows(self):
         return list(zip(range(1, len(self.variance_pct) + 1),
                         self.variance_pct, self.residual_pct))
-
-
-def extract_factors(M, r_hat: int) -> FactorEstimate:
-    """Leading r_hat factors of M by SVD, with mu_hat_k = sigma_k^2 / n."""
-    M = _as_matrix(M, "M")
-    n = M.shape[0]
-    if not 1 <= r_hat <= min(M.shape):
-        raise ValueError(f"r_hat must be in [1, {min(M.shape)}], got {r_hat}")
-    if not np.any(M):
-        raise ValueError("zero matrix has no factors")
-    svd = truncated_svd(M, r_hat)
-    if svd.singular_values[-1] <= 1e-12 * svd.singular_values[0]:
-        raise ValueError(f"matrix rank is below the requested {r_hat} factors")
-    return FactorEstimate(svd.left_vectors, svd.singular_values**2 / n,
-                          svd.right_vectors, n)
-
-
-def adjusted_residuals(M, estimate: FactorEstimate) -> np.ndarray:
-    """M minus its fitted factor term; orthogonal to U_hat and V_hat."""
-    M = _as_matrix(M, "M")
-    if M.shape != (estimate.U_hat.shape[0], estimate.V_hat.shape[0]):
-        raise ValueError("factor estimate shape does not match the matrix")
-    return M - estimate.factor_term()
-
-
-def rss(adjusted, direction: TestDirection) -> float:
-    """Residual sum of squares s' E' E s along the test direction."""
-    adjusted = np.asarray(adjusted, dtype=np.float64)
-    if adjusted.shape[1] != direction.s.shape[0]:
-        raise ValueError("direction length does not match residual columns")
-    v = adjusted @ direction.s
-    return float(v @ v)
-
-
-def rss_expansion_oracle(truth: FactorModelTruth, E, direction: TestDirection,
-                     r_hat: int) -> float:
-    """RSS along s via the algebraic expansion of the residual quadratic form.
-
-    Evaluates s'E'Es + 2 sqrt(n) s'VDU'Es + n (sum mu_k (v_k's)^2 -
-    sum mu_hat_k (vhat_k's)^2) on Y = sqrt(n) U D V' + E.  Exists purely as a
-    cross-check against the direct residual computation.
-    """
-    E = _as_matrix(E, "E")
-    s = direction.s
-    n = E.shape[0]
-    Y = truth.signal_matrix() + E
-    Es = E @ s
-    total = float(Es @ Es)
-    if truth.r > 0:
-        D = np.sqrt(np.asarray(truth.mu))
-        total += 2.0 * np.sqrt(n) * float((truth.V.T @ s) * D @ (truth.U.T @ Es))
-        total += n * float(np.asarray(truth.mu) @ (truth.V.T @ s) ** 2)
-    if r_hat > 0:
-        est = extract_factors(Y, r_hat)
-        total -= n * float(est.mu_hat @ (est.V_hat.T @ s) ** 2)
-    return total
 
 
 def variance_explained(M, rows: int | None = None) -> ScreeTable:

@@ -79,11 +79,10 @@ def build_generative_truth(data: DatasetBundle, k_factors: int, alpha: float,
     """Fit, threshold the tested coefficients at ``alpha``, estimate variances."""
     stats = compute_direction_stats(data, k_factors)
     df_tot = df_totals(stats, method, mandel_reps, seed)
-    _, _, df_resid, p = response_tests(stats, coef_index, df_tot)
+    _, _, _, df_resid, p = response_tests(stats, coef_index, df_tot)
     keep = p < alpha
 
-    from .model import fit_two_sided
-    coef, _ = fit_two_sided(data)
+    coef = stats.coefficients
     beta = coef.B_hat.copy()
     beta[~keep, coef_index] = 0.0
 
@@ -163,11 +162,11 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
             df_tot = constant.get(meth)
             if df_tot is None:
                 df_tot = df_totals(stats, meth, config.mandel_reps, config.seed)
-            _, _, _, p = response_tests(stats, config.coef_index, df_tot)
+            p = response_tests(stats, config.coef_index, df_tot)[4]
             rows.append(_dataset_rates(p, config.alpha, mask))
         if config.include_baseline:
-            _, _, _, p0 = response_tests(
-                without_factors(stats), config.coef_index, np.zeros(bundle.M))
+            p0 = response_tests(without_factors(stats), config.coef_index,
+                                np.zeros(bundle.M))[4]
             rows.append(_dataset_rates(p0, config.alpha, mask))
         return rows
 

@@ -13,18 +13,9 @@ import numpy as np
 
 from . import dof as dof_mod
 from .distributions import t_sf
-from .dof import DofEstimate, DofMethod
-from .model import DatasetBundle, fit_two_sided
-
-
-@dataclass(frozen=True)
-class VarianceEstimate:
-    """Direction-wise error variance rss / (n - df)."""
-
-    sigma_sq_hat: float
-    rss: float
-    df_used: float
-    df_resid: float
+from .dof import DofMethod
+from .linalg import top_factors
+from .model import CoefficientEstimates, DatasetBundle, fit_two_sided
 
 
 @dataclass(frozen=True)
@@ -38,26 +29,6 @@ class TestResult:
     df_method: DofMethod | None
 
 
-def variance_estimate(rss: float, n: int, dof: DofEstimate) -> VarianceEstimate:
-    """Unbiased variance along a direction given its degrees of freedom."""
-    if rss < 0:
-        raise ValueError("rss must be nonnegative")
-    df_resid = n - dof.total
-    if df_resid <= 0:
-        raise ValueError(
-            f"degrees of freedom exhausted: n = {n}, df(s) = {dof.total:.4f}")
-    return VarianceEstimate(rss / df_resid, rss, dof.total, df_resid)
-
-
-def t_statistic(coef: float, contrast_var: float,
-                var_est: VarianceEstimate) -> tuple[float, float]:
-    """t = coef / sqrt(sigma_sq_hat * contrast_var), df carried alongside."""
-    if contrast_var <= 0:
-        raise ValueError("contrast variance must be positive")
-    se = np.sqrt(var_est.sigma_sq_hat * contrast_var)
-    return float(coef / se), float(var_est.df_resid)
-
-
 @dataclass(frozen=True)
 class DirectionStats:
     """Vectorized per-response quantities shared by every df scheme.
@@ -65,7 +36,7 @@ class DirectionStats:
     For each response j with direction s_j = (I - H_Z) e_j this stores the
     identifiable coefficient components B_hat' s_j, the squared norms s_j's_j,
     the squared factor-loading projections (w_k)_j^2 / s_j's_j, and the
-    adjusted residual sums of squares.
+    adjusted residual sums of squares, next to the fit they come from.
     """
 
     estimates: np.ndarray      # (p, M) columns are B_hat' s_j
@@ -79,6 +50,7 @@ class DirectionStats:
     factor_sing: np.ndarray    # (r_hat,) singular values
     factor_loadings: np.ndarray  # (M, r_hat) full-coordinate loadings
     residuals: np.ndarray      # (N, M) doubly projected residuals
+    coefficients: CoefficientEstimates  # the two-sided fit behind all of it
 
 
 def compute_direction_stats(bundle: DatasetBundle, r_hat: int) -> DirectionStats:
@@ -93,9 +65,8 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int) -> DirectionStats
     coef, resid = fit_two_sided(bundle)
     E = resid.E_hat
     Bt = coef.B_hat.T                       # (p, M)
-    if bundle.Z is not None:
-        from .linalg import polar_factors
-        P1, _ = polar_factors(bundle.Z)
+    P1 = bundle.P1
+    if P1 is not None:
         estimates = Bt - (Bt @ P1) @ P1.T
         s_normsq = 1.0 - np.einsum("ij,ij->i", P1, P1)
     else:
@@ -103,14 +74,7 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int) -> DirectionStats
         s_normsq = np.ones(bundle.M)
 
     if r_hat > 0:
-        # top factors of E via the Gram matrix on the small side (N << M)
-        G = E @ E.T
-        w, Q = np.linalg.eigh(G)
-        lam = np.maximum(w[::-1][:r_hat], 0.0)
-        if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
-            raise ValueError(f"residual rank is below the requested {r_hat} factors")
-        sing = np.sqrt(lam)
-        left = Q[:, ::-1][:, :r_hat]
+        left, sing = top_factors(E, r_hat)
         loadings = (E.T @ left) / sing
         adjusted = E - (left * sing) @ loadings.T
         proj = loadings**2 / s_normsq[:, None]
@@ -122,9 +86,10 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int) -> DirectionStats
         proj = np.zeros((bundle.M, 0))
 
     rss = np.einsum("ij,ij->j", adjusted, adjusted)
-    xtx_inv = np.linalg.inv(bundle.X.T @ bundle.X)
-    return DirectionStats(estimates, s_normsq, proj, rss, n, m, xtx_inv,
-                          left, sing, loadings, E)
+    # X = Q1 R with R symmetric, so (X'X)^-1 = R^-2
+    R_inv = np.linalg.inv(bundle.R)
+    return DirectionStats(estimates, s_normsq, proj, rss, n, m, R_inv @ R_inv,
+                          left, sing, loadings, E, coef)
 
 
 def without_factors(stats: DirectionStats) -> DirectionStats:
@@ -172,9 +137,9 @@ def df_totals(stats: DirectionStats, method: DofMethod | None,
     return stats.n * stats.proj_sq.sum(axis=1) + r_hat * floor
 
 
-def response_tests(stats: DirectionStats, coef_index: int,
-                     df_tot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(estimate, t, df_resid, p) arrays for all responses at once."""
+def response_tests(stats: DirectionStats, coef_index: int, df_tot: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(estimate, se, t, df_resid, p) arrays for all responses at once."""
     p_cov = stats.estimates.shape[0]
     if not 0 <= coef_index < p_cov:
         raise ValueError(f"coef_index {coef_index} out of range [0, {p_cov})")
@@ -186,39 +151,25 @@ def response_tests(stats: DirectionStats, coef_index: int,
     est = stats.estimates[coef_index]
     sigma_sq = stats.rss / df_resid
     cvar = stats.xtx_inv[coef_index, coef_index]
-    t = est / np.sqrt(sigma_sq * cvar)
+    se = np.sqrt(sigma_sq * cvar)
+    t = est / se
     p = 2.0 * t_sf(np.abs(t), df_resid)
-    return est, t, df_resid, p
+    return est, se, t, df_resid, p
 
 
 def test_all_responses(bundle: DatasetBundle, coef_index: int, r_hat: int,
                        method: DofMethod | None = DofMethod.PROPOSED, *,
                        mandel_reps: int = 1000,
                        seed: int | None = None) -> list[TestResult]:
-    """Full testing pipeline for every response; one TestResult per column."""
+    """Full testing pipeline for every response; one TestResult per column.
+
+    With r_hat = 0 this reduces exactly to the classical multivariate
+    regression t test on each projected response.
+    """
     stats = compute_direction_stats(bundle, r_hat)
-    df_tot = df_totals(stats, method if r_hat > 0 else None,
-                       mandel_reps, seed) if r_hat > 0 else np.zeros(bundle.M)
-    est, t, df_resid, p = response_tests(stats, coef_index, df_tot)
-    sigma_sq = stats.rss / df_resid
-    cvar = stats.xtx_inv[coef_index, coef_index]
-    se = np.sqrt(sigma_sq * cvar)
+    df_tot = df_totals(stats, method, mandel_reps, seed)
+    est, se, t, df_resid, p = response_tests(stats, coef_index, df_tot)
     ids = bundle.col_ids if bundle.col_ids else tuple(str(j) for j in range(bundle.M))
     return [TestResult(ids[j], float(est[j]), float(se[j]), float(t[j]),
                        float(df_resid[j]), float(p[j]), method)
             for j in range(bundle.M)]
-
-
-def test_response(bundle: DatasetBundle, j: int, coef_index: int, r_hat: int,
-                  method: DofMethod | None = DofMethod.PROPOSED, *,
-                  mandel_reps: int = 1000,
-                  seed: int | None = None) -> TestResult:
-    """Test one response: fit, adjust r_hat factors, estimate df, t, p.
-
-    With r_hat = 0 this reduces exactly to the classical multivariate
-    regression t test on the projected response.
-    """
-    if not 0 <= j < bundle.M:
-        raise ValueError(f"response index {j} out of range [0, {bundle.M})")
-    return test_all_responses(bundle, coef_index, r_hat, method,
-                              mandel_reps=mandel_reps, seed=seed)[j]

@@ -1,12 +1,10 @@
-"""Dense linear-algebra kernels with fixed sign conventions.
+"""Dense linear-algebra kernels: covariate polar factors and top factors.
 
-Every routine here is a pure function of its input bytes: singular vectors,
-polar factors, and orthonormal complements all follow the same deterministic
-sign rule so that downstream estimates are reproducible across runs and
-thread counts.
+Every routine here is a pure function of its input bytes, so downstream
+estimates are reproducible across runs and thread counts.  ``top_factors`` is
+the one factor kernel: the model's residual factors and every Monte-Carlo
+replicate go through it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,38 +36,6 @@ def canonical_signs(V: np.ndarray) -> np.ndarray:
     return signs
 
 
-@dataclass(frozen=True)
-class SvdTruncation:
-    """Leading-k SVD factors with orthonormal columns and canonical signs."""
-
-    left_vectors: np.ndarray      # (n, k)
-    singular_values: np.ndarray   # (k,) descending, >= 0
-    right_vectors: np.ndarray     # (m, k)
-
-    @property
-    def rank(self) -> int:
-        return len(self.singular_values)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
-
-def truncated_svd(A, k: int) -> SvdTruncation:
-    """Best rank-k factors of A with the canonical sign convention.
-
-    The sign of each (left, right) vector pair is fixed so that the
-    largest-magnitude entry of the right singular vector is positive.
-    """
-    A = _as_matrix(A, "A")
-    kmax = min(A.shape)
-    if not 1 <= k <= kmax:
-        raise ValueError(f"k must be in [1, {kmax}], got {k}")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    U, s, Vt = U[:, :k], s[:k], Vt[:k]
-    signs = canonical_signs(Vt.T)
-    return SvdTruncation(U * signs, s, Vt.T * signs)
-
-
 def polar_factors(X) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition X = Q R with Q orthonormal-column, R symmetric PD.
 
@@ -86,53 +52,20 @@ def polar_factors(X) -> tuple[np.ndarray, np.ndarray]:
     return Q, 0.5 * (R + R.T)
 
 
-def orthonormal_complement(Q1, n_rows: int | None = None) -> np.ndarray:
-    """Orthonormal basis Q2 of the complement of span(Q1), so [Q1 Q2] is orthogonal.
+def top_factors(E: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-r left singular vectors (n, r) and singular values (r,) of E.
 
-    Deterministic construction: Gram-Schmidt completion against the identity
-    columns in index order, re-orthogonalized once, then the canonical sign
-    convention.  Pass ``n_rows`` for the degenerate k = 0 case (returns the
-    identity).
+    Taken from the Gram matrix of the smaller side: eigh(E E') when n <= m,
+    else eigh(E'E) with left = E right / sing.  Callers that need loadings
+    form E' left / sing.  The vector signs are the eigensolver's; every
+    consumer uses sign-free products.  Raises when the r-th singular value
+    vanishes next to the first (1 <= r <= min(n, m)).
     """
-    if Q1 is None or (hasattr(Q1, "shape") and np.asarray(Q1).size == 0):
-        if n_rows is None:
-            raise ValueError("n_rows is required when Q1 is empty")
-        return np.eye(n_rows)
-    Q1 = _as_matrix(Q1, "Q1")
-    N, k = Q1.shape
-    if k > N:
-        raise ValueError("Q1 cannot have more columns than rows")
-    if np.max(np.abs(Q1.T @ Q1 - np.eye(k))) > 1e-8:
-        raise ValueError("Q1 columns are not orthonormal")
-    if k == N:
-        return np.zeros((N, 0))
-
-    basis = [Q1[:, j] for j in range(k)]
-    added = []
-    for i in range(N):
-        if len(basis) == N:
-            break
-        v = np.zeros(N)
-        v[i] = 1.0
-        for b in basis:
-            v = v - (b @ v) * b
-        # second pass guards against cancellation
-        for b in basis:
-            v = v - (b @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            v = v / norm
-            basis.append(v)
-            added.append(v)
-    if len(basis) != N:
-        raise ValueError("failed to complete orthonormal basis")
-    Q2 = np.column_stack(added)
-    return Q2 * canonical_signs(Q2)
-
-
-def hat_matrix(X) -> np.ndarray:
-    """Orthogonal projector onto the column space of X (symmetric, idempotent)."""
-    X = _as_matrix(X, "X")
-    Q, _ = polar_factors(X)
-    H = Q @ Q.T
-    return 0.5 * (H + H.T)
+    n, m = E.shape
+    w, Q = np.linalg.eigh(E @ E.T if n <= m else E.T @ E)
+    lam = np.maximum(w[::-1][:r], 0.0)
+    if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
+        raise ValueError(f"matrix rank is below the requested {r} factors")
+    sing = np.sqrt(lam)
+    vecs = Q[:, ::-1][:, :r]
+    return (vecs if n <= m else (E @ vecs) / sing), sing

@@ -1,35 +1,35 @@
 """Two-sided least squares for the bilinear regression model.
 
-Fits Y = A Z' + X B' + (latent factors) + E, exposes the identifiable
+Fits Y = A Z' + X B' + (latent factors) + E and exposes the identifiable
 coefficient components under the fixed normalization H_X A = 0,
-H_Z B = H_Z Y' X (X'X)^-1, and reduces any model with covariates to a
-covariate-free one on the orthogonal complements of col(X) and col(Z).
+H_Z B = H_Z Y' X (X'X)^-1.  The covariates are factored once, when the
+bundle is built: X = Q1 R and Z = P1 S are their polar decompositions, and
+every fit and test reads those factors instead of refactoring X'X or Z'Z.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOL, _as_matrix, orthonormal_complement, polar_factors
-
-# Tolerance for s being orthogonal to the column covariates.
-DIRECTION_TOL = 1e-8
+from .linalg import _as_matrix, polar_factors
 
 
-def _check_covariate(C, n_rows: int, name: str) -> np.ndarray | None:
+def _factor_covariate(C, n_rows: int, name: str):
+    """(C, Q, R) with C = Q R its polar factors, or (None, None, None)."""
     if C is None:
-        return None
+        return None, None, None
     C = _as_matrix(C, name)
     if C.shape[1] == 0:
-        return None
+        return None, None, None
     if C.shape[0] != n_rows:
         raise ValueError(f"{name} has {C.shape[0]} rows, expected {n_rows}")
     if C.shape[1] >= n_rows:
         raise ValueError(f"{name} must have fewer columns than rows")
-    s = np.linalg.svd(C, compute_uv=False)
-    if s[-1] <= RANK_TOL * s[0]:
-        raise ValueError(f"{name} is rank deficient")
-    return C
+    try:
+        Q, R = polar_factors(C)
+    except ValueError:
+        raise ValueError(f"{name} is rank deficient") from None
+    return C, Q, R
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,19 @@ class DatasetBundle:
     Z: np.ndarray | None = None         # (M, q)
     row_ids: tuple = field(default=(), compare=False)
     col_ids: tuple = field(default=(), compare=False)
+    # polar factors X = Q1 R and Z = P1 S, taken once here (None without X / Z)
+    Q1: np.ndarray | None = field(init=False, repr=False, compare=False)
+    R: np.ndarray | None = field(init=False, repr=False, compare=False)
+    P1: np.ndarray | None = field(init=False, repr=False, compare=False)
+    S: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Y = _as_matrix(self.Y, "Y")
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "X", _check_covariate(self.X, Y.shape[0], "X"))
-        object.__setattr__(self, "Z", _check_covariate(self.Z, Y.shape[1], "Z"))
+        X, Q1, R = _factor_covariate(self.X, Y.shape[0], "X")
+        Z, P1, S = _factor_covariate(self.Z, Y.shape[1], "Z")
+        for name, value in (("Y", Y), ("X", X), ("Z", Z), ("Q1", Q1),
+                            ("R", R), ("P1", P1), ("S", S)):
+            object.__setattr__(self, name, value)
 
     @property
     def N(self) -> int:
@@ -79,127 +86,35 @@ class ResidualMatrix:
     E_hat: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReducedModel:
-    """Covariate-free coordinates: Y22 = Q2' Y P2 on the complement bases."""
-
-    Q2: np.ndarray    # (N, n)
-    P2: np.ndarray    # (M, m)
-    Y22: np.ndarray   # (n, m)
-
-    @property
-    def n(self) -> int:
-        return self.Y22.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.Y22.shape[1]
-
-
-@dataclass(frozen=True)
-class TestDirection:
-    """A direction s with Z's = 0 along which B's is identifiable."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(s)):
-            raise ValueError("test direction has non-finite entries")
-        if s @ s <= 0:
-            raise ValueError("test direction has zero norm")
-        object.__setattr__(self, "s", s)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.s @ self.s)
-
-
-def _project_out_rows(Q1: np.ndarray | None, A: np.ndarray) -> np.ndarray:
-    # (I - Q1 Q1') A without forming the projector
-    if Q1 is None:
-        return A
-    return A - Q1 @ (Q1.T @ A)
-
-
-def _project_out_cols(A: np.ndarray, P1: np.ndarray | None) -> np.ndarray:
-    if P1 is None:
-        return A
-    return A - (A @ P1) @ P1.T
-
-
 def fit_two_sided(bundle: DatasetBundle) -> tuple[CoefficientEstimates, ResidualMatrix]:
     """Least squares fit of the two-sided regression part of the model.
 
     Returns the coefficient blocks under the stated identifiability
-    convention and the residual matrix E_hat = (I - H_X) Y (I - H_Z).
+    convention and the residual matrix E_hat = (I - H_X) Y (I - H_Z).  With
+    X = Q1 R and Z = P1 S, B_hat = Y' Q1 R^-1 and A_hat = Yx P1 S^-1, where
+    Yx = (I - H_X) Y; the normal equations would square the conditioning.
     """
-    Y, X, Z = bundle.Y, bundle.X, bundle.Z
-    N, M, p, q = bundle.N, bundle.M, bundle.p, bundle.q
+    Y, Q1, R, P1, S = bundle.Y, bundle.Q1, bundle.R, bundle.P1, bundle.S
 
-    Q1 = R = None
-    if X is not None:
-        Q1, R = polar_factors(X)
-    P1 = S = None
-    if Z is not None:
-        P1, S = polar_factors(Z)
-
-    if X is not None:
-        B_hat = np.linalg.solve(X.T @ X, X.T @ Y).T
+    if Q1 is not None:
+        QtY = Q1.T @ Y
+        B_hat = np.linalg.solve(R, QtY).T
+        Yx = Y - Q1 @ QtY
     else:
-        B_hat = np.zeros((M, 0))
+        B_hat = np.zeros((bundle.M, 0))
+        Yx = Y
 
-    Yx = _project_out_rows(Q1, Y)
-    if Z is not None:
-        A_hat = np.linalg.solve(Z.T @ Z, (Yx @ Z).T).T
+    if P1 is not None:
+        YxP = Yx @ P1
+        A_hat = np.linalg.solve(S, YxP.T).T
+        E_hat = Yx - YxP @ P1.T
     else:
-        A_hat = np.zeros((N, 0))
+        A_hat = np.zeros((bundle.N, 0))
+        E_hat = Yx
 
-    if X is not None and Z is not None:
-        Y11 = Q1.T @ Y @ P1
-        Gamma_hat = np.linalg.solve(R, Y11) @ np.linalg.inv(S)
+    if Q1 is not None and P1 is not None:
+        Gamma_hat = np.linalg.solve(R, QtY @ P1) @ np.linalg.inv(S)
     else:
-        Gamma_hat = np.zeros((p, q))
+        Gamma_hat = np.zeros((bundle.p, bundle.q))
 
-    E_hat = _project_out_cols(Yx, P1)
     return CoefficientEstimates(A_hat, B_hat, Gamma_hat), ResidualMatrix(E_hat)
-
-
-def test_direction(bundle: DatasetBundle, j: int) -> TestDirection:
-    """Direction (I - H_Z) e_j for response j (0-based index)."""
-    if not 0 <= j < bundle.M:
-        raise ValueError(f"response index {j} out of range [0, {bundle.M})")
-    e = np.zeros(bundle.M)
-    e[j] = 1.0
-    if bundle.Z is None:
-        return TestDirection(e)
-    P1, _ = polar_factors(bundle.Z)
-    return TestDirection(e - P1 @ (P1.T @ e))
-
-
-def reduce_to_covariate_free(
-    bundle: DatasetBundle, direction: TestDirection
-) -> tuple[ReducedModel, TestDirection]:
-    """Change of basis to the complements of col(X) and col(Z).
-
-    The returned model satisfies Y22 = Q2' Y P2 with n = N - p and
-    m = M - q rows/columns; the reduced direction is s2 = P2' s, which
-    preserves the residual quadratic form s' E' E s exactly.
-    """
-    s = direction.s
-    if s.shape[0] != bundle.M:
-        raise ValueError("direction length does not match number of responses")
-    if bundle.Z is not None:
-        if np.max(np.abs(bundle.Z.T @ s)) > DIRECTION_TOL * max(1.0, np.linalg.norm(s)):
-            raise ValueError("test direction is not orthogonal to Z")
-        P1, _ = polar_factors(bundle.Z)
-        P2 = orthonormal_complement(P1)
-    else:
-        P2 = np.eye(bundle.M)
-    if bundle.X is not None:
-        Q1, _ = polar_factors(bundle.X)
-        Q2 = orthonormal_complement(Q1)
-    else:
-        Q2 = np.eye(bundle.N)
-    Y22 = Q2.T @ (bundle.Y @ P2)
-    return ReducedModel(Q2, P2, Y22), TestDirection(P2.T @ s)

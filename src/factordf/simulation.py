@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import (DOMAIN_SIM, KsResult, chi2_cdf, ks_test,
                             map_indexed, stream)
 from .dof import df_noise, df_signal_total, is_above_transition
-from .linalg import canonical_signs
+from .linalg import canonical_signs, top_factors
 
 
 class SignalShape(str, Enum):
@@ -117,24 +117,14 @@ def _simulate_response(config: SimConfig, index: int) -> np.ndarray:
 
 
 def _rss_after_truncation(Y: np.ndarray, s: np.ndarray, r_hat: int) -> float:
-    """s' E_hat' E_hat s for the rank-r_hat truncation, via the small Gram matrix."""
-    n, m = Y.shape
+    """s' E_hat' E_hat s for the rank-r_hat truncation: ||Ys||^2 - ||left' Ys||^2."""
     Ys = Y @ s
     base = float(Ys @ Ys)
     if r_hat == 0:
         return base
-    if n <= m:
-        G = Y @ Y.T
-        w, Q = np.linalg.eigh(G)
-        U = Q[:, ::-1][:, :r_hat]
-        coef = U.T @ Ys
-        return base - float(coef @ coef)
-    G = Y.T @ Y
-    w, Q = np.linalg.eigh(G)
-    lam = np.maximum(w[::-1][:r_hat], 0.0)
-    Vh = Q[:, ::-1][:, :r_hat]
-    proj = Vh.T @ s
-    return base - float(lam @ proj**2)
+    left, _ = top_factors(Y, r_hat)
+    coef = left.T @ Ys
+    return base - float(coef @ coef)
 
 
 def run_replicate(config: SimConfig, index: int) -> tuple[float, float]:
@@ -259,41 +249,52 @@ def basis_signal_preset(seed: int, mu: float = 3.0, replicates: int = 10000,
             for n in n_grid for m in m_grid]
 
 
+# Columns of a simulate / ks-table row in CSV; JSON adds the replicate count.
+CSV_COLUMNS = ("n", "m", "mu", "shape", "mean_df", "se_df", "theoretical_df",
+               "ks_D", "ks_p", "conjectural", "alt_theoretical_df", "bracketed")
+
+
+def cell_record(cell: GridCell) -> dict:
+    """The one row builder behind every simulate and ks-table output."""
+    r = cell.result
+    return {
+        "n": cell.n, "m": cell.m, "mu": cell.mu, "shape": cell.shape,
+        "mean_df": r.mean_df, "se_df": r.se_df,
+        "theoretical_df": r.theoretical_df,
+        "alt_theoretical_df": r.alt_theoretical_df,
+        "bracketed": r.bracketed, "conjectural": r.conjectural,
+        "ks_D": r.ks.statistic if r.ks else None,
+        "ks_p": r.ks.p_value if r.ks else None,
+        "replicates": r.replicates_used,
+    }
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return x
     return f"{x:.10g}"
+
+
+def cell_rows(cells: list[GridCell]) -> list[list[str]]:
+    """CSV_COLUMNS of every cell, formatted as the CSV writes them."""
+    return [[_fmt(rec[k]) for k in CSV_COLUMNS]
+            for rec in map(cell_record, cells)]
 
 
 def grid_to_csv(cells: list[GridCell]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "m", "mu", "shape", "mean_df", "se_df",
-                "theoretical_df", "ks_D", "ks_p"])
-    for c in cells:
-        r = c.result
-        ks_d = r.ks.statistic if r.ks else None
-        ks_p = r.ks.p_value if r.ks else None
-        w.writerow([c.n, c.m, _fmt(c.mu), c.shape, _fmt(r.mean_df),
-                    _fmt(r.se_df), _fmt(r.theoretical_df), _fmt(ks_d), _fmt(ks_p)])
+    w.writerow(CSV_COLUMNS)
+    w.writerows(cell_rows(cells))
     return buf.getvalue()
 
 
 def grid_to_json(cells: list[GridCell]) -> str:
-    rows = []
-    for c in cells:
-        r = c.result
-        rows.append({
-            "n": c.n, "m": c.m, "mu": c.mu, "shape": c.shape,
-            "mean_df": r.mean_df, "se_df": r.se_df,
-            "theoretical_df": r.theoretical_df,
-            "alt_theoretical_df": r.alt_theoretical_df,
-            "bracketed": r.bracketed, "conjectural": r.conjectural,
-            "ks_D": r.ks.statistic if r.ks else None,
-            "ks_p": r.ks.p_value if r.ks else None,
-            "replicates": r.replicates_used,
-        })
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps([cell_record(c) for c in cells], indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -313,15 +314,9 @@ def spike_replicate(config: SimConfig, index: int) -> tuple[float, float]:
         raise ValueError("spike diagnostics require exactly one true factor")
     Y = _simulate_response(config, index)
     v = loading_matrix(config)[:, 0]
-    n, m = Y.shape
-    if n <= m:
-        w, Q = np.linalg.eigh(Y @ Y.T)
-        lam, u = w[-1], Q[:, -1]
-        vhat = Y.T @ u / np.sqrt(lam)
-    else:
-        w, Q = np.linalg.eigh(Y.T @ Y)
-        lam, vhat = w[-1], Q[:, -1]
-    return float(lam / n), float((vhat @ v) ** 2)
+    left, sing = top_factors(Y, 1)
+    vhat = Y.T @ left[:, 0] / sing[0]
+    return float(sing[0] ** 2 / Y.shape[0]), float((vhat @ v) ** 2)
 
 
 def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:

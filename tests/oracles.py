@@ -1,0 +1,308 @@
+"""Validation oracles: slow, explicit versions of what the library computes.
+
+The library works in full coordinates with one Gram-matrix factor kernel
+(``factordf.linalg.top_factors``).  The tests hold it to these independent
+routes: a full SVD with canonical signs, the change of basis to the
+complements of col(X) and col(Z), the explicit factor term and adjusted
+residuals, the algebraic RSS expansion, and scalar variance / t arithmetic.
+None of them is fast enough, or needed, for production sizes.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from factordf.dof import DofEstimate
+from factordf.linalg import _as_matrix, canonical_signs, polar_factors
+from factordf.model import DatasetBundle
+
+
+@dataclass(frozen=True)
+class SvdTruncation:
+    """Leading-k SVD factors with orthonormal columns and canonical signs."""
+
+    left_vectors: np.ndarray      # (n, k)
+    singular_values: np.ndarray   # (k,) descending, >= 0
+    right_vectors: np.ndarray     # (m, k)
+
+    @property
+    def rank(self) -> int:
+        return len(self.singular_values)
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
+
+
+def truncated_svd(A, k: int) -> SvdTruncation:
+    """Best rank-k factors of A with the canonical sign convention.
+
+    The sign of each (left, right) vector pair is fixed so that the
+    largest-magnitude entry of the right singular vector is positive.
+    """
+    A = _as_matrix(A, "A")
+    kmax = min(A.shape)
+    if not 1 <= k <= kmax:
+        raise ValueError(f"k must be in [1, {kmax}], got {k}")
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = U[:, :k], s[:k], Vt[:k]
+    signs = canonical_signs(Vt.T)
+    return SvdTruncation(U * signs, s, Vt.T * signs)
+
+
+def orthonormal_complement(Q1, n_rows: int | None = None) -> np.ndarray:
+    """Orthonormal basis Q2 of the complement of span(Q1), so [Q1 Q2] is orthogonal.
+
+    Deterministic construction: Gram-Schmidt completion against the identity
+    columns in index order, re-orthogonalized once, then the canonical sign
+    convention.  Pass ``n_rows`` for the degenerate k = 0 case (returns the
+    identity).
+    """
+    if Q1 is None or (hasattr(Q1, "shape") and np.asarray(Q1).size == 0):
+        if n_rows is None:
+            raise ValueError("n_rows is required when Q1 is empty")
+        return np.eye(n_rows)
+    Q1 = _as_matrix(Q1, "Q1")
+    N, k = Q1.shape
+    if k > N:
+        raise ValueError("Q1 cannot have more columns than rows")
+    if np.max(np.abs(Q1.T @ Q1 - np.eye(k))) > 1e-8:
+        raise ValueError("Q1 columns are not orthonormal")
+    if k == N:
+        return np.zeros((N, 0))
+
+    basis = [Q1[:, j] for j in range(k)]
+    added = []
+    for i in range(N):
+        if len(basis) == N:
+            break
+        v = np.zeros(N)
+        v[i] = 1.0
+        for b in basis:
+            v = v - (b @ v) * b
+        # second pass guards against cancellation
+        for b in basis:
+            v = v - (b @ v) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            v = v / norm
+            basis.append(v)
+            added.append(v)
+    if len(basis) != N:
+        raise ValueError("failed to complete orthonormal basis")
+    Q2 = np.column_stack(added)
+    return Q2 * canonical_signs(Q2)
+
+
+def hat_matrix(X) -> np.ndarray:
+    """Orthogonal projector onto the column space of X (symmetric, idempotent)."""
+    X = _as_matrix(X, "X")
+    Q, _ = polar_factors(X)
+    H = Q @ Q.T
+    return 0.5 * (H + H.T)
+
+
+# Tolerance for s being orthogonal to the column covariates.
+DIRECTION_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class ReducedModel:
+    """Covariate-free coordinates: Y22 = Q2' Y P2 on the complement bases."""
+
+    Q2: np.ndarray    # (N, n)
+    P2: np.ndarray    # (M, m)
+    Y22: np.ndarray   # (n, m)
+
+    @property
+    def n(self) -> int:
+        return self.Y22.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.Y22.shape[1]
+
+
+@dataclass(frozen=True)
+class TestDirection:
+    """A direction s with Z's = 0 along which B's is identifiable."""
+
+    s: np.ndarray
+
+    def __post_init__(self):
+        s = np.asarray(self.s, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(s)):
+            raise ValueError("test direction has non-finite entries")
+        if s @ s <= 0:
+            raise ValueError("test direction has zero norm")
+        object.__setattr__(self, "s", s)
+
+    @property
+    def norm_sq(self) -> float:
+        return float(self.s @ self.s)
+
+
+def test_direction(bundle: DatasetBundle, j: int) -> TestDirection:
+    """Direction (I - H_Z) e_j for response j (0-based index)."""
+    if not 0 <= j < bundle.M:
+        raise ValueError(f"response index {j} out of range [0, {bundle.M})")
+    e = np.zeros(bundle.M)
+    e[j] = 1.0
+    if bundle.Z is None:
+        return TestDirection(e)
+    P1, _ = polar_factors(bundle.Z)
+    return TestDirection(e - P1 @ (P1.T @ e))
+
+
+def reduce_to_covariate_free(
+    bundle: DatasetBundle, direction: TestDirection
+) -> tuple[ReducedModel, TestDirection]:
+    """Change of basis to the complements of col(X) and col(Z).
+
+    The returned model satisfies Y22 = Q2' Y P2 with n = N - p and
+    m = M - q rows/columns; the reduced direction is s2 = P2' s, which
+    preserves the residual quadratic form s' E' E s exactly.
+    """
+    s = direction.s
+    if s.shape[0] != bundle.M:
+        raise ValueError("direction length does not match number of responses")
+    if bundle.Z is not None:
+        if np.max(np.abs(bundle.Z.T @ s)) > DIRECTION_TOL * max(1.0, np.linalg.norm(s)):
+            raise ValueError("test direction is not orthogonal to Z")
+        P1, _ = polar_factors(bundle.Z)
+        P2 = orthonormal_complement(P1)
+    else:
+        P2 = np.eye(bundle.M)
+    if bundle.X is not None:
+        Q1, _ = polar_factors(bundle.X)
+        Q2 = orthonormal_complement(Q1)
+    else:
+        Q2 = np.eye(bundle.N)
+    Y22 = Q2.T @ (bundle.Y @ P2)
+    return ReducedModel(Q2, P2, Y22), TestDirection(P2.T @ s)
+
+
+@dataclass(frozen=True)
+class FactorEstimate:
+    """Truncated-SVD factors of a residual matrix, sqrt(n)-scaled."""
+
+    U_hat: np.ndarray    # (n, r_hat) orthonormal columns
+    mu_hat: np.ndarray   # (r_hat,) descending positive
+    V_hat: np.ndarray    # (m, r_hat) orthonormal columns
+    n: int
+
+    @property
+    def r_hat(self) -> int:
+        return len(self.mu_hat)
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        return np.sqrt(self.n * self.mu_hat)
+
+    def factor_term(self) -> np.ndarray:
+        """sqrt(n) U_hat D_hat V_hat', the fitted rank-r_hat mean component."""
+        return (self.U_hat * self.singular_values) @ self.V_hat.T
+
+
+@dataclass(frozen=True)
+class FactorModelTruth:
+    """Known factors of a generating model Y = sqrt(n) U D V' + E."""
+
+    U: np.ndarray    # (n, r)
+    mu: np.ndarray   # (r,) strictly decreasing positive
+    V: np.ndarray    # (m, r)
+
+    @property
+    def r(self) -> int:
+        return len(self.mu)
+
+    def signal_matrix(self) -> np.ndarray:
+        n = self.U.shape[0]
+        if self.r == 0:
+            return np.zeros((n, self.V.shape[0]))
+        return (self.U * np.sqrt(n * np.asarray(self.mu))) @ self.V.T
+
+
+def extract_factors(M, r_hat: int) -> FactorEstimate:
+    """Leading r_hat factors of M by SVD, with mu_hat_k = sigma_k^2 / n."""
+    M = _as_matrix(M, "M")
+    n = M.shape[0]
+    if not 1 <= r_hat <= min(M.shape):
+        raise ValueError(f"r_hat must be in [1, {min(M.shape)}], got {r_hat}")
+    if not np.any(M):
+        raise ValueError("zero matrix has no factors")
+    svd = truncated_svd(M, r_hat)
+    if svd.singular_values[-1] <= 1e-12 * svd.singular_values[0]:
+        raise ValueError(f"matrix rank is below the requested {r_hat} factors")
+    return FactorEstimate(svd.left_vectors, svd.singular_values**2 / n,
+                          svd.right_vectors, n)
+
+
+def adjusted_residuals(M, estimate: FactorEstimate) -> np.ndarray:
+    """M minus its fitted factor term; orthogonal to U_hat and V_hat."""
+    M = _as_matrix(M, "M")
+    if M.shape != (estimate.U_hat.shape[0], estimate.V_hat.shape[0]):
+        raise ValueError("factor estimate shape does not match the matrix")
+    return M - estimate.factor_term()
+
+
+def rss(adjusted, direction: TestDirection) -> float:
+    """Residual sum of squares s' E' E s along the test direction."""
+    adjusted = np.asarray(adjusted, dtype=np.float64)
+    if adjusted.shape[1] != direction.s.shape[0]:
+        raise ValueError("direction length does not match residual columns")
+    v = adjusted @ direction.s
+    return float(v @ v)
+
+
+def rss_expansion_oracle(truth: FactorModelTruth, E, direction: TestDirection,
+                     r_hat: int) -> float:
+    """RSS along s via the algebraic expansion of the residual quadratic form.
+
+    Evaluates s'E'Es + 2 sqrt(n) s'VDU'Es + n (sum mu_k (v_k's)^2 -
+    sum mu_hat_k (vhat_k's)^2) on Y = sqrt(n) U D V' + E.  Exists purely as a
+    cross-check against the direct residual computation.
+    """
+    E = _as_matrix(E, "E")
+    s = direction.s
+    n = E.shape[0]
+    Y = truth.signal_matrix() + E
+    Es = E @ s
+    total = float(Es @ Es)
+    if truth.r > 0:
+        D = np.sqrt(np.asarray(truth.mu))
+        total += 2.0 * np.sqrt(n) * float((truth.V.T @ s) * D @ (truth.U.T @ Es))
+        total += n * float(np.asarray(truth.mu) @ (truth.V.T @ s) ** 2)
+    if r_hat > 0:
+        est = extract_factors(Y, r_hat)
+        total -= n * float(est.mu_hat @ (est.V_hat.T @ s) ** 2)
+    return total
+
+
+@dataclass(frozen=True)
+class VarianceEstimate:
+    """Direction-wise error variance rss / (n - df)."""
+
+    sigma_sq_hat: float
+    rss: float
+    df_used: float
+    df_resid: float
+
+
+def variance_estimate(rss: float, n: int, dof: DofEstimate) -> VarianceEstimate:
+    """Unbiased variance along a direction given its degrees of freedom."""
+    if rss < 0:
+        raise ValueError("rss must be nonnegative")
+    df_resid = n - dof.total
+    if df_resid <= 0:
+        raise ValueError(
+            f"degrees of freedom exhausted: n = {n}, df(s) = {dof.total:.4f}")
+    return VarianceEstimate(rss / df_resid, rss, dof.total, df_resid)
+
+
+def t_statistic(coef: float, contrast_var: float,
+                var_est: VarianceEstimate) -> tuple[float, float]:
+    """t = coef / sqrt(sigma_sq_hat * contrast_var), df carried alongside."""
+    if contrast_var <= 0:
+        raise ValueError("contrast variance must be positive")
+    se = np.sqrt(var_est.sigma_sq_hat * contrast_var)
+    return float(coef / se), float(var_est.df_resid)

@@ -17,15 +17,14 @@ from factordf.datasets import AGE_COEF_INDEX, subject_covariates, synthetic_stud
 from factordf.distributions import ks_test, stream, t_cdf
 from factordf.dof import (df_conservative, df_gollob, df_mandel, df_noise,
                           noise_floor)
-from factordf.factors import (FactorModelTruth, adjusted_residuals,
-                              extract_factors, rss, rss_expansion_oracle)
 from factordf.fdr import BootstrapConfig, evaluate
 from factordf.inference import compute_direction_stats, response_tests
-from factordf.model import (DatasetBundle, fit_two_sided,
-                            reduce_to_covariate_free)
-from factordf.model import test_direction as direction_for
+from factordf.model import DatasetBundle, fit_two_sided
 from factordf.simulation import (SignalShape, SimConfig, run_sim,
                                  run_spike_sim)
+from oracles import (FactorModelTruth, adjusted_residuals, extract_factors,
+                     reduce_to_covariate_free, rss, rss_expansion_oracle)
+from oracles import test_direction as direction_for
 
 THREADS = min(4, os.cpu_count() or 1)
 
@@ -190,7 +189,7 @@ def test_criterion_5_exact_identities():
         mu = np.sort(rng.uniform(1.0, 6.0, size=r))[::-1] + np.arange(r, 0, -1)
         truth = FactorModelTruth(U, mu, V)
         E = rng.standard_normal((n, m))
-        from factordf.model import TestDirection
+        from oracles import TestDirection
         s = TestDirection(rng.standard_normal(m))
         Y = truth.signal_matrix() + E
         est = extract_factors(Y, r_hat)
@@ -218,7 +217,7 @@ def test_criterion_6_null_t_calibration():
     for i in range(reps):
         bundle = DatasetBundle(rng.standard_normal((N, M)), X, Z)
         stats = compute_direction_stats(bundle, 0)
-        est, t, df_resid, _ = response_tests(stats, AGE_COEF_INDEX, np.zeros(M))
+        est, _, t, df_resid, _ = response_tests(stats, AGE_COEF_INDEX, np.zeros(M))
         t_vals[i] = t[0]
         coefs[i] = est[0]
         rss_vals[i] = stats.rss[0]

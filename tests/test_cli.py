@@ -195,6 +195,33 @@ def test_cmd_simulate_csv(capsys):
     assert row.startswith("20,100,")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cmd_simulate_flags_conjectural_cell(capsys, fmt):
+    # mu = 1.5 sits below the transition sqrt(m/n) = 3.16 at n=50, m=500
+    args = ["simulate", "--n", "50", "--m", "500", "--mu", "1.5",
+            "--replicates", "100", "--seed", "4", "--format", fmt]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    if fmt == "json":
+        row, = json.loads(out)
+    else:
+        row, = csv.DictReader(io.StringIO(out))
+    assert row["conjectural"] in (True, "true")
+    assert row["n"] in (50, "50") and row["shape"] == "basis"
+
+
+def test_simulate_and_ks_table_rows_agree(capsys):
+    # one row builder: the same cell prints the same columns in both commands
+    cell = ["--n", "12", "--m", "40", "--r-hat", "1", "--replicates", "150",
+            "--seed", "6", "--format", "csv"]
+    _, sim, _ = run_cli(["simulate"] + cell, capsys)
+    _, grid, _ = run_cli(["ks-table", "--n-list", "12", "--m-list", "40",
+                          "--r-hat", "1", "--replicates", "150", "--seed", "6",
+                          "--format", "csv"], capsys)
+    assert sim == grid
+    assert sim.splitlines()[0].endswith(",ks_p,conjectural,alt_theoretical_df,bracketed")
+
+
 def test_cmd_simulate_threads_identical(capsys):
     base = ["simulate", "--n", "15", "--m", "60", "--r-hat", "1",
             "--replicates", "200", "--seed", "9", "--format", "csv"]

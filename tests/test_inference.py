@@ -3,12 +3,13 @@ import pytest
 
 from factordf.datasets import AGE_COEF_INDEX, synthetic_study
 from factordf.dof import DofMethod, df_naive, df_noise
-from factordf.inference import (compute_direction_stats, df_totals,
-                                t_statistic, response_tests,
-                                variance_estimate)
+from factordf.inference import compute_direction_stats, df_totals, response_tests
 from factordf.inference import test_all_responses as run_all_tests
-from factordf.inference import test_response as run_one_test
 from factordf.model import DatasetBundle
+from oracles import (adjusted_residuals, extract_factors,
+                     reduce_to_covariate_free, rss, t_statistic,
+                     variance_estimate)
+from oracles import test_direction as direction_for
 
 
 def test_variance_estimate_arithmetic():
@@ -67,8 +68,9 @@ def test_r_hat_zero_matches_classical_regression():
     X = np.column_stack([np.ones(N), rng.standard_normal((N, p - 1))])
     Y = rng.standard_normal((N, M))
     bundle = DatasetBundle(Y, X=X)
+    results = run_all_tests(bundle, coef_index=2, r_hat=0, method=None)
     for j in range(M):
-        got = run_one_test(bundle, j, coef_index=2, r_hat=0, method=None)
+        got = results[j]
         est, se, t, df = classical_column_test(X, Y[:, j], 2)
         assert got.estimate == pytest.approx(est, abs=1e-9)
         assert got.std_error == pytest.approx(se, abs=1e-9)
@@ -81,7 +83,7 @@ def test_no_factor_df_is_n_minus_p():
     rng = np.random.default_rng(3)
     X = np.column_stack([np.ones(39), rng.standard_normal((39, 2))])
     bundle = DatasetBundle(rng.standard_normal((39, 8)), X=X)
-    res = run_one_test(bundle, 0, coef_index=1, r_hat=0, method=None)
+    res = run_all_tests(bundle, coef_index=1, r_hat=0, method=None)[0]
     assert res.df_resid == pytest.approx(36.0)
 
 
@@ -115,8 +117,8 @@ def test_response_scale_equivariance(contaminated):
     bundle, _ = contaminated
     scaled = DatasetBundle(3.0 * bundle.Y, bundle.X, bundle.Z,
                            row_ids=bundle.row_ids, col_ids=bundle.col_ids)
-    a = run_one_test(bundle, 5, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)
-    b = run_one_test(scaled, 5, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)
+    a = run_all_tests(bundle, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)[5]
+    b = run_all_tests(scaled, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)[5]
     assert b.estimate == pytest.approx(3.0 * a.estimate, rel=1e-10)
     assert b.std_error == pytest.approx(3.0 * a.std_error, rel=1e-10)
     assert b.t_stat == pytest.approx(a.t_stat, rel=1e-10)
@@ -175,3 +177,36 @@ def test_requires_row_covariates():
     bundle = DatasetBundle(np.random.default_rng(0).standard_normal((6, 7)))
     with pytest.raises(ValueError, match="requires X"):
         compute_direction_stats(bundle, 0)
+
+
+def oracle_direction_stats(bundle, r_hat):
+    """Per-response rss, proj_sq and estimates through the reduced model."""
+    X = bundle.X
+    rss_, proj, est = [], [], []
+    for j in range(bundle.M):
+        s = direction_for(bundle, j)
+        reduced, s2 = reduce_to_covariate_free(bundle, s)
+        factors = extract_factors(reduced.Y22, r_hat)
+        rss_.append(rss(adjusted_residuals(reduced.Y22, factors), s2))
+        proj.append((factors.V_hat.T @ s2.s) ** 2 / s2.norm_sq)
+        est.append(np.linalg.solve(X.T @ X, X.T @ (bundle.Y @ s.s)))
+    return np.array(rss_), np.array(proj), np.array(est).T
+
+
+@pytest.mark.parametrize("N, M", [(8, 13), (15, 9)])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_direction_stats_match_reduced_model_oracle(N, M, q):
+    # the production path (stored covariate factors, one Gram-matrix factor
+    # kernel, full coordinates) against the explicit reduced-model pipeline
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(N), rng.standard_normal((N, 1))])
+        Z = (np.column_stack([np.ones(M), rng.standard_normal((M, q - 1))])
+             if q else None)
+        bundle = DatasetBundle(rng.standard_normal((N, M)), X, Z)
+        for r_hat in (1, 2):
+            stats = compute_direction_stats(bundle, r_hat)
+            rss_, proj, est = oracle_direction_stats(bundle, r_hat)
+            np.testing.assert_allclose(stats.rss, rss_, rtol=1e-8)
+            np.testing.assert_allclose(stats.proj_sq, proj, rtol=1e-8)
+            np.testing.assert_allclose(stats.estimates, est, rtol=1e-8)

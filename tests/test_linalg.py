@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from factordf.linalg import (hat_matrix, orthonormal_complement, polar_factors,
-                             truncated_svd)
+from factordf.linalg import polar_factors, top_factors
+from oracles import hat_matrix, orthonormal_complement, truncated_svd
 
 
 def test_truncated_svd_diagonal():
@@ -153,3 +153,24 @@ def test_hat_matrix_column_space_invariance():
     X = rng.standard_normal((9, 3))
     G = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     np.testing.assert_allclose(hat_matrix(X), hat_matrix(X @ G), atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(7, 19), (19, 7), (6, 6)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_top_factors_match_truncated_svd(shape, r):
+    # the Gram-matrix kernel on either side against the full-SVD oracle
+    for seed in range(5):
+        E = np.random.default_rng(100 * seed + r).standard_normal(shape)
+        left, sing = top_factors(E, r)
+        oracle = truncated_svd(E, r)
+        assert left.shape == (shape[0], r) and sing.shape == (r,)
+        np.testing.assert_allclose(sing, oracle.singular_values, rtol=1e-10)
+        np.testing.assert_allclose(np.abs(left.T @ oracle.left_vectors),
+                                   np.eye(r), atol=1e-8)
+
+
+def test_top_factors_rejects_missing_rank():
+    E = np.outer(np.arange(1.0, 6.0), np.ones(8))    # rank one
+    for A in (E, E.T):
+        with pytest.raises(ValueError, match="rank"):
+            top_factors(A, 2)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from factordf.factors import adjusted_residuals, extract_factors, rss
-from factordf.linalg import hat_matrix
-from factordf.model import DatasetBundle, fit_two_sided, reduce_to_covariate_free
-from factordf.model import TestDirection as Direction
-from factordf.model import test_direction as direction_for
+import factordf.linalg
+import factordf.model
+from factordf.inference import compute_direction_stats
+from factordf.model import DatasetBundle, fit_two_sided
+from oracles import (adjusted_residuals, extract_factors, hat_matrix,
+                     reduce_to_covariate_free, rss)
+from oracles import TestDirection as Direction
+from oracles import test_direction as direction_for
 
 
 def make_bundle(seed, N=8, M=12, p=2, q=1, with_x=True, with_z=True):
@@ -23,8 +26,10 @@ def test_bundle_validation():
         DatasetBundle(np.ones((4, 3)), X=np.ones((5, 1)))
     with pytest.raises(ValueError):
         DatasetBundle(np.ones((4, 3)), X=np.ones((4, 4)))   # p must be < N
-    with pytest.raises(ValueError):
-        DatasetBundle(np.ones((4, 6)), Z=np.ones((6, 2)))   # rank deficient Z
+    with pytest.raises(ValueError, match="^Z is rank deficient$"):
+        DatasetBundle(np.ones((4, 6)), Z=np.ones((6, 2)))
+    with pytest.raises(ValueError, match="^X is rank deficient$"):
+        DatasetBundle(np.ones((4, 3)), X=np.ones((4, 2)))
 
 
 def test_fit_without_covariates():
@@ -188,3 +193,21 @@ def test_null_rss_scaled_mean():
         vals[i] = rss(resid.E_hat, s) / s.norm_sq
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - (N - p)) <= 3 * se
+
+
+def test_covariates_factored_once_per_bundle(monkeypatch):
+    calls = []
+    real = factordf.linalg.polar_factors
+
+    def counting(C):
+        calls.append(C.shape)
+        return real(C)
+
+    for mod in (factordf.model, factordf.linalg):
+        monkeypatch.setattr(mod, "polar_factors", counting)
+    bundle = make_bundle(seed=4, N=9, M=13, p=2, q=2)
+    assert calls == [(9, 2), (13, 2)]
+    calls.clear()
+    fit_two_sided(bundle)
+    compute_direction_stats(bundle, 2)
+    assert calls == []

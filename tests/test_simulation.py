@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from factordf.dof import df_noise, df_signal_k, noise_floor
-from factordf.factors import adjusted_residuals, extract_factors, rss
-from factordf.model import TestDirection as Direction
+from oracles import adjusted_residuals, extract_factors, rss
+from oracles import TestDirection as Direction
 from factordf.simulation import (SignalShape, SimConfig, _simulate_response,
                                  loading_matrix, run_grid, run_replicate,
                                  run_sim, run_spike_sim, grid_to_csv,
@@ -141,7 +141,8 @@ def test_grid_csv_shape():
     cells = run_grid([noise_cfg(replicates=150), noise_cfg(m=50, replicates=150)])
     text = grid_to_csv(cells)
     lines = text.strip().split("\n")
-    assert lines[0] == "n,m,mu,shape,mean_df,se_df,theoretical_df,ks_D,ks_p"
+    assert lines[0] == ("n,m,mu,shape,mean_df,se_df,theoretical_df,ks_D,ks_p,"
+                        "conjectural,alt_theoretical_df,bracketed")
     assert len(lines) == 3
 
 
