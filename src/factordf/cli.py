@@ -22,8 +22,8 @@ from .fdr import BootstrapConfig, evaluate, report_to_csv, report_to_json
 from .inference import compute_direction_stats, df_totals, response_tests
 from .model import DatasetBundle, fit_two_sided
 from .simulation import (CSV_COLUMNS, GridCell, SignalShape, SimConfig,
-                         basis_signal_preset, cell_rows, grid_to_csv,
-                         grid_to_json, noise_preset, run_grid, run_sim)
+                         basis_signal_preset, cell_columns, grid_to_json,
+                         noise_preset, run_grid, run_sim)
 
 FORMATS = ("table", "csv", "json")
 
@@ -54,15 +54,21 @@ def _parse_block(path: str, rows: list[list[str]], width: int) -> np.ndarray:
             raise IngestError(
                 "DIM_MISMATCH",
                 f"{path}: row {i + 2} has {len(row)} fields, expected {width + 1}")
-        for j, cell in enumerate(row[1:]):
-            try:
-                out[i, j] = float(cell)
-            except ValueError:
-                raise IngestError(
-                    "PARSE_ERROR",
-                    f"{path}: unparseable number {cell!r} at row {i + 2}") from None
-        if not np.all(np.isfinite(out[i])):
-            raise IngestError("PARSE_ERROR", f"{path}: non-finite value at row {i + 2}")
+        try:
+            out[i] = row[1:]    # numpy parses each str with float()
+        except ValueError:
+            for cell in row[1:]:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise IngestError(
+                        "PARSE_ERROR",
+                        f"{path}: unparseable number {cell!r} at row {i + 2}") from None
+            raise
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise IngestError("PARSE_ERROR",
+                          f"{path}: non-finite value at row {np.argmin(finite) + 2}")
     return out
 
 
@@ -122,30 +128,30 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
         raise IngestError(code, msg) from exc
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
+def _emit_rows(header: list[str], columns: list, fmt: str, out) -> None:
+    """Write equal-length columns as an aligned table, CSV or JSON records.
 
-
-def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
+    Table and CSV print a float ndarray column as ``%.10g`` and any other
+    column's values with ``str``; JSON keeps the values' own types.
+    """
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    if fmt == "json":
+        payload = [dict(zip(header, row)) for row in zip(*values)]
+        out.write(json.dumps(payload, indent=2) + "\n")
+        return
+    cells = [[f"{v:.10g}" for v in vals]
+             if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+             else [str(v) for v in vals] for col, vals in zip(columns, values)]
     if fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-    elif fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        cells = [[_fmt(v) for v in row] for row in rows]
-        widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-                  for i, h in enumerate(header)]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        for row in cells:
-            out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+        w.writerows(zip(*cells))
+        return
+    table = []
+    for h, col in zip(header, cells):
+        width = max(map(len, [h, *col]))
+        table.append([v.ljust(width) for v in [h, *col]])
+    out.writelines("  ".join(row).rstrip() + "\n" for row in zip(*table))
 
 
 def _open_output(args):
@@ -188,10 +194,7 @@ def cmd_fit(args, out) -> None:
         raise ValueError("fit output requires row covariates (--x)")
     stats = compute_direction_stats(bundle, 0)
     header = ["response"] + [f"coef{k}" for k in range(bundle.p)]
-    rows = [[bundle.col_ids[j]] + [float(stats.estimates[k, j])
-                                   for k in range(bundle.p)]
-            for j in range(bundle.M)]
-    _emit_rows(header, rows, args.format, out)
+    _emit_rows(header, [bundle.col_ids, *stats.estimates], args.format, out)
     print(f"residual frobenius norm: {np.linalg.norm(stats.residuals):.10g}",
           file=sys.stderr)
 
@@ -202,8 +205,9 @@ def cmd_scree(args, out) -> None:
     k = min(bundle.N - bundle.p, bundle.M - bundle.q)
     table = variance_explained(resid.E_hat, rows=k)
     header = ["factor", "variance_pct", "residual_pct"]
-    rows = [[i, float(v), float(r)] for i, v, r in table.rows()]
-    _emit_rows(header, rows, args.format, out)
+    columns = [range(1, len(table.variance_pct) + 1), table.variance_pct,
+               table.residual_pct]
+    _emit_rows(header, columns, args.format, out)
 
 
 def cmd_test(args, out) -> None:
@@ -215,19 +219,23 @@ def cmd_test(args, out) -> None:
     stats = compute_direction_stats(bundle, r_hat)
     df_tot = df_totals(stats, method, args.mandel_reps, args.seed)
     est, se, t, df_resid, p = response_tests(stats, args.coef_index, df_tot)
-    order = sorted(range(bundle.M), key=lambda j: (p[j], bundle.col_ids[j]))
+    order = np.lexsort((np.array(bundle.col_ids), p))
     header = ["response", "estimate", "se", "t", "df_resid", "p", "method"]
     label = method.value if method else "none"
-    rows = [[bundle.col_ids[j], float(est[j]), float(se[j]), float(t[j]),
-             float(df_resid[j]), float(p[j]), label] for j in order]
-    _emit_rows(header, rows, args.format, out)
+    columns = [[bundle.col_ids[j] for j in order.tolist()], est[order],
+               se[order], t[order], df_resid[order], p[order],
+               [label] * bundle.M]
+    _emit_rows(header, columns, args.format, out)
     n_sig = int(np.sum(p < args.alpha))
     print(f"significant at alpha={args.alpha:g}: {n_sig} of {bundle.M}",
           file=sys.stderr)
 
 
-def _write_cells(cells, fmt, out) -> None:
-    out.write(grid_to_json(cells) if fmt == "json" else grid_to_csv(cells))
+def _emit_cells(cells, fmt, out) -> None:
+    if fmt == "json":
+        out.write(grid_to_json(cells))
+    else:
+        _emit_rows(list(CSV_COLUMNS), cell_columns(cells), fmt, out)
 
 
 def cmd_simulate(args, out) -> None:
@@ -238,10 +246,7 @@ def cmd_simulate(args, out) -> None:
                     seed=args.seed)
     cell = GridCell(args.n, args.m, mu[0] if mu else None, args.shape,
                     run_sim(cfg, threads=args.threads))
-    if args.format == "table":
-        _emit_rows(list(CSV_COLUMNS), cell_rows([cell]), "table", out)
-    else:
-        _write_cells([cell], args.format, out)
+    _emit_cells([cell], args.format, out)
 
 
 def cmd_kstable(args, out) -> None:
@@ -254,7 +259,7 @@ def cmd_kstable(args, out) -> None:
         configs = [SimConfig(n=n, m=m, r=0, r_hat=args.r_hat,
                              replicates=args.replicates, seed=args.seed)
                    for n in args.n_list for m in args.m_list]
-    _write_cells(run_grid(configs, threads=args.threads), args.format, out)
+    _emit_cells(run_grid(configs, threads=args.threads), args.format, out)
 
 
 def cmd_bootstrap(args, out) -> None:

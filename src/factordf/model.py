@@ -32,20 +32,24 @@ def _factor_covariate(C, n_rows: int, name: str):
     return C, Q, R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetBundle:
-    """Response matrix with optional row covariates X and column covariates Z."""
+    """Response matrix with optional row covariates X and column covariates Z.
+
+    Bundles compare and hash by identity: comparing the arrays would give no
+    single truth value.
+    """
 
     Y: np.ndarray                       # (N, M)
     X: np.ndarray | None = None         # (N, p)
     Z: np.ndarray | None = None         # (M, q)
-    row_ids: tuple = field(default=(), compare=False)
-    col_ids: tuple = field(default=(), compare=False)
+    row_ids: tuple = ()
+    col_ids: tuple = ()
     # polar factors X = Q1 R and Z = P1 S, taken once here (None without X / Z)
-    Q1: np.ndarray | None = field(init=False, repr=False, compare=False)
-    R: np.ndarray | None = field(init=False, repr=False, compare=False)
-    P1: np.ndarray | None = field(init=False, repr=False, compare=False)
-    S: np.ndarray | None = field(init=False, repr=False, compare=False)
+    Q1: np.ndarray | None = field(init=False, repr=False)
+    R: np.ndarray | None = field(init=False, repr=False)
+    P1: np.ndarray | None = field(init=False, repr=False)
+    S: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         Y = _as_matrix(self.Y, "Y")

@@ -7,8 +7,6 @@ by (seed, replicate index), so results are byte-identical at any thread
 count.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -279,18 +277,11 @@ def _fmt(x) -> str:
     return f"{x:.10g}"
 
 
-def cell_rows(cells: list[GridCell]) -> list[list[str]]:
-    """CSV_COLUMNS of every cell, formatted as the CSV writes them."""
-    return [[_fmt(rec[k]) for k in CSV_COLUMNS]
-            for rec in map(cell_record, cells)]
-
-
-def grid_to_csv(cells: list[GridCell]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    w.writerows(cell_rows(cells))
-    return buf.getvalue()
+def cell_columns(cells: list[GridCell]) -> list[list[str]]:
+    """One list per CSV_COLUMNS entry: the cells' values as the CSV and the
+    table print them."""
+    records = [cell_record(c) for c in cells]
+    return [[_fmt(rec[k]) for rec in records] for k in CSV_COLUMNS]
 
 
 def grid_to_json(cells: list[GridCell]) -> str:

@@ -77,6 +77,70 @@ def test_ingest_parse_error(tmp_path):
     assert err.value.code == "PARSE_ERROR"
 
 
+# (file, data rows of the toy fixture) for the fault tests below
+TOY_ROWS = {
+    "y": [["id", "g1", "g2", "g3", "g4"],
+          ["s1", "1.25", "-0.5", "0.75", "2.0"],
+          ["s2", "0.1", "0.2", "0.3", "0.4"],
+          ["s3", "-1.0", "1.0", "-1.0", "1.0"]],
+    "x": [["id", "intercept", "age"],
+          ["s1", "1", "2"], ["s2", "1", "5"], ["s3", "1", "9"]],
+    "z": [["id", "intercept"],
+          ["g1", "1"], ["g2", "1"], ["g3", "1"], ["g4", "1"]],
+}
+
+
+@pytest.mark.parametrize("which", ["y", "x", "z"])
+@pytest.mark.parametrize("fault, code, message", [
+    ("ragged", "DIM_MISMATCH", "row 3 has {fields} fields, expected {width}"),
+    ("abc", "PARSE_ERROR", "unparseable number 'abc' at row 3"),
+    ("nan", "PARSE_ERROR", "non-finite value at row 3"),
+    ("inf", "PARSE_ERROR", "non-finite value at row 3"),
+    ("1e400", "PARSE_ERROR", "non-finite value at row 3"),
+])
+def test_ingest_fault_messages(tmp_path, which, fault, code, message):
+    # one fault in the second data row (file row 3) of one of the three files
+    paths = {}
+    for name, rows in TOY_ROWS.items():
+        rows = [list(r) for r in rows]
+        if name == which:
+            if fault == "ragged":
+                rows[2].append("9")
+            else:
+                rows[2][-1] = fault
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_csv(paths[name], rows)
+    width = len(TOY_ROWS[which][0])
+    expected = f"{code}: {paths[which]}: " + message.format(fields=width + 1,
+                                                            width=width)
+    with pytest.raises(IngestError) as err:
+        ingest(paths["y"], paths["x"], paths["z"])
+    assert err.value.code == code
+    assert str(err.value) == expected
+
+
+def test_ingest_quoted_id_with_comma(tmp_path):
+    y, z = tmp_path / "y.csv", tmp_path / "z.csv"
+    write_csv(y, [["id", "g,1", "g2"], ["s,1", "1", "2"], ["s2", "3", "5"]])
+    write_csv(z, [["id", "intercept"], ["g,1", "1"], ["g2", "1"]])
+    assert '"g,1"' in y.read_text()
+    bundle = ingest(str(y), z_path=str(z))
+    assert bundle.col_ids == ("g,1", "g2")
+    assert bundle.row_ids == ("s,1", "s2")
+    np.testing.assert_array_equal(bundle.Y, [[1.0, 2.0], [3.0, 5.0]])
+
+
+def test_ingest_numbers_follow_float_syntax(tmp_path):
+    cells = [["1_0", " 1.5", "+3", "1E5"], ["-0", "2.5e-3", ".5", "7."]]
+    y = tmp_path / "y.csv"
+    write_csv(y, [["id", "a", "b", "c", "d"]]
+              + [[f"s{i}"] + row for i, row in enumerate(cells)])
+    bundle = ingest(str(y))
+    expected = np.array([[float(c) for c in row] for row in cells])
+    assert bundle.Y.dtype == np.float64
+    assert bundle.Y.tobytes() == expected.tobytes()
+
+
 def test_ingest_rank_deficient(tmp_path, toy_files):
     y, _, _ = toy_files
     bad_x = tmp_path / "rank.csv"
@@ -220,6 +284,19 @@ def test_simulate_and_ks_table_rows_agree(capsys):
                           "--format", "csv"], capsys)
     assert sim == grid
     assert sim.splitlines()[0].endswith(",ks_p,conjectural,alt_theoretical_df,bracketed")
+
+
+def test_simulate_and_ks_table_share_table_layout(capsys):
+    cell = ["--r-hat", "1", "--replicates", "120", "--seed", "2"]
+    _, sim, _ = run_cli(["simulate", "--n", "10", "--m", "30"] + cell, capsys)
+    _, grid, _ = run_cli(["ks-table", "--n-list", "10", "--m-list", "30"]
+                         + cell, capsys)
+    header = sim.splitlines()[0]
+    assert header.split() == ["n", "m", "mu", "shape", "mean_df", "se_df",
+                              "theoretical_df", "ks_D", "ks_p", "conjectural",
+                              "alt_theoretical_df", "bracketed"]
+    assert "," not in header
+    assert grid == sim
 
 
 def test_cmd_simulate_threads_identical(capsys):

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +11,7 @@ from factordf import distributions
 from factordf.distributions import (SeededGenerator, chi2_cdf, chi2_quantile,
                                     kolmogorov_sf, ks_test, map_indexed,
                                     sample_standard_normal, stream, t_cdf,
-                                    worker_count)
+                                    t_sf, worker_count)
 
 
 def test_sampling_is_deterministic():
@@ -88,6 +90,49 @@ def test_t_cdf_against_quadrature():
 def test_t_cdf_normal_limit():
     x = np.linspace(-4, 4, 17)
     assert np.max(np.abs(t_cdf(x, 10**6) - stats.norm.cdf(x))) < 1e-5
+
+
+DF_GRID = (0.5, 1.0, 3.2, 35.7, 36.0, 1e6)
+SPECIAL_X = (0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, np.nan, -3.5)
+X_GRID = np.concatenate([np.linspace(-60.0, 60.0, 10**4), SPECIAL_X])
+
+
+def same_bits(ours, ref):
+    """Same type, dtype, shape and bytes (NaN payloads included)."""
+    return (type(ours) is type(ref)
+            and np.asarray(ours).dtype == np.asarray(ref).dtype
+            and np.shape(ours) == np.shape(ref)
+            and np.asarray(ours).tobytes() == np.asarray(ref).tobytes())
+
+
+@pytest.mark.parametrize("df", DF_GRID)
+def test_wrappers_bit_equal_to_scipy_stats(df):
+    for ours, ref in ((t_sf, stats.t.sf), (t_cdf, stats.t.cdf),
+                      (chi2_cdf, stats.chi2.cdf)):
+        assert same_bits(ours(X_GRID, df), ref(X_GRID, df)), ours.__name__
+        for x in SPECIAL_X + (1.0, 2.5):
+            assert same_bits(ours(x, df), ref(x, df)), (ours.__name__, x)
+    ps = np.concatenate([np.linspace(0.0, 1.0, 2001)[1:-1],
+                         [1e-300, 1e-10, 1 - 1e-16]])
+    ours = np.array([chi2_quantile(df, p) for p in ps])
+    assert all(type(chi2_quantile(df, p)) is float for p in ps[:3])
+    assert same_bits(ours, stats.chi2.ppf(ps, df))
+
+
+def test_t_sf_vector_df_bit_equal_to_scipy_stats():
+    df = np.resize(np.array(DF_GRID), X_GRID.size)
+    assert same_bits(t_sf(X_GRID, df), stats.t.sf(X_GRID, df))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, factordf.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_kolmogorov_series_matches_scipy():

@@ -211,3 +211,11 @@ def test_covariates_factored_once_per_bundle(monkeypatch):
     fit_two_sided(bundle)
     compute_direction_stats(bundle, 2)
     assert calls == []
+
+
+def test_bundles_compare_by_identity():
+    Y = np.arange(12.0).reshape(3, 4)
+    a, b = DatasetBundle(Y), DatasetBundle(Y.copy())
+    assert (a == b) is False
+    assert a == a
+    assert len({a, b, a}) == 2

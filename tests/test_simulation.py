@@ -4,9 +4,10 @@ import pytest
 from factordf.dof import df_noise, df_signal_k, noise_floor
 from oracles import adjusted_residuals, extract_factors, rss
 from oracles import TestDirection as Direction
-from factordf.simulation import (SignalShape, SimConfig, _simulate_response,
+from factordf.simulation import (CSV_COLUMNS, SignalShape, SimConfig,
+                                 _simulate_response, cell_columns,
                                  loading_matrix, run_grid, run_replicate,
-                                 run_sim, run_spike_sim, grid_to_csv,
+                                 run_sim, run_spike_sim,
                                  noise_preset, theoretical_df)
 
 
@@ -139,11 +140,12 @@ def test_spike_sim_tracks_predictions():
 
 def test_grid_csv_shape():
     cells = run_grid([noise_cfg(replicates=150), noise_cfg(m=50, replicates=150)])
-    text = grid_to_csv(cells)
-    lines = text.strip().split("\n")
-    assert lines[0] == ("n,m,mu,shape,mean_df,se_df,theoretical_df,ks_D,ks_p,"
-                        "conjectural,alt_theoretical_df,bracketed")
-    assert len(lines) == 3
+    columns = cell_columns(cells)
+    assert ",".join(CSV_COLUMNS) == ("n,m,mu,shape,mean_df,se_df,theoretical_df,"
+                                     "ks_D,ks_p,conjectural,alt_theoretical_df,"
+                                     "bracketed")
+    assert len(columns) == len(CSV_COLUMNS)
+    assert all(len(col) == 2 for col in columns)
 
 
 def test_noise_preset_covers_paper_grid():
