@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .distributions import (KsResult, SeededGenerator, chi2_cdf, chi2_quantile,
-                            ks_test, sample_standard_normal, t_cdf)
+                            ks_test, t_cdf)
 from .dof import (AsymptoticPrediction, DofEstimate, DofMethod,
                   asymptotic_predictions, df_conservative, df_gollob,
                   df_mandel, df_naive, df_noise, df_signal_k, df_signal_total,
@@ -31,6 +31,5 @@ __all__ = [
     "df_naive", "df_noise", "df_signal_k", "df_signal_total", "evaluate",
     "fit_two_sided", "ks_test", "noise_floor", "noise_preset", "polar_factors",
     "run_grid", "run_replicate", "run_sim", "run_spike_sim",
-    "sample_standard_normal", "simulate_dataset", "t_cdf",
-    "test_all_responses", "variance_explained",
+    "simulate_dataset", "t_cdf", "test_all_responses", "variance_explained",
 ]

@@ -34,6 +34,7 @@ class IngestError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
         args.func(args, out)
         return 0
     except IngestError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,19 @@
-"""Statistical primitives: seeded sampling, chi-squared / Student-t helpers,
-and the one-sample Kolmogorov-Smirnov test.
+"""Statistical primitives: seeded sampling, the one Wishart sampler,
+chi-squared / Student-t helpers, and the one-sample Kolmogorov-Smirnov test.
 
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
-``map_indexed`` is the thread fan-out those consumers share.
+``map_indexed`` is the thread fan-out those consumers share, and
+``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -38,9 +42,6 @@ class SeededGenerator:
         key = [self.seed & _MASK64, self.stream_id & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, stream_id: int) -> "SeededGenerator":
-        return SeededGenerator(self.seed, stream_id)
-
 
 def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for stream ``index`` of a domain family under ``seed``."""
@@ -58,24 +59,115 @@ def worker_count(threads: int, tasks: int) -> int:
     return max(1, min(threads, cores, tasks))
 
 
+# Pool tasks per worker: each task runs a contiguous chunk of indices, so
+# the pool is entered a few times per worker instead of once per index.
+CHUNKS_PER_WORKER = 4
+
+
 def map_indexed(func, count: int, threads: int) -> list:
     """``[func(0), ..., func(count - 1)]``, on up to ``threads`` threads.
 
-    Results are returned in index order, so the output does not depend on the
-    number of threads when ``func(i)`` draws only from streams keyed by ``i``.
+    Each pool task calls ``func`` on a contiguous chunk of indices in index
+    order.  Results are returned in index order, so the output does not
+    depend on the number of threads when ``func(i)`` draws only from streams
+    keyed by ``i``.
     """
     workers = worker_count(threads, count)
     if workers == 1:
         return [func(i) for i in range(count)]
+    chunks = min(count, CHUNKS_PER_WORKER * workers)
+    bounds = [count * c // chunks for c in range(chunks + 1)]
+
+    def run_chunk(c):
+        return [func(i) for i in range(bounds[c], bounds[c + 1])]
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, range(count)))
+        return [x for part in pool.map(run_chunk, range(chunks)) for x in part]
 
 
-def sample_standard_normal(gen: SeededGenerator, count: int) -> np.ndarray:
-    """``count`` i.i.d. N(0,1) draws from the stream ``gen`` identifies."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return gen.generator().standard_normal(count)
+@lru_cache(maxsize=1)
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS that numpy wheels
+    bundle in ``numpy.libs``, or None when there is no such library.
+    Resolved on first use, not at import."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)   # the copy numpy loaded: same handle
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        return get, put
+    return None
+
+
+# The BLAS thread count is process-wide, so the pin's bookkeeping is too.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, then restore the
+    count found on entry.
+
+    A multithreaded BLAS splits its sums differently at different thread
+    counts, which changes the low bits of a Monte-Carlo result; and BLAS
+    threads compete with the pool's own.  Nested and concurrent blocks share
+    one pin, restored when the last one exits.  Without a bundled OpenBLAS
+    the block runs unpinned.
+    """
+    global _blas_depth, _blas_saved
+    handle = _openblas()
+    if handle is None:
+        yield
+        return
+    get, put = handle
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                put(_blas_saved)
+
+
+@lru_cache(maxsize=64)
+def _bartlett_indices(dim: int) -> tuple:
+    arrays = (*np.tril_indices(dim, -1), np.arange(dim))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
+                   reps: int) -> np.ndarray:
+    """``reps`` factors A, shape (reps, dim, .), with A A' ~ Wishart_dim(dof, I).
+
+    When dof >= dim, A is the lower-triangular Bartlett (1933) factor:
+    N(0, 1) below the diagonal and sqrt(chi2_{dof - i}) on it, O(dim^2)
+    draws.  Otherwise A is a dense dim x dof standard normal matrix, which
+    is then no larger.
+    """
+    if dof < dim:
+        return rng.standard_normal((reps, dim, dof))
+    rows, cols, diag = _bartlett_indices(dim)
+    A = np.zeros((reps, dim, dim))
+    A[:, rows, cols] = rng.standard_normal((reps, len(rows)))
+    A[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(reps, dim)))
+    return A
 
 
 def chi2_cdf(x, df: float):

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DOMAIN_MANDEL, stream
+from .distributions import DOMAIN_MANDEL, stream, wishart_factor
 
 
 class DofMethod(str, Enum):
@@ -168,13 +168,7 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     if seed is None:
         raise ValueError("df_mandel requires an explicit seed")
     dim, dof = min(n, m), max(n, m)
-    rng = stream(seed, DOMAIN_MANDEL)
-    A = np.zeros((mc_reps, dim, dim))
-    lower = np.tril_indices(dim, -1)
-    A[:, lower[0], lower[1]] = rng.standard_normal((mc_reps, len(lower[0])))
-    diag_dfs = dof - np.arange(dim)
-    A[:, np.arange(dim), np.arange(dim)] = np.sqrt(
-        rng.chisquare(diag_dfs, size=(mc_reps, dim)))
+    A = wishart_factor(stream(seed, DOMAIN_MANDEL), dim, dof, mc_reps)
     eigs = np.linalg.eigvalsh(A @ np.transpose(A, (0, 2, 1)))
     top = eigs[:, ::-1][:, :r_hat] / m
     per = top.mean(axis=0)

@@ -2,8 +2,8 @@
 
 Every routine here is a pure function of its input bytes, so downstream
 estimates are reproducible across runs and thread counts.  ``top_factors`` is
-the one factor kernel: the model's residual factors and every Monte-Carlo
-replicate go through it.
+the one factor kernel: the model's residual factors go through it, and every
+Monte-Carlo replicate through its Gram-matrix half ``top_eigenpairs``.
 """
 
 import numpy as np
@@ -21,19 +21,6 @@ def _as_matrix(A, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
-
-
-def canonical_signs(V: np.ndarray) -> np.ndarray:
-    """Sign flips (+/-1 per column) making each column's largest-|entry| positive.
-
-    Ties in absolute value are broken by the lowest index.
-    """
-    if V.shape[1] == 0:
-        return np.ones(0)
-    lead = np.abs(V).argmax(axis=0)
-    vals = V[lead, np.arange(V.shape[1])]
-    signs = np.where(vals < 0, -1.0, 1.0)
-    return signs
 
 
 def polar_factors(X) -> tuple[np.ndarray, np.ndarray]:
@@ -62,10 +49,17 @@ def top_factors(E: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     vanishes next to the first (1 <= r <= min(n, m)).
     """
     n, m = E.shape
-    w, Q = np.linalg.eigh(E @ E.T if n <= m else E.T @ E)
+    lam, vecs = top_eigenpairs(E @ E.T if n <= m else E.T @ E, r)
+    sing = np.sqrt(lam)
+    return (vecs if n <= m else (E @ vecs) / sing), sing
+
+
+def top_eigenpairs(G: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-r eigenvalues (descending, clipped at 0) and eigenvectors of a
+    Gram matrix G.  Raises when the r-th eigenvalue vanishes next to the
+    first."""
+    w, Q = np.linalg.eigh(G)
     lam = np.maximum(w[::-1][:r], 0.0)
     if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
         raise ValueError(f"matrix rank is below the requested {r} factors")
-    sing = np.sqrt(lam)
-    vecs = Q[:, ::-1][:, :r]
-    return (vecs if n <= m else (E @ vecs) / sing), sing
+    return lam, Q[:, ::-1][:, :r]

@@ -1,10 +1,25 @@
 """Monte-Carlo engine for the degrees-of-freedom simulation study.
 
-Generates bilinear data Y = sqrt(n) U D V' + E with a fresh uniform U per
-replicate (D and V held fixed), fits r_hat factors, and measures the observed
-df along a test direction.  Replicates draw from counter-based streams keyed
-by (seed, replicate index), so results are byte-identical at any thread
-count.
+The model is Y = sqrt(n) U D V' + sigma E with D and V fixed, U Haar-uniform
+and E standard normal (n x m).  A replicate fits r_hat factors and measures
+the observed df along a test direction s.  It needs only the Gram matrix of
+Y's smaller side and Ys, and draws exactly those from their joint law
+instead of the n x m matrix:
+
+- W1 (m x k, k <= r + 1) is an orthonormal basis of span(V, s), fixed per
+  config.  Then Ys = Y1 (W1's) with Y1 = Y W1, and YY' = Y1 Y1' + sigma^2 W
+  with W ~ Wishart_n(m - k) independent of Y1.
+- When n > m the m x m dual is smaller: Y'Y = R1'R1 + sigma^2 W with
+  R1 = sqrt(n) D V' + sigma Z1 (r x m) and W ~ Wishart_m(n - r).
+- U is Haar and independent of the noise, whose law is invariant under
+  rotations of the rows, so the RSS has the same law with U fixed to the
+  first r coordinate vectors; no rotation is drawn.
+
+``distributions.wishart_factor`` draws W, the sampler ``dof.df_mandel``
+uses too.  Replicates draw from counter-based streams keyed by (seed,
+replicate index), and BLAS runs on one thread during a simulation, so
+results are byte-identical at any thread count.  The dense n x m pipeline
+this replaces is kept as a test oracle.
 """
 
 import json
@@ -14,9 +29,10 @@ from enum import Enum
 import numpy as np
 
 from .distributions import (DOMAIN_SIM, KsResult, chi2_cdf, ks_test,
-                            map_indexed, stream)
+                            map_indexed, one_blas_thread, stream,
+                            wishart_factor)
 from .dof import df_noise, df_signal_total, is_above_transition
-from .linalg import canonical_signs, top_factors
+from .linalg import RANK_TOL, top_eigenpairs
 
 
 class SignalShape(str, Enum):
@@ -96,43 +112,112 @@ def direction_vector(config: SimConfig) -> np.ndarray:
     return s
 
 
-def _uniform_orthonormal(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
-    """Haar-uniform n x r column-orthonormal matrix with the sign convention."""
-    Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return Q * canonical_signs(Q)
+@dataclass(frozen=True)
+class SamplingPlan:
+    """What every replicate of one config shares.
+
+    ``first`` below is Y1 = Y W1 (n x k) in the primal, R1 (r x m) in the
+    dual; ``signal`` is its mean, carried by its first r rows.
+    """
+
+    dual: bool              # n > m: work on the m x m Gram Y'Y
+    basis: np.ndarray       # W1, (m, k)
+    signal: np.ndarray      # sqrt(n) D V'W1 (r, k), or sqrt(n) D V' (r, m)
+    direction: np.ndarray   # W1's (k,), or s (m,)
+    loading: np.ndarray     # W1'v_1 (k,), or v_1 (m,); empty when r = 0
+    noise_shape: tuple      # shape of first
+    dim: int                # W ~ Wishart_dim(dof)
+    dof: int
+    sigma_sq: float
+    s_sq: float             # s's
+    r_hat: int
 
 
-def _simulate_response(config: SimConfig, index: int) -> np.ndarray:
-    rng = stream(config.seed, DOMAIN_SIM, index)
-    n, m = config.n, config.m
-    sigma = np.sqrt(config.sigma_sq)
-    if config.r > 0:
-        U = _uniform_orthonormal(rng, n, config.r)
-        V = loading_matrix(config)
-        scale = np.sqrt(n * np.asarray(config.mu))
-        return (U * scale) @ V.T + sigma * rng.standard_normal((n, m))
-    return sigma * rng.standard_normal((n, m))
+def sampling_plan(config: SimConfig) -> SamplingPlan:
+    """Basis of span(V, s) and the shapes and scalings replicates share."""
+    n, m, r = config.n, config.m, config.r
+    if r > n:
+        raise ValueError("r must not exceed n")
+    V = loading_matrix(config)
+    s = direction_vector(config)
+    if not float(s @ s) > 0:
+        raise ValueError("test direction must be nonzero")
+    # numerical rank of [V s]: custom loadings may be collinear with s
+    left, sv, _ = np.linalg.svd(np.column_stack([V, s]), full_matrices=False)
+    k = int(np.sum(sv > RANK_TOL * sv[0]))
+    W1 = left[:, :k]
+    scale = np.sqrt(n * np.asarray(config.mu, dtype=np.float64))[:, None]
+    dual = n > m
+    V_rows = V.T if dual else V.T @ W1
+    return SamplingPlan(
+        dual=dual, basis=W1, signal=scale * V_rows,
+        direction=s if dual else W1.T @ s,
+        loading=V_rows[0] if r > 0 else np.zeros(0),
+        noise_shape=(r, m) if dual else (n, k),
+        dim=m if dual else n, dof=n - r if dual else m - k,
+        sigma_sq=float(config.sigma_sq), s_sq=float(s @ s),
+        r_hat=config.r_hat)
 
 
-def _rss_after_truncation(Y: np.ndarray, s: np.ndarray, r_hat: int) -> float:
-    """s' E_hat' E_hat s for the rank-r_hat truncation: ||Ys||^2 - ||left' Ys||^2."""
-    Ys = Y @ s
-    base = float(Ys @ Ys)
-    if r_hat == 0:
+def draw(plan: SamplingPlan, rng: np.random.Generator):
+    """(first, W): Y1 or R1, and the Wishart part of the Gram matrix."""
+    first = np.sqrt(plan.sigma_sq) * rng.standard_normal(plan.noise_shape)
+    first[:len(plan.signal)] += plan.signal
+    A = wishart_factor(rng, plan.dim, plan.dof, 1)[0]
+    return first, A @ A.T
+
+
+def gram(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """YY' (primal) or Y'Y (dual)."""
+    G = first.T @ first if plan.dual else first @ first.T
+    G += plan.sigma_sq * W
+    return G
+
+
+def solve(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> float:
+    """s' E_hat' E_hat s for the rank-r_hat truncation: ||Ys||^2 - ||left' Ys||^2.
+
+    In the dual, with Y'Y = R diag(lam) R', left' Ys = sqrt(lam) R's.
+    """
+    G = gram(plan, first, W)
+    if plan.dual:
+        base = float(plan.direction @ G @ plan.direction)
+    else:
+        Ys = first @ plan.direction
+        base = float(Ys @ Ys)
+    if plan.r_hat == 0:
         return base
-    left, _ = top_factors(Y, r_hat)
-    coef = left.T @ Ys
+    lam, vecs = top_eigenpairs(G, plan.r_hat)
+    if plan.dual:
+        return base - float(lam @ (vecs.T @ plan.direction) ** 2)
+    coef = vecs.T @ Ys
     return base - float(coef @ coef)
 
 
-def run_replicate(config: SimConfig, index: int) -> tuple[float, float]:
-    """One draw of (RSS(s), df_obs) with df_obs = n - RSS / (sigma^2 s's)."""
+# Cells whose Gram matrix has fewer rows than this run in the calling thread.
+# Their replicates are mostly Python-level work under the GIL, which two
+# threads only contend for: at n=5, m=10 a replicate took 0.07 ms on one
+# thread and 0.13 ms on two.  Output is the same either way.
+THREADED_MIN_DIM = 20
+
+
+def _threads_for(plan: SamplingPlan, threads: int) -> int:
+    return threads if plan.dim >= THREADED_MIN_DIM else 1
+
+
+def run_replicate(config: SimConfig, index: int,
+                  plan: SamplingPlan | None = None) -> tuple[float, float]:
+    """One draw of (RSS(s), df_obs) with df_obs = n - RSS / (sigma^2 s's).
+
+    ``plan`` is ``sampling_plan(config)``, passed in to skip recomputing it.
+    """
     if not 0 <= index < config.replicates:
         raise ValueError("replicate index out of range")
-    Y = _simulate_response(config, index)
-    s = direction_vector(config)
-    rss = _rss_after_truncation(Y, s, config.r_hat)
-    df_obs = config.n - rss / (config.sigma_sq * float(s @ s))
+    if plan is None:
+        plan = sampling_plan(config)
+    first, W = draw(plan, stream(config.seed, DOMAIN_SIM, index))
+    rss = solve(plan, first, W)
+    df_obs = config.n - rss / (config.sigma_sq * plan.s_sq)
     return rss, df_obs
 
 
@@ -181,30 +266,32 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     """
     if config.replicates < 100:
         raise ValueError("replicates must be >= 100")
-    pairs = map_indexed(lambda i: run_replicate(config, i),
-                         config.replicates, threads)
-    rss = np.array([p[0] for p in pairs])
-    dfo = np.array([p[1] for p in pairs])
-    mean_df = float(dfo.mean())
-    se_df = float(dfo.std(ddof=1) / np.sqrt(config.replicates))
-    theory, alt, conj = theoretical_df(config)
+    with one_blas_thread():
+        plan = sampling_plan(config)
+        pairs = map_indexed(lambda i: run_replicate(config, i, plan),
+                            config.replicates, _threads_for(plan, threads))
+        rss = np.array([p[0] for p in pairs])
+        dfo = np.array([p[1] for p in pairs])
+        mean_df = float(dfo.mean())
+        se_df = float(dfo.std(ddof=1) / np.sqrt(config.replicates))
+        theory, alt, conj = theoretical_df(config)
 
-    s = direction_vector(config)
-    chi2_df = config.n - theory
-    ks = None
-    if chi2_df > 0:
-        scaled = rss / (config.sigma_sq * float(s @ s))
-        ks = ks_test(scaled, lambda q: chi2_cdf(q, chi2_df))
+        s = direction_vector(config)
+        chi2_df = config.n - theory
+        ks = None
+        if chi2_df > 0:
+            scaled = rss / (config.sigma_sq * float(s @ s))
+            ks = ks_test(scaled, lambda q: chi2_cdf(q, chi2_df))
 
-    bracketed = None
-    if alt is not None:
-        hit_primary = abs(mean_df - theory) <= 3 * se_df
-        hit_alt = abs(mean_df - alt) <= 3 * se_df
-        bracketed = {(True, True): "both", (True, False): "primary",
-                     (False, True): "alternative", (False, False): "neither"}[
-                         (hit_primary, hit_alt)]
-    return SimResult(mean_df, se_df, theory, ks, config.replicates,
-                     alt, bracketed, conj)
+        bracketed = None
+        if alt is not None:
+            hit_primary = abs(mean_df - theory) <= 3 * se_df
+            hit_alt = abs(mean_df - alt) <= 3 * se_df
+            bracketed = {(True, True): "both", (True, False): "primary",
+                         (False, True): "alternative", (False, False): "neither"}[
+                             (hit_primary, hit_alt)]
+        return SimResult(mean_df, se_df, theory, ks, config.replicates,
+                         alt, bracketed, conj)
 
 
 @dataclass(frozen=True)
@@ -255,8 +342,10 @@ CSV_COLUMNS = ("n", "m", "mu", "shape", "mean_df", "se_df", "theoretical_df",
 def cell_record(cell: GridCell) -> dict:
     """The one row builder behind every simulate and ks-table output."""
     r = cell.result
+    # a noise cell has no loading, so no loading shape
+    shape = None if cell.mu is None else cell.shape
     return {
-        "n": cell.n, "m": cell.m, "mu": cell.mu, "shape": cell.shape,
+        "n": cell.n, "m": cell.m, "mu": cell.mu, "shape": shape,
         "mean_df": r.mean_df, "se_df": r.se_df,
         "theoretical_df": r.theoretical_df,
         "alt_theoretical_df": r.alt_theoretical_df,
@@ -299,20 +388,38 @@ class SpikeResult:
     replicates_used: int
 
 
-def spike_replicate(config: SimConfig, index: int) -> tuple[float, float]:
+def spike_solve(plan: SamplingPlan, first: np.ndarray,
+                W: np.ndarray) -> tuple[float, float]:
+    """(lambda_1, (vhat_1' v_1)^2) from one draw.
+
+    vhat_1' v_1 = left_1' Y v_1 / sing_1 with Y v_1 = Y1 (W1'v_1); in the dual
+    it is the top eigenvector's projection onto v_1.
+    """
+    lam, vecs = top_eigenpairs(gram(plan, first, W), 1)
+    if plan.dual:
+        overlap = float(vecs[:, 0] @ plan.loading)
+    else:
+        overlap = float(vecs[:, 0] @ (first @ plan.loading)) / np.sqrt(lam[0])
+    return float(lam[0]), overlap ** 2
+
+
+def spike_replicate(config: SimConfig, index: int,
+                    plan: SamplingPlan | None = None) -> tuple[float, float]:
     """(mu_hat_1, (vhat_1' v_1)^2) for one replicate of a one-factor model."""
     if config.r != 1:
         raise ValueError("spike diagnostics require exactly one true factor")
-    Y = _simulate_response(config, index)
-    v = loading_matrix(config)[:, 0]
-    left, sing = top_factors(Y, 1)
-    vhat = Y.T @ left[:, 0] / sing[0]
-    return float(sing[0] ** 2 / Y.shape[0]), float((vhat @ v) ** 2)
+    if plan is None:
+        plan = sampling_plan(config)
+    lam, overlap_sq = spike_solve(
+        plan, *draw(plan, stream(config.seed, DOMAIN_SIM, index)))
+    return lam / config.n, overlap_sq
 
 
 def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
-    pairs = map_indexed(lambda i: spike_replicate(config, i),
-                         config.replicates, threads)
+    with one_blas_thread():
+        plan = sampling_plan(config)
+        pairs = map_indexed(lambda i: spike_replicate(config, i, plan),
+                            config.replicates, _threads_for(plan, threads))
     mu1 = np.array([p[0] for p in pairs])
     ovl = np.array([p[1] for p in pairs])
     root = np.sqrt(config.replicates)

@@ -4,17 +4,34 @@ The library works in full coordinates with one Gram-matrix factor kernel
 (``factordf.linalg.top_factors``).  The tests hold it to these independent
 routes: a full SVD with canonical signs, the change of basis to the
 complements of col(X) and col(Z), the explicit factor term and adjusted
-residuals, the algebraic RSS expansion, and scalar variance / t arithmetic.
-None of them is fast enough, or needed, for production sizes.
+residuals, the algebraic RSS expansion, scalar variance / t arithmetic, and
+the dense Monte-Carlo replicate (a full n x m response per draw) that the
+sufficient-statistic engine in ``factordf.simulation`` is held to.  None of
+them is fast enough, or needed, for production sizes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from factordf.distributions import DOMAIN_SIM, SeededGenerator, stream
 from factordf.dof import DofEstimate
-from factordf.linalg import _as_matrix, canonical_signs, polar_factors
+from factordf.linalg import _as_matrix, polar_factors, top_factors
 from factordf.model import DatasetBundle
+from factordf.simulation import SimConfig, loading_matrix
+
+
+def canonical_signs(V: np.ndarray) -> np.ndarray:
+    """Sign flips (+/-1 per column) making each column's largest-|entry| positive.
+
+    Ties in absolute value are broken by the lowest index.
+    """
+    if V.shape[1] == 0:
+        return np.ones(0)
+    lead = np.abs(V).argmax(axis=0)
+    vals = V[lead, np.arange(V.shape[1])]
+    signs = np.where(vals < 0, -1.0, 1.0)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -306,3 +323,47 @@ def t_statistic(coef: float, contrast_var: float,
         raise ValueError("contrast variance must be positive")
     se = np.sqrt(var_est.sigma_sq_hat * contrast_var)
     return float(coef / se), float(var_est.df_resid)
+
+
+# Dense Monte-Carlo replicate: Y drawn in full.
+
+def _uniform_orthonormal(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
+    """Haar-uniform n x r column-orthonormal matrix with the sign convention."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    return Q * canonical_signs(Q)
+
+
+def _simulate_response(config: SimConfig, index: int) -> np.ndarray:
+    rng = stream(config.seed, DOMAIN_SIM, index)
+    n, m = config.n, config.m
+    sigma = np.sqrt(config.sigma_sq)
+    if config.r > 0:
+        U = _uniform_orthonormal(rng, n, config.r)
+        V = loading_matrix(config)
+        scale = np.sqrt(n * np.asarray(config.mu))
+        return (U * scale) @ V.T + sigma * rng.standard_normal((n, m))
+    return sigma * rng.standard_normal((n, m))
+
+
+def _rss_after_truncation(Y: np.ndarray, s: np.ndarray, r_hat: int) -> float:
+    """s' E_hat' E_hat s for the rank-r_hat truncation: ||Ys||^2 - ||left' Ys||^2."""
+    Ys = Y @ s
+    base = float(Ys @ Ys)
+    if r_hat == 0:
+        return base
+    left, _ = top_factors(Y, r_hat)
+    coef = left.T @ Ys
+    return base - float(coef @ coef)
+
+
+# Stream helpers src/ has no use for.
+
+def sample_standard_normal(gen: SeededGenerator, count: int) -> np.ndarray:
+    """``count`` i.i.d. N(0,1) draws from the stream ``gen`` identifies."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return gen.generator().standard_normal(count)
+
+
+def spawn(self: SeededGenerator, stream_id: int) -> SeededGenerator:
+    return SeededGenerator(self.seed, stream_id)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -325,6 +327,53 @@ def test_cli_error_exit_status(tmp_path, capsys):
     assert code == 1
     assert "IO_ERROR" in err
     assert out == ""
+
+
+def test_cli_error_line_names_code_once(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, out, err = run_cli(["test", "--y", str(missing), "--coef-index", "0"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error [IO_ERROR]: cannot read {missing}: [Errno 2] "
+                   f"No such file or directory: '{missing}'\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_noise_cell_prints_no_shape(capsys, fmt):
+    code, out, _ = run_cli(["simulate", "--n", "10", "--m", "20",
+                            "--replicates", "100", "--seed", "1",
+                            "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        row, = json.loads(out)
+        assert row["mu"] is None and row["shape"] is None
+    elif fmt == "csv":
+        row, = csv.DictReader(io.StringIO(out))
+        assert row["mu"] == "" and row["shape"] == ""
+    else:
+        header, row = out.splitlines()
+        start = header.index("mu")
+        assert row[start:header.index("mean_df")].strip() == ""
+
+
+def test_monte_carlo_output_independent_of_blas_threads(tmp_path):
+    # OpenBLAS splits its sums by thread count; the simulations pin it to
+    # one thread, so the environment's count cannot reach the output
+    commands = {
+        "simulate": ["simulate", "--n", "100", "--m", "2000", "--replicates",
+                     "200", "--seed", "3", "--format", "json"],
+        "ks-table": ["ks-table", "--n-list", "30", "100", "--m-list", "60",
+                     "500", "--replicates", "150",
+                     "--seed", "4", "--format", "csv"],
+    }
+    for name, args in commands.items():
+        outs = []
+        for blas in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+            proc = subprocess.run([sys.executable, "-m", "factordf.cli"] + args,
+                                  capture_output=True, env=env, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], name
 
 
 def test_cli_output_into_missing_directory(tmp_path, capsys):

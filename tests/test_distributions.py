@@ -7,19 +7,23 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from factordf import distributions
+from factordf import distributions, simulation
 from factordf.distributions import (SeededGenerator, chi2_cdf, chi2_quantile,
                                     kolmogorov_sf, ks_test, map_indexed,
-                                    sample_standard_normal, stream, t_cdf,
-                                    t_sf, worker_count)
+                                    stream, t_cdf, t_sf, wishart_factor,
+                                    worker_count)
+from factordf.dof import df_mandel
+from oracles import sample_standard_normal, spawn
 
 
 def test_sampling_is_deterministic():
     a = sample_standard_normal(SeededGenerator(42, 7), 100)
     b = sample_standard_normal(SeededGenerator(42, 7), 100)
     np.testing.assert_array_equal(a, b)
-    c = sample_standard_normal(SeededGenerator(42, 8), 100)
+    c = sample_standard_normal(spawn(SeededGenerator(42, 7), 8), 100)
     assert not np.array_equal(a, c)
+    np.testing.assert_array_equal(
+        c, sample_standard_normal(SeededGenerator(42, 8), 100))
 
 
 def test_sampling_moments():
@@ -203,3 +207,128 @@ def test_map_indexed_order_and_pool_size(monkeypatch):
     assert sizes == [2]
     assert map_indexed(lambda i: -i, 3, threads=1) == [0, -1, -2]
     assert sizes == [2]                   # one worker runs in the caller
+
+
+def test_map_indexed_runs_contiguous_chunks(monkeypatch):
+    import threading
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    per_thread = {}
+
+    def record(i):
+        per_thread.setdefault(threading.get_ident(), []).append(i)
+        return 3 * i
+
+    assert map_indexed(record, 50, threads=2) == [3 * i for i in range(50)]
+    seqs = list(per_thread.values())
+    assert sorted(i for seq in seqs for i in seq) == list(range(50))
+    # each task runs a contiguous chunk in index order, 4 chunks per worker:
+    # the threads' sequences break into at most 8 ascending runs
+    runs = sum(1 + sum(b != a + 1 for a, b in zip(seq, seq[1:]))
+               for seq in seqs)
+    assert runs <= 2 * distributions.CHUNKS_PER_WORKER
+    assert map_indexed(lambda i: i, 3, threads=2) == [0, 1, 2]
+
+
+def mandel_factor_inline(seed, dim, dof, mc_reps):
+    """df_mandel's draw as written before the sampler was shared."""
+    rng = stream(seed, distributions.DOMAIN_MANDEL)
+    A = np.zeros((mc_reps, dim, dim))
+    lower = np.tril_indices(dim, -1)
+    A[:, lower[0], lower[1]] = rng.standard_normal((mc_reps, len(lower[0])))
+    diag_dfs = dof - np.arange(dim)
+    A[:, np.arange(dim), np.arange(dim)] = np.sqrt(
+        rng.chisquare(diag_dfs, size=(mc_reps, dim)))
+    return A
+
+
+@pytest.mark.parametrize("dim,dof", [(1, 1), (4, 9), (36, 17862)])
+def test_wishart_factor_reproduces_mandel_draws(dim, dof):
+    got = wishart_factor(stream(5, distributions.DOMAIN_MANDEL), dim, dof, 100)
+    np.testing.assert_array_equal(got, mandel_factor_inline(5, dim, dof, 100))
+
+
+def test_df_mandel_bits_unchanged():
+    n, m, reps = 6, 40, 300
+    A = mandel_factor_inline(11, n, m, reps)
+    eigs = np.linalg.eigvalsh(A @ np.transpose(A, (0, 2, 1)))
+    top = eigs[:, ::-1][:, :2] / m
+    est = df_mandel(n, m, 2, mc_reps=reps, seed=11)
+    np.testing.assert_array_equal(est.per_factor, top.mean(axis=0))
+    assert est.mc_se == float(np.sqrt(top.sum(axis=1).var(ddof=1) / reps))
+
+
+@pytest.mark.parametrize("dim,dof", [(4, 9), (6, 3), (5, 5), (5, 0)])
+def test_wishart_factor_moments(dim, dof):
+    reps = 20000
+    A = wishart_factor(np.random.default_rng(dim * 10 + dof), dim, dof, reps)
+    assert A.shape == (reps, dim, dim if dof >= dim else dof)
+    W = A @ np.transpose(A, (0, 2, 1))
+    # E[W] = dof I; Var(W_ii) = 2 dof, Var(W_ij) = dof off the diagonal
+    mean = W.mean(axis=0)
+    se = np.sqrt(np.where(np.eye(dim) > 0, 2.0, 1.0) * max(dof, 1) / reps)
+    assert np.all(np.abs(mean - dof * np.eye(dim)) <= 5 * se)
+
+
+@pytest.fixture
+def openblas():
+    handle = distributions._openblas()
+    if handle is None:
+        pytest.skip("no bundled OpenBLAS found: simulations run unpinned")
+    get, put = handle
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+def test_one_blas_thread_pins_and_restores(openblas, monkeypatch):
+    seen = []
+    original = simulation.run_replicate
+
+    def spy(*args):
+        seen.append(openblas())
+        return original(*args)
+
+    monkeypatch.setattr(simulation, "run_replicate", spy)
+    cfg = simulation.SimConfig(n=20, m=40, r=0, replicates=100, seed=1)
+    for threads in (1, 2):
+        simulation.run_sim(cfg, threads=threads)
+        assert len(seen) == 100 and set(seen) == {1}
+        assert openblas() == 2
+        seen.clear()
+    with distributions.one_blas_thread():
+        with distributions.one_blas_thread():
+            assert openblas() == 1
+        assert openblas() == 1
+    assert openblas() == 2
+
+
+def test_one_blas_thread_from_many_threads(openblas):
+    import sys
+    import threading
+    inside, errors = [], []
+
+    def work():
+        try:
+            for _ in range(200):
+                with distributions.one_blas_thread():
+                    inside.append(openblas())
+        except Exception as exc:     # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and not errors
+    assert len(inside) == 1200 and set(inside) == {1}
+    assert openblas() == 2
