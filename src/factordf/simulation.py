@@ -196,8 +196,9 @@ def solve(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> float:
 
 # Cells whose Gram matrix has fewer rows than this run in the calling thread.
 # Their replicates are mostly Python-level work under the GIL, which two
-# threads only contend for: at n=5, m=10 a replicate took 0.07 ms on one
-# thread and 0.13 ms on two.  Output is the same either way.
+# threads only contend for: on a 2-core box an n=5, m=10 replicate took a
+# median 0.13 ms on two threads and 0.08 ms on one.  Output is the same
+# either way.
 THREADED_MIN_DIM = 20
 
 
@@ -420,9 +421,9 @@ def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
         plan = sampling_plan(config)
         pairs = map_indexed(lambda i: spike_replicate(config, i, plan),
                             config.replicates, _threads_for(plan, threads))
-    mu1 = np.array([p[0] for p in pairs])
-    ovl = np.array([p[1] for p in pairs])
-    root = np.sqrt(config.replicates)
-    return SpikeResult(float(mu1.mean()), float(mu1.std(ddof=1) / root),
-                       float(ovl.mean()), float(ovl.std(ddof=1) / root),
-                       config.replicates)
+        mu1 = np.array([p[0] for p in pairs])
+        ovl = np.array([p[1] for p in pairs])
+        root = np.sqrt(config.replicates)
+        return SpikeResult(float(mu1.mean()), float(mu1.std(ddof=1) / root),
+                           float(ovl.mean()), float(ovl.std(ddof=1) / root),
+                           config.replicates)

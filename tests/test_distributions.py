@@ -309,12 +309,16 @@ def test_one_blas_thread_pins_and_restores(openblas, monkeypatch):
 def test_one_blas_thread_from_many_threads(openblas):
     import sys
     import threading
+    import time
     inside, errors = [], []
+    start = threading.Barrier(6)
 
     def work():
         try:
-            for _ in range(200):
+            start.wait(timeout=30)
+            for _ in range(300):
                 with distributions.one_blas_thread():
+                    time.sleep(0)          # let the other blocks overlap
                     inside.append(openblas())
         except Exception as exc:     # reported below
             errors.append(exc)
@@ -330,5 +334,5 @@ def test_one_blas_thread_from_many_threads(openblas):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers) and not errors
-    assert len(inside) == 1200 and set(inside) == {1}
+    assert len(inside) == 1800 and set(inside) == {1}
     assert openblas() == 2

@@ -134,7 +134,8 @@ def test_spike_solve_matches_dense():
 # oracle uses other seeds than the engine, so the two samples share no draws.
 LAW_CELLS = [
     # (label, config keywords): primal Bartlett, primal signal, near-square
-    # (dense Wishart factor), dual Bartlett, dual dense factor with k = 2
+    # (dense Wishart factor), dual Bartlett, dual dense factor with two
+    # factors and s partly outside their span
     ("primal-noise", dict(n=10, m=60, r=0, r_hat=1)),
     ("primal-basis", dict(n=20, m=80, r=1, mu=(3.0,), r_hat=1)),
     ("near-square", dict(n=12, m=12, r=1, mu=(2.0,), r_hat=1)),
