@@ -144,14 +144,6 @@ def one_blas_thread():
                 put(_blas_saved)
 
 
-@lru_cache(maxsize=64)
-def _bartlett_indices(dim: int) -> tuple:
-    arrays = (*np.tril_indices(dim, -1), np.arange(dim))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
                    reps: int) -> np.ndarray:
     """``reps`` factors A, shape (reps, dim, .), with A A' ~ Wishart_dim(dof, I).
@@ -163,7 +155,8 @@ def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
     """
     if dof < dim:
         return rng.standard_normal((reps, dim, dof))
-    rows, cols, diag = _bartlett_indices(dim)
+    rows, cols = np.tril_indices(dim, -1)
+    diag = np.arange(dim)
     A = np.zeros((reps, dim, dim))
     A[:, rows, cols] = rng.standard_normal((reps, len(rows)))
     A[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(reps, dim)))

@@ -194,18 +194,6 @@ def solve(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> float:
     return base - float(coef @ coef)
 
 
-# Cells whose Gram matrix has fewer rows than this run in the calling thread.
-# Their replicates are mostly Python-level work under the GIL, which two
-# threads only contend for: on a 2-core box an n=5, m=10 replicate took a
-# median 0.13 ms on two threads and 0.08 ms on one.  Output is the same
-# either way.
-THREADED_MIN_DIM = 20
-
-
-def _threads_for(plan: SamplingPlan, threads: int) -> int:
-    return threads if plan.dim >= THREADED_MIN_DIM else 1
-
-
 def run_replicate(config: SimConfig, index: int,
                   plan: SamplingPlan | None = None) -> tuple[float, float]:
     """One draw of (RSS(s), df_obs) with df_obs = n - RSS / (sigma^2 s's).
@@ -270,7 +258,7 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     with one_blas_thread():
         plan = sampling_plan(config)
         pairs = map_indexed(lambda i: run_replicate(config, i, plan),
-                            config.replicates, _threads_for(plan, threads))
+                            config.replicates, threads)
         rss = np.array([p[0] for p in pairs])
         dfo = np.array([p[1] for p in pairs])
         mean_df = float(dfo.mean())
@@ -420,7 +408,7 @@ def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
     with one_blas_thread():
         plan = sampling_plan(config)
         pairs = map_indexed(lambda i: spike_replicate(config, i, plan),
-                            config.replicates, _threads_for(plan, threads))
+                            config.replicates, threads)
         mu1 = np.array([p[0] for p in pairs])
         ovl = np.array([p[1] for p in pairs])
         root = np.sqrt(config.replicates)
