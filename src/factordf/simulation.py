@@ -198,7 +198,7 @@ def solve(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> float:
 # Their replicates hold the GIL for most of their time, so a second thread
 # only contends for it.  Timed on 2 cores (median of 7 run_sim calls per
 # side): Gram dims 5-35 ran 0.56-0.97x as fast on two threads as on one,
-# dims 40-100 1.06-1.51x.  Output is the same either way.
+# dims 40-50 1.06-1.51x.  Output is the same either way.
 THREADED_MIN_DIM = 40
 
 
