@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .distributions import (KsResult, SeededGenerator, chi2_cdf, chi2_quantile,
-                            ks_test, t_cdf)
+from .distributions import KsResult, SeededGenerator, chi2_cdf, ks_test
 from .dof import (AsymptoticPrediction, DofEstimate, DofMethod,
                   asymptotic_predictions, df_conservative, df_gollob,
                   df_mandel, df_naive, df_noise, df_signal_k, df_signal_total,
@@ -26,10 +25,10 @@ __all__ = [
     "FdrReport", "GenerativeTruth", "GridCell", "KsResult", "ResidualMatrix",
     "ScreeTable", "SeededGenerator", "SignalShape", "SimConfig", "SimResult",
     "SpikeResult", "TestResult", "asymptotic_predictions",
-    "build_generative_truth", "chi2_cdf", "chi2_quantile",
+    "build_generative_truth", "chi2_cdf",
     "compute_direction_stats", "df_conservative", "df_gollob", "df_mandel",
     "df_naive", "df_noise", "df_signal_k", "df_signal_total", "evaluate",
     "fit_two_sided", "ks_test", "noise_floor", "noise_preset", "polar_factors",
     "run_grid", "run_replicate", "run_sim", "run_spike_sim",
-    "simulate_dataset", "t_cdf", "test_all_responses", "variance_explained",
+    "simulate_dataset", "test_all_responses", "variance_explained",
 ]

@@ -18,7 +18,8 @@ from . import __version__
 from .datasets import AGE_COEF_INDEX, synthetic_study
 from .dof import DofMethod
 from .factors import variance_explained
-from .fdr import BootstrapConfig, evaluate, report_to_csv, report_to_json
+from .fdr import (REPORT_COLUMNS, BootstrapConfig, evaluate, report_columns,
+                  report_to_json)
 from .inference import compute_direction_stats, df_totals, response_tests
 from .model import DatasetBundle, fit_two_sided
 from .simulation import (CSV_COLUMNS, GridCell, SignalShape, SimConfig,
@@ -274,7 +275,8 @@ def cmd_bootstrap(args, out) -> None:
     if args.format == "json":
         out.write(report_to_json(report))
     else:
-        out.write(report_to_csv(report))
+        _emit_rows(list(REPORT_COLUMNS), report_columns(report), args.format,
+                   out)
 
 
 def cmd_generate(args, out) -> None:

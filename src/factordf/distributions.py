@@ -5,7 +5,9 @@ Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
 ``map_indexed`` is the thread fan-out those consumers share, and
-``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits.
+``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits;
+``linalg.top_eigenpairs`` finds that library's eigensolver through the same
+loader.
 """
 
 import os
@@ -14,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 # scipy.special, not scipy.stats: the CDFs below are the ufuncs scipy.stats
@@ -85,11 +87,19 @@ def map_indexed(func, count: int, threads: int) -> list:
         return [x for part in pool.map(run_chunk, range(chunks)) for x in part]
 
 
+class OpenBlas(NamedTuple):
+    """Entry points of numpy's bundled OpenBLAS (ILP64, ``64_`` suffix)."""
+
+    get: Callable               # () -> BLAS thread count
+    put: Callable               # (count) -> None
+    dsyevr: Callable | None     # LAPACKE_dsyevr, where the build exports it
+
+
 @lru_cache(maxsize=1)
 def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS that numpy wheels
-    bundle in ``numpy.libs``, or None when there is no such library.
-    Resolved on first use, not at import."""
+    """The OpenBLAS that numpy wheels bundle in ``numpy.libs``, as an
+    ``OpenBlas``, or None when there is no such library.  Resolved on first
+    use, not at import."""
     import ctypes
     import glob
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
@@ -103,7 +113,16 @@ def _openblas():
             continue
         get.restype, get.argtypes = ctypes.c_int, []
         put.restype, put.argtypes = None, [ctypes.c_int]
-        return get, put
+        evr = getattr(lib, "scipy_LAPACKE_dsyevr64_", None)
+        if evr is not None:
+            i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
+            # m, w, z, ldz, isuppz
+            evr.restype = i64
+            evr.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                            ctypes.c_char, i64, ptr, i64, f64, f64, i64, i64,
+                            f64, ptr, ptr, ptr, i64, ptr]
+        return OpenBlas(get, put, evr)
     return None
 
 
@@ -129,7 +148,7 @@ def one_blas_thread():
     if handle is None:
         yield
         return
-    get, put = handle
+    get, put = handle.get, handle.put
     with _blas_lock:
         if _blas_depth == 0:
             _blas_saved = get()
@@ -144,6 +163,16 @@ def one_blas_thread():
                 put(_blas_saved)
 
 
+@lru_cache(maxsize=16)
+def _bartlett_indices(dim: int) -> tuple:
+    """(rows, cols) below the diagonal of a dim x dim matrix and the diagonal
+    positions; read-only, as every caller shares them."""
+    out = (*np.tril_indices(dim, -1), np.arange(dim))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
                    reps: int) -> np.ndarray:
     """``reps`` factors A, shape (reps, dim, .), with A A' ~ Wishart_dim(dof, I).
@@ -155,8 +184,7 @@ def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
     """
     if dof < dim:
         return rng.standard_normal((reps, dim, dof))
-    rows, cols = np.tril_indices(dim, -1)
-    diag = np.arange(dim)
+    rows, cols, diag = _bartlett_indices(dim)
     A = np.zeros((reps, dim, dim))
     A[:, rows, cols] = rng.standard_normal((reps, len(rows)))
     A[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(reps, dim)))
@@ -168,22 +196,6 @@ def chi2_cdf(x, df: float):
         raise ValueError("df must be positive")
     # chdtr is NaN below 0, where the CDF is 0; np.maximum keeps NaN as NaN
     return special.chdtr(df, np.maximum(x, 0.0))
-
-
-def chi2_quantile(df: float, p: float) -> float:
-    """Inverse chi-squared CDF; fractional df supported."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
-    return float(2.0 * special.gammaincinv(df / 2.0, p))
-
-
-def t_cdf(x, df: float):
-    """Student-t CDF with (possibly fractional) df."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    return special.stdtr(df, x)
 
 
 def t_sf(x, df: float):

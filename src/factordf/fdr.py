@@ -7,8 +7,6 @@ re-simulated from that truth are refit under each df-assignment method, and
 the discovery rates are averaged against the truth's nonzero set.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -206,15 +204,17 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.10g}"
 
 
-def report_to_csv(report: FdrReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["method", "fdr_pct", "fdr_se", "fpr_pct", "fpr_se",
-                "tpr_pct", "tpr_se"])
-    for label, r in report.rates.items():
-        w.writerow([label, _fmt(r.fdr_pct), _fmt(r.fdr_se), _fmt(r.fpr_pct),
-                    _fmt(r.fpr_se), _fmt(r.tpr_pct), _fmt(r.tpr_se)])
-    return buf.getvalue()
+# Columns of a bootstrap report in CSV and table output, one row per method.
+REPORT_COLUMNS = ("method", "fdr_pct", "fdr_se", "fpr_pct", "fpr_se",
+                  "tpr_pct", "tpr_se")
+
+
+def report_columns(report: FdrReport) -> list[list[str]]:
+    """One list per REPORT_COLUMNS entry: the methods' values as the CSV and
+    the table print them."""
+    rates = report.rates.values()
+    return [list(report.rates)] + [[_fmt(getattr(r, k)) for r in rates]
+                                   for k in REPORT_COLUMNS[1:]]
 
 
 def report_to_json(report: FdrReport) -> str:

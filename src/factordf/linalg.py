@@ -4,9 +4,17 @@ Every routine here is a pure function of its input bytes, so downstream
 estimates are reproducible across runs and thread counts.  ``top_factors`` is
 the one factor kernel: the model's residual factors go through it, and every
 Monte-Carlo replicate through its Gram-matrix half ``top_eigenpairs``.
+
+``top_eigenpairs`` computes only the top r eigenpairs: a LAPACK ``dsyevr``
+subset solve (MRRR; Dhillon, Parlett & Voemel 2006) in the OpenBLAS numpy
+bundles, the library ``distributions.one_blas_thread`` pins, so a pinned
+simulation's solve runs on one thread too.  Where that library or its
+LAPACKE entry point is missing, the full ``np.linalg.eigh`` runs instead.
 """
 
 import numpy as np
+
+from . import distributions
 
 # Relative threshold below which a matrix is treated as rank deficient.
 RANK_TOL = 1e-10
@@ -56,10 +64,40 @@ def top_factors(E: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 def top_eigenpairs(G: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenvalues (descending, clipped at 0) and eigenvectors of a
-    Gram matrix G.  Raises when the r-th eigenvalue vanishes next to the
-    first."""
-    w, Q = np.linalg.eigh(G)
-    lam = np.maximum(w[::-1][:r], 0.0)
+    symmetric Gram matrix G, read from its lower triangle; G is not modified.
+
+    Only eigenpairs n - r + 1 ... n are computed, by LAPACKE ``dsyevr`` in
+    numpy's bundled OpenBLAS; without it, by a full ``np.linalg.eigh``.
+    Raises ``LinAlgError`` when the solver fails, and ``ValueError`` when the
+    r-th eigenvalue vanishes next to the first.
+    """
+    n = len(G)
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= {n}, got {r}")
+    blas = distributions._openblas()
+    if blas is None or blas.dsyevr is None:
+        w, Q = np.linalg.eigh(G)
+        lam, vecs = w[::-1][:r], Q[:, ::-1][:, :r]
+    else:
+        # One buffer: a copy of G for LAPACK to overwrite, then the n
+        # eigenvalue slots, the n x r vectors and the int64 outputs m and
+        # isuppz (2r); int64 and float64 share a size.
+        nn = n * n
+        buf = np.empty(nn + n + n * r + 1 + 2 * r)
+        buf[:nn] = G.ravel()
+        a = buf.ctypes.data
+        m = a + 8 * (nn + n + n * r)
+        info = blas.dsyevr(101, b"V", b"I", b"L", n, a, n, 0.0, 0.0,
+                           n - r + 1, n, 0.0, m, a + 8 * nn, a + 8 * (nn + n),
+                           r, m + 8)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+        found = int(buf[nn + n + n * r:].view(np.int64)[0])
+        if found != r:
+            raise np.linalg.LinAlgError(f"dsyevr found {found} of {r} eigenpairs")
+        lam = buf[nn:nn + r][::-1]
+        vecs = buf[nn + n:nn + n + n * r].reshape(n, r)[:, ::-1]
+    lam = np.maximum(lam, 0.0)
     if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
         raise ValueError(f"matrix rank is below the requested {r} factors")
-    return lam, Q[:, ::-1][:, :r]
+    return lam, vecs

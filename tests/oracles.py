@@ -13,6 +13,7 @@ them is fast enough, or needed, for production sizes.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from factordf.distributions import DOMAIN_SIM, SeededGenerator, stream
 from factordf.dof import DofEstimate
@@ -367,3 +368,21 @@ def sample_standard_normal(gen: SeededGenerator, count: int) -> np.ndarray:
 
 def spawn(self: SeededGenerator, stream_id: int) -> SeededGenerator:
     return SeededGenerator(self.seed, stream_id)
+
+
+# Distribution helpers src/ has no use for.
+
+def chi2_quantile(df: float, p: float) -> float:
+    """Inverse chi-squared CDF; fractional df supported."""
+    if df <= 0:
+        raise ValueError("df must be positive")
+    if not 0 < p < 1:
+        raise ValueError("p must lie in (0, 1)")
+    return float(2.0 * special.gammaincinv(df / 2.0, p))
+
+
+def t_cdf(x, df: float):
+    """Student-t CDF with (possibly fractional) df."""
+    if df <= 0:
+        raise ValueError("df must be positive")
+    return special.stdtr(df, x)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from factordf.datasets import AGE_COEF_INDEX, subject_covariates, synthetic_study
-from factordf.distributions import ks_test, stream, t_cdf
+from factordf.distributions import ks_test, stream
 from factordf.dof import (df_conservative, df_gollob, df_mandel, df_noise,
                           noise_floor)
 from factordf.fdr import BootstrapConfig, evaluate
@@ -23,7 +23,7 @@ from factordf.model import DatasetBundle, fit_two_sided
 from factordf.simulation import (SignalShape, SimConfig, run_sim,
                                  run_spike_sim)
 from oracles import (FactorModelTruth, adjusted_residuals, extract_factors,
-                     reduce_to_covariate_free, rss, rss_expansion_oracle)
+                     reduce_to_covariate_free, rss, rss_expansion_oracle, t_cdf)
 from oracles import test_direction as direction_for
 
 THREADS = min(4, os.cpu_count() or 1)

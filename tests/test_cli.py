@@ -302,6 +302,28 @@ def test_simulate_and_ks_table_share_table_layout(capsys):
     assert grid == sim
 
 
+def test_cmd_bootstrap_table_aligns_the_csv(fixture_dir, capsys):
+    base = ["bootstrap", "--y", str(fixture_dir / "y.csv"),
+            "--x", str(fixture_dir / "x.csv"),
+            "--z", str(fixture_dir / "z.csv"), "--coef-index", "2",
+            "--n-datasets", "10", "--methods", "proposed", "naive",
+            "--seed", "3"]
+    code, table, _ = run_cli(base, capsys)
+    _, csv_out, _ = run_cli(base + ["--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(csv_out)))
+    assert rows[0] == ["method", "fdr_pct", "fdr_se", "fpr_pct", "fpr_se",
+                       "tpr_pct", "tpr_se"]
+    assert [r[0] for r in rows[1:]] == ["proposed", "naive", "none"]
+    lines = table.splitlines()
+    assert "," not in table and len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        # empty CSV fields (no discovery) leave blanks in the table
+        assert line.split() == [v for v in row if v]
+    starts = {lines[0].index(h) for h in rows[0]}
+    assert len(starts) == len(rows[0])   # one aligned column per field
+
+
 def test_cmd_simulate_threads_identical(capsys):
     base = ["simulate", "--n", "15", "--m", "60", "--r-hat", "1",
             "--replicates", "200", "--seed", "9", "--format", "csv"]

@@ -8,12 +8,11 @@ import pytest
 from scipy import integrate, special, stats
 
 from factordf import distributions, simulation
-from factordf.distributions import (SeededGenerator, chi2_cdf, chi2_quantile,
-                                    kolmogorov_sf, ks_test, map_indexed,
-                                    stream, t_cdf, t_sf, wishart_factor,
-                                    worker_count)
+from factordf.distributions import (SeededGenerator, chi2_cdf, kolmogorov_sf,
+                                    ks_test, map_indexed, stream, t_sf,
+                                    wishart_factor, worker_count)
 from factordf.dof import df_mandel
-from oracles import sample_standard_normal, spawn
+from oracles import chi2_quantile, sample_standard_normal, spawn, t_cdf
 
 
 def test_sampling_is_deterministic():
@@ -129,7 +128,11 @@ def test_t_sf_vector_df_bit_equal_to_scipy_stats():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, factordf.cli; print('scipy.stats' in sys.modules)"
+    # nor does the eigen-solve load scipy.linalg, which would run on
+    # scipy's own OpenBLAS
+    code = ("import sys, numpy, factordf.cli; "
+            "factordf.linalg.top_eigenpairs(numpy.eye(3), 1); "
+            "print(any(m in sys.modules for m in ('scipy.stats', 'scipy.linalg')))")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -275,7 +278,7 @@ def openblas():
     handle = distributions._openblas()
     if handle is None:
         pytest.skip("no bundled OpenBLAS found: simulations run unpinned")
-    get, put = handle
+    get, put = handle.get, handle.put
     before = get()
     put(2)
     try:

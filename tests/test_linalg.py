@@ -1,7 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from factordf.linalg import polar_factors, top_factors
+from factordf import distributions
+from factordf.linalg import polar_factors, top_eigenpairs, top_factors
 from oracles import hat_matrix, orthonormal_complement, truncated_svd
 
 
@@ -174,3 +177,63 @@ def test_top_factors_rejects_missing_rank():
     for A in (E, E.T):
         with pytest.raises(ValueError, match="rank"):
             top_factors(A, 2)
+
+
+def gram_and_probe(dim, seed=0):
+    rng = np.random.default_rng(seed + dim)
+    A = rng.standard_normal((dim, 2 * dim + 3))
+    return A @ A.T, rng.standard_normal(dim)
+
+
+def eigh_top(G, r):
+    w, Q = np.linalg.eigh(G)
+    return w[::-1][:r], Q[:, ::-1][:, :r]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 39, 50, 100, 200])
+def test_top_eigenpairs_match_full_eigh(dim):
+    G, y = gram_and_probe(dim)
+    before = G.copy()
+    for r in sorted({1, min(2, dim), dim}):
+        lam, vecs = top_eigenpairs(G, r)
+        ref_lam, ref_vecs = eigh_top(before, r)
+        assert lam.shape == (r,) and vecs.shape == (dim, r)
+        np.testing.assert_allclose(lam, ref_lam, rtol=1e-12, atol=0)
+        # sign-free: the projections a replicate reads
+        np.testing.assert_allclose((vecs.T @ y) ** 2, (ref_vecs.T @ y) ** 2,
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(G, before)
+
+
+def test_top_eigenpairs_fallback_agrees(monkeypatch):
+    solved = {dim: top_eigenpairs(gram_and_probe(dim)[0], 2)
+              for dim in (5, 50, 100)}
+    monkeypatch.setattr(distributions, "_openblas", lambda: None)
+    for dim, (lam, vecs) in solved.items():
+        G, y = gram_and_probe(dim)
+        lam_eigh, vecs_eigh = top_eigenpairs(G, 2)
+        np.testing.assert_allclose(lam_eigh, lam, rtol=1e-12, atol=0)
+        np.testing.assert_allclose((vecs_eigh.T @ y) ** 2, (vecs.T @ y) ** 2,
+                                   rtol=0, atol=1e-12 * float(y @ y))
+
+
+@pytest.mark.parametrize("solver", ["subset", "eigh"])
+def test_top_eigenpairs_rank_error(solver, monkeypatch):
+    if solver == "eigh":
+        monkeypatch.setattr(distributions, "_openblas", lambda: None)
+    v = np.arange(1.0, 6.0)
+    with pytest.raises(ValueError, match="rank is below the requested 2"):
+        top_eigenpairs(np.outer(v, v), 2)
+    with pytest.raises(ValueError):
+        top_eigenpairs(np.eye(3), 4)
+
+
+def test_top_eigenpairs_same_bits_from_two_threads():
+    G, _ = gram_and_probe(100)
+    with distributions.one_blas_thread():
+        lam, vecs = top_eigenpairs(G, 2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda _: top_eigenpairs(G, 2), range(40)))
+    for got_lam, got_vecs in results:
+        np.testing.assert_array_equal(got_lam, lam)
+        np.testing.assert_array_equal(got_vecs, vecs)
