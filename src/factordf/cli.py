@@ -8,6 +8,7 @@ go to stderr.
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -38,35 +39,71 @@ class IngestError(Exception):
         self.message = message
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+# Text that np.loadtxt would read otherwise than csv.reader and float() do:
+# quotes, bare CRs, and the separators \x1c-\x1f, which loadtxt strips from a
+# number as whitespace and float() rejects.
+_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
+
+
+def _read_csv(path: str) -> tuple[list[str], list[str], np.ndarray | list]:
+    """Header, row ids and value block of one CSV file, read once.
+
+    Plain text (LF or CRLF lines, no quotes, no blank lines) is split here
+    and its values parsed by one np.loadtxt call, which reads every number
+    it accepts bit for bit as float() does.  Any other file, or a block that
+    loadtxt refuses, is read by csv.reader and its value rows are returned
+    as strings for ``_parse_block``, which parses them with float() and
+    raises the faults.
+    """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise IngestError("IO_ERROR", f"cannot read {path}: {exc}") from exc
+    lf = text.replace("\r\n", "\n") if "\r" in text else text
+    lines = lf.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) >= 2 and not any(c in lf for c in _NOT_PLAIN):
+        header = lines[0].split(",")
+        parts = [line.partition(",") for line in lines[1:]]
+        values = [p[2] for p in parts]
+        if "" not in values:    # loadtxt skips empty lines, warning if all are
+            try:
+                block = np.loadtxt(values, delimiter=",", comments=None,
+                                   ndmin=2)
+            except ValueError:
+                block = None
+            if block is not None and block.shape == (len(values), len(header) - 1):
+                return header, [p[0] for p in parts], block
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if len(rows) < 2:
         raise IngestError("PARSE_ERROR", f"{path}: need a header row and data")
-    return rows[0], rows[1:]
+    return rows[0], [r[0] if r else "" for r in rows[1:]], rows[1:]
 
 
-def _parse_block(path: str, rows: list[list[str]], width: int) -> np.ndarray:
-    out = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width + 1:
-            raise IngestError(
-                "DIM_MISMATCH",
-                f"{path}: row {i + 2} has {len(row)} fields, expected {width + 1}")
-        try:
-            out[i] = row[1:]    # numpy parses each str with float()
-        except ValueError:
-            for cell in row[1:]:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise IngestError(
-                        "PARSE_ERROR",
-                        f"{path}: unparseable number {cell!r} at row {i + 2}") from None
-            raise
+def _parse_block(path: str, body: np.ndarray | list, width: int) -> np.ndarray:
+    """The checked value block: rows of strings parsed with float(), then
+    every value checked finite."""
+    out = body
+    if isinstance(body, list):
+        out = np.empty((len(body), width))
+        for i, row in enumerate(body):
+            if len(row) != width + 1:
+                raise IngestError(
+                    "DIM_MISMATCH",
+                    f"{path}: row {i + 2} has {len(row)} fields, expected {width + 1}")
+            try:
+                out[i] = row[1:]    # numpy parses each str with float()
+            except ValueError:
+                for cell in row[1:]:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise IngestError(
+                            "PARSE_ERROR",
+                            f"{path}: unparseable number {cell!r} at row {i + 2}") from None
+                raise
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise IngestError("PARSE_ERROR",
@@ -90,19 +127,17 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
     carry the same ids in the same order, and Z rows must match Y's column
     names.  Intercept columns are added only when ``add_intercepts`` is set.
     """
-    header, body = _read_csv(y_path)
+    header, row_ids, body = _read_csv(y_path)
     col_ids = header[1:]
     if not col_ids:
         raise IngestError("DIM_MISMATCH", f"{y_path}: no response columns")
     _check_ids(col_ids, y_path)
-    row_ids = [r[0] if r else "" for r in body]
     _check_ids(row_ids, y_path)
     Y = _parse_block(y_path, body, len(col_ids))
 
     X = None
     if x_path is not None:
-        xh, xb = _read_csv(x_path)
-        x_ids = [r[0] if r else "" for r in xb]
+        xh, x_ids, xb = _read_csv(x_path)
         if x_ids != row_ids:
             raise IngestError("ID_MISMATCH",
                               f"{x_path}: row ids do not match {y_path}")
@@ -112,8 +147,7 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
 
     Z = None
     if z_path is not None:
-        zh, zb = _read_csv(z_path)
-        z_ids = [r[0] if r else "" for r in zb]
+        zh, z_ids, zb = _read_csv(z_path)
         if z_ids != col_ids:
             raise IngestError("ID_MISMATCH",
                               f"{z_path}: row ids do not match {y_path} columns")
@@ -130,12 +164,47 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
         raise IngestError(code, msg) from exc
 
 
+# csv.writer (default dialect, "\n" line ends) quotes a field holding any of
+# these and writes every other field as it is.
+_CSV_QUOTED = ',"\n'
+
+
+def _csv_fields(values) -> list[str]:
+    """str() of each value, quoted where csv.writer would quote it."""
+    strs = [str(v) for v in values]
+    if not any(c in "".join(strs) for c in _CSV_QUOTED):
+        return strs
+    return ['"' + s.replace('"', '""') + '"'
+            if any(c in s for c in _CSV_QUOTED) else s for s in strs]
+
+
+def _write_csv(out, header: list[str], columns: list,
+               float_fmt: str = "%.10g") -> None:
+    """Write a header and equal-length columns (two or more) as CSV, with
+    the bytes csv.writer would write.
+
+    A float ndarray column prints as ``float_fmt`` and any other column's
+    values with ``str``; each row is formatted by one %-template.
+    """
+    is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                for c in columns]
+    values = [c.tolist() if f else
+              _csv_fields(c.tolist() if isinstance(c, np.ndarray) else c)
+              for c, f in zip(columns, is_float)]
+    template = ",".join(float_fmt if f else "%s" for f in is_float) + "\n"
+    out.write(",".join(_csv_fields(header)) + "\n")
+    out.writelines(template % row for row in zip(*values))
+
+
 def _emit_rows(header: list[str], columns: list, fmt: str, out) -> None:
     """Write equal-length columns as an aligned table, CSV or JSON records.
 
     Table and CSV print a float ndarray column as ``%.10g`` and any other
     column's values with ``str``; JSON keeps the values' own types.
     """
+    if fmt == "csv":
+        _write_csv(out, header, columns)
+        return
     values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in zip(*values)]
@@ -144,11 +213,6 @@ def _emit_rows(header: list[str], columns: list, fmt: str, out) -> None:
     cells = [[f"{v:.10g}" for v in vals]
              if isinstance(col, np.ndarray) and col.dtype.kind == "f"
              else [str(v) for v in vals] for col, vals in zip(columns, values)]
-    if fmt == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*cells))
-        return
     table = []
     for h, col in zip(header, cells):
         width = max(map(len, [h, *col]))
@@ -284,22 +348,14 @@ def cmd_generate(args, out) -> None:
                                     signal_fraction=args.signal_fraction)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    def write(name, header, rows):
+    def write(name, header, columns):
         with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for row in rows:
-                w.writerow(row)
+            _write_csv(fh, header, columns, "%.12g")
 
-    write("y.csv", ["id"] + list(bundle.col_ids),
-          [[bundle.row_ids[i]] + [f"{v:.12g}" for v in bundle.Y[i]]
-           for i in range(bundle.N)])
+    write("y.csv", ["id", *bundle.col_ids], [bundle.row_ids, *bundle.Y.T])
     write("x.csv", ["id", "intercept", "sex", "age"],
-          [[bundle.row_ids[i]] + [f"{v:.12g}" for v in bundle.X[i]]
-           for i in range(bundle.N)])
-    write("z.csv", ["id", "intercept", "tissue"],
-          [[bundle.col_ids[j]] + [f"{v:.12g}" for v in bundle.Z[j]]
-           for j in range(bundle.M)])
+          [bundle.row_ids, *bundle.X.T])
+    write("z.csv", ["id", "intercept", "tissue"], [bundle.col_ids, *bundle.Z.T])
     with open(os.path.join(args.out_dir, "truth.json"), "w") as fh:
         json.dump({"signal_genes": [bundle.col_ids[j]
                                     for j in np.nonzero(truth.signal_mask)[0]],

@@ -196,10 +196,14 @@ def solve(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> float:
 
 # Cells whose Gram matrix has fewer rows than this run in the calling thread.
 # Their replicates hold the GIL for most of their time, so a second thread
-# only contends for it.  Timed on 2 cores (median of 7 run_sim calls per
-# side): Gram dims 5-35 ran 0.56-0.97x as fast on two threads as on one,
-# dims 40-50 1.06-1.51x.  Output is the same either way.
-THREADED_MIN_DIM = 40
+# only contends for it.  Timed on 2 cores as speed on two threads relative to
+# one (median of 7 run_sim calls per side, 300 replicates, r_hat=1 noise
+# cells: primal n=dim, m=1000; dual n=2*dim, m=dim; median of 1-3 passes):
+#   dim     30    40    50    60    65    70    75    80    85    90    100
+#   primal  0.51  0.59  0.78  0.81  0.95  0.98  1.14  1.15  1.14  1.36  1.35
+#   dual    0.47  0.67  0.80  0.87  1.09  1.05  1.00  1.13  1.13  1.12  1.24
+# Output is the same either way.
+THREADED_MIN_DIM = 80
 
 
 def _threads_for(plan: SamplingPlan, threads: int) -> int:

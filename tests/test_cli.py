@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from factordf import distributions
-from factordf.cli import IngestError, ingest, main
+from factordf.cli import FORMATS, IngestError, _write_csv, ingest, main
+from factordf.datasets import synthetic_study
 
 
 def write_csv(path, rows):
@@ -97,6 +99,7 @@ TOY_ROWS = {
 @pytest.mark.parametrize("fault, code, message", [
     ("ragged", "DIM_MISMATCH", "row 3 has {fields} fields, expected {width}"),
     ("abc", "PARSE_ERROR", "unparseable number 'abc' at row 3"),
+    ("\x1c7", "PARSE_ERROR", "unparseable number '\\x1c7' at row 3"),
     ("nan", "PARSE_ERROR", "non-finite value at row 3"),
     ("inf", "PARSE_ERROR", "non-finite value at row 3"),
     ("1e400", "PARSE_ERROR", "non-finite value at row 3"),
@@ -144,6 +147,92 @@ def test_ingest_numbers_follow_float_syntax(tmp_path):
     assert bundle.Y.tobytes() == expected.tobytes()
 
 
+def read_reference(path):
+    """Column ids, row ids and values as csv.reader splits and float() parses."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    block = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+    return rows[0][1:], [r[0] for r in rows[1:]], block
+
+
+@pytest.mark.parametrize("text", [
+    "id,a,b\ns1,1.5,2\ns2,3,4\n",
+    "id,a,b\r\ns1,1.5,2\r\ns2,3,4\r\n",
+    "id,a,b\ns1,1.5,2\ns2,3,4",
+    "id,a,b\r\ns1,1.5,2\r\ns2,3,4",
+    "id,a,b\rs1,1.5,2\rs2,3,4\r",
+    'id,"a,1","b""2"\n"s,1",1,2\n"s""2",3,4\n',
+    'id,a,b\r\n"s\r\n1",1,2\r\ns2,3,4\r\n',
+    "id,a,b\ns1,1_0,\u0663\ns2,\u0661.5,4\n",
+    "id,a,b,c\ns1, 1.5 ,+2,1E5\ns2,\t-2.5e-3,7.,+.5e+1\n",
+], ids=["lf", "crlf", "no-final-newline", "crlf-no-final-newline", "cr",
+        "quoted-ids", "quoted-crlf-in-id", "float-only-syntax",
+        "whitespace-sign-exponent"])
+def test_reader_matches_csv_reader_and_float(tmp_path, text):
+    y = tmp_path / "y.csv"
+    y.write_bytes(text.encode())
+    bundle = ingest(str(y))
+    col_ids, row_ids, block = read_reference(y)
+    assert bundle.Y.tobytes() == block.tobytes()
+    assert list(bundle.row_ids) == row_ids
+    assert list(bundle.col_ids) == col_ids
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id,a,b\ns1,1,2\n\ns2,3,4\n", "row 3 has 0 fields, expected 3"),
+    ("id,a,b\r\ns1,1,2\r\n\r\ns2,3,4\r\n", "row 3 has 0 fields, expected 3"),
+    ("id,a,b\ns1,1,2\ns2,3,4\n\n", "row 4 has 0 fields, expected 3"),
+    ("id,a,b\ns1\ns2\n", "row 2 has 1 fields, expected 3"),
+])
+def test_reader_blank_or_id_only_row_is_dim_mismatch(tmp_path, text, message):
+    y = tmp_path / "y.csv"
+    y.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # nothing but the error reaches stderr
+        with pytest.raises(IngestError) as err:
+            ingest(str(y))
+    assert str(err.value) == f"DIM_MISMATCH: {y}: {message}"
+
+
+@pytest.mark.parametrize("which", ["y", "x", "z"])
+@pytest.mark.parametrize("fault", ["short", "abc"])
+def test_ingest_reports_row_faults_before_non_finite(tmp_path, which, fault):
+    # file row 2 holds a non-finite value, file row 3 a short row or bad cell
+    paths = {}
+    for name, rows in TOY_ROWS.items():
+        rows = [list(r) for r in rows]
+        if name == which:
+            rows[1][-1] = "inf"
+            if fault == "short":
+                rows[2].pop()
+            else:
+                rows[2][-1] = "abc"
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_csv(paths[name], rows)
+    width = len(TOY_ROWS[which][0])
+    expected = (f"DIM_MISMATCH: {paths[which]}: row 3 has {width - 1} fields, "
+                f"expected {width}" if fault == "short" else
+                f"PARSE_ERROR: {paths[which]}: unparseable number 'abc' at row 3")
+    with pytest.raises(IngestError) as err:
+        ingest(paths["y"], paths["x"], paths["z"])
+    assert str(err.value) == expected
+
+
+def test_csv_writer_matches_csv_module():
+    header = ["id,x", 'va"l', "label"]
+    ids = ["plain", "g,1", 'g"2', "g\n3", "g\r4", "", " sp ", '"q"']
+    values = np.array([0.1, -2.5e-12, 3.0, 1e300, -0.0, 123456789.123, 7.25,
+                       2.0 / 3.0])
+    labels = ["a", "b,c", "d", 'e"', "f", "g\nh", "", "i"]
+    out = io.StringIO()
+    _write_csv(out, header, [ids, values, labels])
+    expected = io.StringIO()
+    w = csv.writer(expected, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(zip(ids, [f"{v:.10g}" for v in values], labels))
+    assert out.getvalue() == expected.getvalue()
+
+
 def test_ingest_rank_deficient(tmp_path, toy_files):
     y, _, _ = toy_files
     bad_x = tmp_path / "rank.csv"
@@ -170,6 +259,56 @@ def test_generate_and_ingest(tmp_path, capsys):
     assert bundle.p == 3 and bundle.q == 2
     truth = json.loads((out / "truth.json").read_text())
     assert truth["age_coef_index"] == 2
+    # every value is written as %.12g and read back by float()
+    study, _ = synthetic_study(m_responses=120, seed=5, signal_fraction=0.03)
+    for got, written in ((bundle.Y, study.Y), (bundle.X, study.X),
+                         (bundle.Z, study.Z)):
+        expected = np.array([[float("%.12g" % v) for v in row]
+                             for row in written.tolist()])
+        assert got.tobytes() == expected.tobytes()
+
+
+# `test` output on a toy study, as written before the CSV writer was rebuilt
+PINNED_TEST_CSV = """\
+response,estimate,se,t,df_resid,p,method
+g1,-0.4044117647,0.1299787041,-3.111369415,3,0.05282513515,naive
+"g""3",-0.2058823529,0.1263353357,-1.629649787,3,0.2016664005,naive
+g4,0.1323529412,0.1053953738,1.255775623,3,0.2980996381,naive
+"g,2",-0.02941176471,0.06035402871,-0.4873206534,3,0.6594206645,naive
+"""
+PINNED_TEST_TABLE = """\
+response  estimate        se             t              df_resid  p              method
+g1        -0.4044117647   0.1299787041   -3.111369415   3         0.05282513515  naive
+g"3       -0.2058823529   0.1263353357   -1.629649787   3         0.2016664005   naive
+g4        0.1323529412    0.1053953738   1.255775623    3         0.2980996381   naive
+g,2       -0.02941176471  0.06035402871  -0.4873206534  3         0.6594206645   naive
+"""
+
+
+def test_cmd_test_output_is_pinned(tmp_path, capsys):
+    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_csv(y, [["id", "g1", "g,2", 'g"3', "g4"],
+                  ["s1", "1.25", "-0.5", "0.75", "2.0"],
+                  ["s2", "0.1", "0.2", "0.3", "0.4"],
+                  ["s3", "-1.0", "1.0", "-1.0", "1.0"],
+                  ["s4", "2.5", "0.5", "1.5", "-0.5"],
+                  ["s5", "0.0", "-2.0", "1.0", "3.0"],
+                  ["s6", "1.0", "1.5", "-0.25", "0.5"]])
+    write_csv(x, [["id", "intercept", "age"], ["s1", "1", "2"],
+                  ["s2", "1", "5"], ["s3", "1", "9"], ["s4", "1", "3"],
+                  ["s5", "1", "7"], ["s6", "1", "4"]])
+    args = ["test", "--y", str(y), "--x", str(x), "--coef-index", "1",
+            "--r-hat", "1", "--method", "naive", "--format"]
+    outs = {fmt: run_cli(args + [fmt], capsys)[1] for fmt in FORMATS}
+    assert outs["csv"] == PINNED_TEST_CSV
+    assert outs["table"] == PINNED_TEST_TABLE
+    # JSON keeps full precision; pin its layout, and its values to 10 digits
+    records = json.loads(outs["json"])
+    assert outs["json"] == json.dumps(records, indent=2) + "\n"
+    pinned = list(csv.reader(io.StringIO(PINNED_TEST_CSV)))
+    assert [list(r) for r in records] == [pinned[0]] * len(records)
+    assert [[f"{v:.10g}" if isinstance(v, float) else v for v in r.values()]
+            for r in records] == pinned[1:]
 
 
 @pytest.fixture(scope="module")
