@@ -18,8 +18,7 @@ print(f"dataset: N={bundle.N} subjects x M={bundle.M} genes, "
 print(f"planted age-related genes: {truth.signal_mask.sum()}")
 
 coef, resid = fit_two_sided(bundle)
-print(f"\ncoefficient blocks: B_hat {coef.B_hat.shape}, A_hat {coef.A_hat.shape}, "
-      f"interaction {coef.Gamma_hat.shape}")
+print(f"\ncoefficient blocks: B_hat {coef.B_hat.shape}, A_hat {coef.A_hat.shape}")
 print(f"residual matrix norm: {np.linalg.norm(resid.E_hat):.2f}")
 print("double orthogonality (max |X'E|, max |E Z|):",
       f"{np.max(np.abs(bundle.X.T @ resid.E_hat)):.2e},",

@@ -23,7 +23,9 @@ print(f"  asymptotic noise value:        {df_noise(n, m, r_hat).total:.4f}")
 print(f"  conservative, loadings _|_ s:  {df_conservative(n, m, [0, 0]).total:.4f}")
 print("\nNote: the Monte-Carlo Mandel value sits about 1% below the asymptotic")
 print("noise value; the expected top Wishart eigenvalues are pulled down by")
-print("their (Tracy-Widom) fluctuations at finite size.")
+print("their (Tracy-Widom) fluctuations at finite size.  Each draw takes the")
+print("top eigenvalues of the Dumitriu-Edelman bidiagonal model (2n - 1")
+print("chi-squares, one tridiagonal solve), not of a dense Wishart matrix.")
 
 print("\nconservative df responds to the tested direction's factor loadings:")
 for proj in (0.0, 0.005, 0.02, 0.05):

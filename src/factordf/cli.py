@@ -60,6 +60,10 @@ def _read_csv(path: str) -> tuple[list[str], list[str], np.ndarray | list]:
             text = fh.read()
     except OSError as exc:
         raise IngestError("IO_ERROR", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(
+            "PARSE_ERROR", f"{path}: byte 0x{exc.object[exc.start]:02x} at "
+                           f"position {exc.start} is not valid {exc.encoding}") from None
     lf = text.replace("\r\n", "\n") if "\r" in text else text
     lines = lf.split("\n")
     if lines[-1] == "":

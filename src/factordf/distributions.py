@@ -1,13 +1,18 @@
-"""Statistical primitives: seeded sampling, the one Wishart sampler,
+"""Statistical primitives: seeded sampling, the Wishart samplers,
 chi-squared / Student-t helpers, and the one-sample Kolmogorov-Smirnov test.
+
+Two samplers draw white Wishart matrices.  ``wishart_factor`` draws the
+matrix itself (its Bartlett factor), for the simulations that need its
+eigenvectors; ``wishart_top_eigenvalues`` draws only the top of its spectrum,
+from the Dumitriu-Edelman (2002) bidiagonal model, in O(dim) draws.
 
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
 ``map_indexed`` is the thread fan-out those consumers share, and
 ``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits;
-``linalg.top_eigenpairs`` finds that library's eigensolver through the same
-loader.
+``linalg.top_eigenpairs`` and ``wishart_top_eigenvalues`` find that library's
+eigensolvers through the same loader.
 """
 
 import os
@@ -93,6 +98,7 @@ class OpenBlas(NamedTuple):
     get: Callable               # () -> BLAS thread count
     put: Callable               # (count) -> None
     dsyevr: Callable | None     # LAPACKE_dsyevr, where the build exports it
+    dstebz: Callable | None     # LAPACKE_dstebz, likewise
 
 
 @lru_cache(maxsize=1)
@@ -113,16 +119,23 @@ def _openblas():
             continue
         get.restype, get.argtypes = ctypes.c_int, []
         put.restype, put.argtypes = None, [ctypes.c_int]
+        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         evr = getattr(lib, "scipy_LAPACKE_dsyevr64_", None)
         if evr is not None:
-            i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
             # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
             # m, w, z, ldz, isuppz
             evr.restype = i64
             evr.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
                             ctypes.c_char, i64, ptr, i64, f64, f64, i64, i64,
                             f64, ptr, ptr, ptr, i64, ptr]
-        return OpenBlas(get, put, evr)
+        ebz = getattr(lib, "scipy_LAPACKE_dstebz64_", None)
+        if ebz is not None:
+            # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w,
+            # iblock, isplit
+            ebz.restype = i64
+            ebz.argtypes = [ctypes.c_char, ctypes.c_char, i64, f64, f64, i64,
+                            i64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+        return OpenBlas(get, put, evr, ebz)
     return None
 
 
@@ -177,6 +190,9 @@ def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
                    reps: int) -> np.ndarray:
     """``reps`` factors A, shape (reps, dim, .), with A A' ~ Wishart_dim(dof, I).
 
+    The simulations' matrix sampler: they need W's eigenvectors, not only its
+    spectrum (for that, see ``wishart_top_eigenvalues``).
+
     When dof >= dim, A is the lower-triangular Bartlett (1933) factor:
     N(0, 1) below the diagonal and sqrt(chi2_{dof - i}) on it, O(dim^2)
     draws.  Otherwise A is a dense dim x dof standard normal matrix, which
@@ -189,6 +205,68 @@ def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
     A[:, rows, cols] = rng.standard_normal((reps, len(rows)))
     A[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(reps, dim)))
     return A
+
+
+def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,
+                            reps: int, r: int) -> np.ndarray:
+    """Top r eigenvalues, descending, shape (reps, r), of ``reps`` draws of
+    W ~ Wishart_dim(dof, I) with dof >= dim.
+
+    W's spectrum has the law of that of T = B B' (Dumitriu & Edelman 2002,
+    beta = 1), with B lower bidiagonal: sqrt(chi2_{dof - i}) on the diagonal
+    and sqrt(chi2_{dim - 1 - i}) below it.  T is tridiagonal, so a draw costs
+    2 dim - 1 chi-squares and a tridiagonal eigensolve instead of dim^2
+    normals and a dense one.  The diagonal's chi-squares are drawn first,
+    then the subdiagonal's, each as one (reps, .) array.
+    """
+    if not (0 <= r <= dim <= dof and reps >= 1):
+        raise ValueError(f"need 0 <= r <= dim <= dof and reps >= 1, got "
+                         f"r={r}, dim={dim}, dof={dof}, reps={reps}")
+    i = np.arange(dim)
+    diag_sq = rng.chisquare(dof - i, size=(reps, dim))            # B_ii^2
+    sub_sq = rng.chisquare(dim - 1 - i[:-1], size=(reps, dim - 1))  # B_i+1,i^2
+    d = diag_sq.copy()
+    d[:, 1:] += sub_sq                      # T_ii = B_ii^2 + B_i,i-1^2
+    e = np.sqrt(diag_sq[:, :-1] * sub_sq)   # T_i+1,i = B_ii B_i+1,i
+    return _tridiagonal_top(d, e, r)
+
+
+def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
+    """Top r eigenvalues, descending, shape (reps, r), of the symmetric
+    tridiagonal matrices with diagonals d (reps, n) and off-diagonals
+    e (reps, n - 1).
+
+    Each is solved by LAPACKE ``dstebz`` (bisection, range ``I``, eigenvalues
+    n - r + 1 ... n only) in numpy's bundled OpenBLAS; without it, by a
+    stacked ``np.linalg.eigvalsh`` of the dense matrices.  Raises
+    ``LinAlgError`` when the solver fails.
+    """
+    reps, n = d.shape
+    if r == 0:
+        return np.zeros((reps, 0))
+    blas = _openblas()
+    if blas is None or blas.dstebz is None:
+        T = np.zeros((reps, n, n))
+        i = np.arange(n)
+        T[:, i, i] = d
+        T[:, i[1:], i[:-1]] = e     # eigvalsh reads the lower triangle
+        return np.linalg.eigvalsh(T)[:, ::-1][:, :r]
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    e = np.ascontiguousarray(e, dtype=np.float64)
+    # Draw k's r eigenvalues land, ascending, at w[k r:]; dstebz may use up
+    # to n slots of w, and the slots past its r are the next draw's.
+    w = np.empty(reps * r + n)
+    ints = np.empty(2 + 2 * n, dtype=np.int64)   # m, nsplit, iblock, isplit
+    dp, ep, wp, ip = d.ctypes.data, e.ctypes.data, w.ctypes.data, ints.ctypes.data
+    solve = blas.dstebz
+    for k in range(reps):
+        info = solve(b"I", b"E", n, 0.0, 0.0, n - r + 1, n, 0.0,
+                     dp + 8 * n * k, ep + 8 * (n - 1) * k, ip, ip + 8,
+                     wp + 8 * r * k, ip + 16, ip + 16 + 8 * n)
+        if info != 0 or ints[0] != r:
+            raise np.linalg.LinAlgError(
+                f"dstebz failed with info={info}, found {ints[0]} of {r}")
+    return w[:reps * r].reshape(reps, r)[:, ::-1]
 
 
 def chi2_cdf(x, df: float):

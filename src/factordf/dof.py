@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DOMAIN_MANDEL, stream, wishart_factor
+from .distributions import DOMAIN_MANDEL, stream, wishart_top_eigenvalues
 
 
 class DofMethod(str, Enum):
@@ -156,10 +156,11 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
 
     lambda_k is the kth largest eigenvalue of an m-dimensional white Wishart
     matrix with n degrees of freedom (the law of G'G for G an n x m standard
-    normal matrix).  Sampling uses the Bartlett factorization of the
-    equivalent min(n, m)-dimensional Wishart, which has the same nonzero
-    spectrum; results are deterministic for a fixed seed.  ``mc_se`` is the
-    Monte-Carlo standard error of the total.
+    normal matrix).  The equivalent min(n, m)-dimensional Wishart has the
+    same nonzero spectrum; its top r_hat eigenvalues are drawn from the
+    Dumitriu-Edelman bidiagonal model (``wishart_top_eigenvalues``), so no
+    matrix is formed.  Results are deterministic for a fixed seed.
+    ``mc_se`` is the Monte-Carlo standard error of the total.
     """
     if r_hat > min(n, m):
         raise ValueError("r_hat must not exceed min(n, m)")
@@ -168,9 +169,8 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     if seed is None:
         raise ValueError("df_mandel requires an explicit seed")
     dim, dof = min(n, m), max(n, m)
-    A = wishart_factor(stream(seed, DOMAIN_MANDEL), dim, dof, mc_reps)
-    eigs = np.linalg.eigvalsh(A @ np.transpose(A, (0, 2, 1)))
-    top = eigs[:, ::-1][:, :r_hat] / m
+    top = wishart_top_eigenvalues(stream(seed, DOMAIN_MANDEL), dim, dof,
+                                  mc_reps, r_hat) / m
     per = top.mean(axis=0)
     # SE of the per-draw totals: the top eigenvalues are correlated
     se = float(np.sqrt(top.sum(axis=1).var(ddof=1) / mc_reps))

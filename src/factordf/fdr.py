@@ -15,7 +15,7 @@ import numpy as np
 from .distributions import DOMAIN_FDR_DATASET, map_indexed, stream
 from .dof import DofMethod
 from .inference import (compute_direction_stats, constant_df_total, df_totals,
-                        response_tests, without_factors)
+                        response_tests, significant, without_factors)
 from .model import DatasetBundle
 
 BASELINE = "none"   # the unadjusted (r_hat = 0) comparison row
@@ -122,7 +122,13 @@ class FdrReport:
 
 def _dataset_rates(p_values: np.ndarray, alpha: float,
                    mask: np.ndarray) -> tuple[float, float, float, int]:
-    declared = p_values < alpha
+    return _declared_rates(p_values < alpha, mask)
+
+
+def _declared_rates(declared: np.ndarray,
+                    mask: np.ndarray) -> tuple[float, float, float, int]:
+    """(fdr, fpr, tpr, discoveries) of one dataset's decisions against the
+    truth's nonzero ``mask``."""
     tp = int(np.sum(declared & mask))
     fp = int(np.sum(declared & ~mask))
     n_disc = tp + fp
@@ -160,12 +166,12 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
             df_tot = constant.get(meth)
             if df_tot is None:
                 df_tot = df_totals(stats, meth, config.mandel_reps, config.seed)
-            p = response_tests(stats, config.coef_index, df_tot)[4]
-            rows.append(_dataset_rates(p, config.alpha, mask))
+            rows.append(_declared_rates(significant(
+                stats, config.coef_index, df_tot, config.alpha), mask))
         if config.include_baseline:
-            p0 = response_tests(without_factors(stats), config.coef_index,
-                                np.zeros(bundle.M))[4]
-            rows.append(_dataset_rates(p0, config.alpha, mask))
+            rows.append(_declared_rates(significant(
+                without_factors(stats), config.coef_index, np.zeros(bundle.M),
+                config.alpha), mask))
         return rows
 
     all_rows = map_indexed(one_dataset, config.n_datasets, config.threads)
@@ -174,7 +180,7 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
 
 def _summarize(all_rows: list, labels: list, alpha: float,
                mask: np.ndarray) -> FdrReport:
-    """Average per-dataset ``_dataset_rates`` rows (one per label) into rates
+    """Average per-dataset ``_declared_rates`` rows (one per label) into rates
     with standard errors."""
     D = len(all_rows)
     fdr = np.zeros((D, len(labels)))

@@ -10,6 +10,7 @@ the degrees-of-freedom schemes then differ only in arithmetic on top of it.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from . import dof as dof_mod
 from .distributions import t_sf
@@ -137,9 +138,9 @@ def df_totals(stats: DirectionStats, method: DofMethod | None,
     return stats.n * stats.proj_sq.sum(axis=1) + r_hat * floor
 
 
-def response_tests(stats: DirectionStats, coef_index: int, df_tot: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(estimate, se, t, df_resid, p) arrays for all responses at once."""
+def _t_statistics(stats: DirectionStats, coef_index: int, df_tot: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(estimate, se, t, df_resid) arrays for all responses at once."""
     p_cov = stats.estimates.shape[0]
     if not 0 <= coef_index < p_cov:
         raise ValueError(f"coef_index {coef_index} out of range [0, {p_cov})")
@@ -152,9 +153,37 @@ def response_tests(stats: DirectionStats, coef_index: int, df_tot: np.ndarray
     sigma_sq = stats.rss / df_resid
     cvar = stats.xtx_inv[coef_index, coef_index]
     se = np.sqrt(sigma_sq * cvar)
-    t = est / se
-    p = 2.0 * t_sf(np.abs(t), df_resid)
-    return est, se, t, df_resid, p
+    return est, se, est / se, df_resid
+
+
+def response_tests(stats: DirectionStats, coef_index: int, df_tot: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(estimate, se, t, df_resid, p) arrays for all responses at once."""
+    est, se, t, df_resid = _t_statistics(stats, coef_index, df_tot)
+    return est, se, t, df_resid, 2.0 * t_sf(np.abs(t), df_resid)
+
+
+def significant(stats: DirectionStats, coef_index: int, df_tot: np.ndarray,
+                alpha: float) -> np.ndarray:
+    """``response_tests(stats, coef_index, df_tot)[4] < alpha``, bit for bit,
+    with p-values computed only where |t| can reach the cut.
+
+    The two-sided t tail grows as the df fall, so no response with |t| below
+    the level-alpha critical value at the largest df_resid can have p < alpha.
+    The cut sits a relative 1e-6 below that value, a margin far wider than
+    the rounding of either tail; if the tail at the cut is ever below alpha
+    all the same, every p-value is computed.
+    """
+    _, _, t, df_resid = _t_statistics(stats, coef_index, df_tot)
+    abs_t = np.abs(t)
+    df_max = float(df_resid.max())
+    cut = -special.stdtrit(df_max, alpha / 2.0) * (1.0 - 1e-6)
+    if not 2.0 * t_sf(cut, df_max) >= alpha:
+        cut = 0.0
+    near = np.flatnonzero(abs_t >= cut)
+    out = np.zeros(len(t), dtype=bool)
+    out[near] = 2.0 * t_sf(abs_t[near], df_resid[near]) < alpha
+    return out
 
 
 def test_all_responses(bundle: DatasetBundle, coef_index: int, r_hat: int,

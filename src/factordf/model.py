@@ -5,6 +5,8 @@ coefficient components under the fixed normalization H_X A = 0,
 H_Z B = H_Z Y' X (X'X)^-1.  The covariates are factored once, when the
 bundle is built: X = Q1 R and Z = P1 S are their polar decompositions, and
 every fit and test reads those factors instead of refactoring X'X or Z'Z.
+The interaction block of the reparametrized model, B_hat' P1 S^-1, is not
+formed: no test reads it.
 """
 
 from dataclasses import dataclass, field
@@ -80,7 +82,6 @@ class DatasetBundle:
 class CoefficientEstimates:
     A_hat: np.ndarray       # (N, q), H_X A_hat = 0
     B_hat: np.ndarray       # (M, p), full normal-equation solution Y' X (X'X)^-1
-    Gamma_hat: np.ndarray   # (p, q) interaction block of the reparametrized model
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,4 @@ def fit_two_sided(bundle: DatasetBundle) -> tuple[CoefficientEstimates, Residual
         A_hat = np.zeros((bundle.N, 0))
         E_hat = Yx
 
-    if Q1 is not None and P1 is not None:
-        Gamma_hat = np.linalg.solve(R, QtY @ P1) @ np.linalg.inv(S)
-    else:
-        Gamma_hat = np.zeros((bundle.p, bundle.q))
-
-    return CoefficientEstimates(A_hat, B_hat, Gamma_hat), ResidualMatrix(E_hat)
+    return CoefficientEstimates(A_hat, B_hat), ResidualMatrix(E_hat)

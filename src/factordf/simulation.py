@@ -15,8 +15,8 @@ instead of the n x m matrix:
   rotations of the rows, so the RSS has the same law with U fixed to the
   first r coordinate vectors; no rotation is drawn.
 
-``distributions.wishart_factor`` draws W, the sampler ``dof.df_mandel``
-uses too.  Replicates draw from counter-based streams keyed by (seed,
+``distributions.wishart_factor`` draws W (``dof.df_mandel`` needs only
+W's spectrum and draws it from ``wishart_top_eigenvalues``).  Replicates draw from counter-based streams keyed by (seed,
 replicate index), and BLAS runs on one thread during a simulation, so
 results are byte-identical at any thread count.  The dense n x m pipeline
 this replaces is kept as a test oracle.

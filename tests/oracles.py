@@ -6,7 +6,9 @@ routes: a full SVD with canonical signs, the change of basis to the
 complements of col(X) and col(Z), the explicit factor term and adjusted
 residuals, the algebraic RSS expansion, scalar variance / t arithmetic, and
 the dense Monte-Carlo replicate (a full n x m response per draw) that the
-sufficient-statistic engine in ``factordf.simulation`` is held to.  None of
+sufficient-statistic engine in ``factordf.simulation`` is held to, and
+Mandel's df from dense Bartlett Wishart matrices, which the spectrum sampler
+behind ``factordf.dof.df_mandel`` is held to.  None of
 them is fast enough, or needed, for production sizes.
 """
 
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from factordf.distributions import DOMAIN_SIM, SeededGenerator, stream
-from factordf.dof import DofEstimate
+from factordf.distributions import (DOMAIN_MANDEL, DOMAIN_SIM,
+                                    SeededGenerator, stream, wishart_factor)
+from factordf.dof import DofEstimate, DofMethod, _estimate
 from factordf.linalg import _as_matrix, polar_factors, top_factors
 from factordf.model import DatasetBundle
 from factordf.simulation import SimConfig, loading_matrix
@@ -355,6 +358,36 @@ def _rss_after_truncation(Y: np.ndarray, s: np.ndarray, r_hat: int) -> float:
     left, _ = top_factors(Y, r_hat)
     coef = left.T @ Ys
     return base - float(coef @ coef)
+
+
+# Mandel's df as drawn before the spectrum sampler: dense Bartlett Wishart
+# matrices and a full eigvalsh per draw.
+
+def df_mandel_bartlett(n: int, m: int, r_hat: int, mc_reps: int = 1000,
+                       seed: int | None = None) -> DofEstimate:
+    """Mandel's allocation: E[lambda_k] / m, estimated by Monte Carlo.
+
+    lambda_k is the kth largest eigenvalue of an m-dimensional white Wishart
+    matrix with n degrees of freedom (the law of G'G for G an n x m standard
+    normal matrix).  Sampling uses the Bartlett factorization of the
+    equivalent min(n, m)-dimensional Wishart, which has the same nonzero
+    spectrum; results are deterministic for a fixed seed.  ``mc_se`` is the
+    Monte-Carlo standard error of the total.
+    """
+    if r_hat > min(n, m):
+        raise ValueError("r_hat must not exceed min(n, m)")
+    if mc_reps < 100:
+        raise ValueError("mc_reps must be >= 100")
+    if seed is None:
+        raise ValueError("df_mandel requires an explicit seed")
+    dim, dof = min(n, m), max(n, m)
+    A = wishart_factor(stream(seed, DOMAIN_MANDEL), dim, dof, mc_reps)
+    eigs = np.linalg.eigvalsh(A @ np.transpose(A, (0, 2, 1)))
+    top = eigs[:, ::-1][:, :r_hat] / m
+    per = top.mean(axis=0)
+    # SE of the per-draw totals: the top eigenvalues are correlated
+    se = float(np.sqrt(top.sum(axis=1).var(ddof=1) / mc_reps))
+    return _estimate(per, DofMethod.MANDEL, mc_se=se)
 
 
 # Stream helpers src/ has no use for.

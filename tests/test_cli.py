@@ -500,6 +500,36 @@ def test_cli_error_line_names_code_once(tmp_path, capsys):
                    f"No such file or directory: '{missing}'\n")
 
 
+@pytest.mark.parametrize("which", ["y", "x", "z"])
+def test_cli_non_utf8_input_is_parse_error(tmp_path, capsys, which):
+    # a 0xff byte in the last row's id; the file's other bytes are ASCII
+    paths = {}
+    for name, rows in TOY_ROWS.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        write_csv(paths[name], rows)
+    raw = paths[which].read_bytes()
+    last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    paths[which].write_bytes(raw[:last] + b"\xff" + raw[last:])
+    code, out, err = run_cli(["test", "--y", str(paths["y"]),
+                              "--x", str(paths["x"]), "--z", str(paths["z"]),
+                              "--coef-index", "1", "--r-hat", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error [PARSE_ERROR]: {paths[which]}: byte 0xff at "
+                   f"position {last} is not valid utf-8\n")
+
+
+def test_non_utf8_position_is_absolute(tmp_path):
+    # the bad byte lies past the first 8 KB, where a chunked decoder would
+    # count from its chunk
+    y = tmp_path / "y.csv"
+    body = b"id,g1,g2\n" + b"".join(b"s%d,1,2\n" % i for i in range(2000))
+    y.write_bytes(body + b"s\xfe,1,2\n")
+    with pytest.raises(IngestError) as err:
+        ingest(str(y))
+    assert str(err.value) == (f"PARSE_ERROR: {y}: byte 0xfe at position "
+                              f"{len(body) + 1} is not valid utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_noise_cell_prints_no_shape(capsys, fmt):
     code, out, _ = run_cli(["simulate", "--n", "10", "--m", "20",

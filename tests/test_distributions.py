@@ -10,7 +10,8 @@ from scipy import integrate, special, stats
 from factordf import distributions, simulation
 from factordf.distributions import (SeededGenerator, chi2_cdf, kolmogorov_sf,
                                     ks_test, map_indexed, stream, t_sf,
-                                    wishart_factor, worker_count)
+                                    wishart_factor, wishart_top_eigenvalues,
+                                    worker_count)
 from factordf.dof import df_mandel
 from oracles import chi2_quantile, sample_standard_normal, spawn, t_cdf
 
@@ -234,7 +235,8 @@ def test_map_indexed_runs_contiguous_chunks(monkeypatch):
 
 
 def mandel_factor_inline(seed, dim, dof, mc_reps):
-    """df_mandel's draw as written before the sampler was shared."""
+    """The Bartlett draw as df_mandel wrote it before the sampler was shared
+    (df_mandel now draws the spectrum model); it pins wishart_factor's bits."""
     rng = stream(seed, distributions.DOMAIN_MANDEL)
     A = np.zeros((mc_reps, dim, dim))
     lower = np.tril_indices(dim, -1)
@@ -251,14 +253,123 @@ def test_wishart_factor_reproduces_mandel_draws(dim, dof):
     np.testing.assert_array_equal(got, mandel_factor_inline(5, dim, dof, 100))
 
 
+def mandel_spectrum_inline(seed, dim, dof, mc_reps):
+    """df_mandel's draw: the bidiagonal model's squared diagonal, then its
+    squared subdiagonal, and the tridiagonal (d, e) of T = B B' they give."""
+    rng = stream(seed, distributions.DOMAIN_MANDEL)
+    diag_sq = rng.chisquare(dof - np.arange(dim), size=(mc_reps, dim))
+    sub_sq = rng.chisquare(np.arange(dim - 1, 0, -1), size=(mc_reps, dim - 1))
+    d = diag_sq + np.pad(sub_sq, ((0, 0), (1, 0)))
+    return d, np.sqrt(diag_sq[:, :-1] * sub_sq)
+
+
 def test_df_mandel_bits_unchanged():
-    n, m, reps = 6, 40, 300
-    A = mandel_factor_inline(11, n, m, reps)
-    eigs = np.linalg.eigvalsh(A @ np.transpose(A, (0, 2, 1)))
-    top = eigs[:, ::-1][:, :2] / m
-    est = df_mandel(n, m, 2, mc_reps=reps, seed=11)
-    np.testing.assert_array_equal(est.per_factor, top.mean(axis=0))
-    assert est.mc_se == float(np.sqrt(top.sum(axis=1).var(ddof=1) / reps))
+    reps = 300
+    for n, m in ((6, 40), (50, 36)):
+        d, e = mandel_spectrum_inline(11, min(n, m), max(n, m), reps)
+        top = distributions._tridiagonal_top(d, e, 2) / m
+        est = df_mandel(n, m, 2, mc_reps=reps, seed=11)
+        np.testing.assert_array_equal(est.per_factor, top.mean(axis=0))
+        assert est.mc_se == float(np.sqrt(top.sum(axis=1).var(ddof=1) / reps))
+
+
+def dense_tridiagonal(d, e):
+    n = d.shape[1]
+    T = np.zeros((len(d), n, n))
+    i = np.arange(n)
+    T[:, i, i] = d
+    T[:, i[1:], i[:-1]] = e
+    T[:, i[:-1], i[1:]] = e
+    return T
+
+
+def dense_top(d, e, r):
+    return np.linalg.eigvalsh(dense_tridiagonal(d, e))[:, ::-1][:, :r]
+
+
+def needs_dstebz():
+    handle = distributions._openblas()
+    if handle is None or handle.dstebz is None:
+        pytest.skip("no bundled OpenBLAS dstebz: the dense solve runs")
+    return handle
+
+
+@pytest.mark.parametrize("dim, dof, r", [
+    (1, 1, 1), (2, 5, 1), (5, 5, 5), (8, 30, 3), (24, 24, 2), (36, 1998, 2),
+    (36, 17862, 2), (40, 90, 40), (100, 150, 3)])
+def test_tridiagonal_top_matches_dense_eigvalsh(dim, dof, r):
+    needs_dstebz()
+    d, e = mandel_spectrum_inline(dim + dof, dim, dof, 200)
+    got = distributions._tridiagonal_top(d, e, r)
+    want = dense_top(d, e, r)
+    assert got.shape == (200, r)
+    assert np.all(np.diff(got, axis=1) <= 0)      # descending
+    # both solvers are accurate to a few ulps of the spectrum's scale
+    scale = want[:, :1]
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+
+def test_tridiagonal_top_generic_matrices():
+    # off-diagonals of both signs and a spectrum around zero
+    needs_dstebz()
+    rng = np.random.default_rng(8)
+    d, e = rng.standard_normal((100, 30)), rng.standard_normal((100, 29))
+    got = distributions._tridiagonal_top(d, e, 4)
+    want = dense_top(d, e, 4)
+    scale = np.abs(np.linalg.eigvalsh(dense_tridiagonal(d, e))).max(axis=1)
+    assert np.max(np.abs(got - want) / scale[:, None]) <= 1e-12
+
+
+@pytest.mark.parametrize("handle", ["no library", "no dstebz"])
+def test_tridiagonal_top_fallback(monkeypatch, handle):
+    real = needs_dstebz()
+    d, e = mandel_spectrum_inline(4, 36, 500, 300)
+    want = distributions._tridiagonal_top(d, e, 2)
+    want_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
+    fake = None if handle == "no library" else real._replace(dstebz=None)
+    monkeypatch.setattr(distributions, "_openblas", lambda: fake)
+    got = distributions._tridiagonal_top(d, e, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    got_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
+    np.testing.assert_allclose(got_df.per_factor, want_df.per_factor,
+                               rtol=1e-12, atol=0)
+    assert abs(got_df.mc_se / want_df.mc_se - 1) <= 1e-9
+
+
+def bartlett_top(seed, dim, dof, reps, r):
+    """The oracle's draw: top r eigenvalues of dense Bartlett Wishart matrices."""
+    A = wishart_factor(stream(seed, distributions.DOMAIN_MANDEL), dim, dof, reps)
+    return np.linalg.eigvalsh(A @ np.transpose(A, (0, 2, 1)))[:, ::-1][:, :r]
+
+
+# (dim, dof, r): dim = 1, dim = dof, r = dim, small and study-sized dims.
+# Fixed seeds; each KS p-value must exceed 1e-3.
+LAW_CELLS = [(1, 30, 1), (8, 8, 2), (5, 12, 5), (10, 40, 2), (30, 120, 2),
+             (36, 36, 3)]
+
+
+@pytest.mark.parametrize("dim, dof, r", LAW_CELLS)
+def test_wishart_top_eigenvalues_law(dim, dof, r):
+    reps = 4000
+    got = wishart_top_eigenvalues(stream(21, distributions.DOMAIN_MANDEL),
+                                  dim, dof, reps, r)
+    want = bartlett_top(22, dim, dof, reps, r)
+    assert got.shape == want.shape == (reps, r)
+    for k in range(r):
+        assert stats.ks_2samp(got[:, k], want[:, k]).pvalue > 1e-3
+    a, b = got.sum(axis=1), want.sum(axis=1)
+    assert stats.ks_2samp(a, b).pvalue > 1e-3
+    combined = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(reps)
+    assert abs(a.mean() - b.mean()) <= 4 * combined
+
+
+def test_wishart_top_eigenvalues_guards():
+    rng = np.random.default_rng(0)
+    assert wishart_top_eigenvalues(rng, 4, 6, 10, 0).shape == (10, 0)
+    for dim, dof, reps, r in ((4, 3, 10, 1), (4, 6, 10, 5), (4, 6, 0, 1),
+                              (4, 6, 10, -1)):
+        with pytest.raises(ValueError):
+            wishart_top_eigenvalues(rng, dim, dof, reps, r)
 
 
 @pytest.mark.parametrize("dim,dof", [(4, 9), (6, 3), (5, 5), (5, 0)])

@@ -6,6 +6,7 @@ from factordf.dof import (asymptotic_predictions, df_conservative, df_gollob,
                           df_mandel, df_naive, df_noise, df_signal_k,
                           df_signal_total, is_above_transition, noise_floor,
                           DofMethod)
+from oracles import df_mandel_bartlett
 
 STUDY_N, STUDY_M = 36, 17862
 
@@ -204,6 +205,27 @@ def test_mandel_two_factor_total_and_se_match_direct_oracle():
     combined = np.hypot(oracle_se, est.mc_se)
     assert abs(est.total - mean) <= 4 * combined
     assert abs(est.mc_se / oracle_se - 1) <= 0.1
+
+
+# (n, m, r_hat): dim = min(n, m) = 1, dim = dof, r_hat = dim, r_hat = 0,
+# n < m against n > m, and the study size.
+MANDEL_LAW_CELLS = [(1, 30, 1), (12, 12, 2), (5, 9, 5), (10, 40, 0),
+                    (10, 40, 2), (40, 10, 2), (36, 17862, 2)]
+
+
+@pytest.mark.parametrize("n, m, r_hat", MANDEL_LAW_CELLS)
+def test_mandel_matches_bartlett_oracle(n, m, r_hat):
+    # the spectrum sampler against the dense Bartlett draw it replaced, on
+    # independent seeds: totals within 4 combined SE
+    est = df_mandel(n, m, r_hat, mc_reps=3000, seed=31)
+    ref = df_mandel_bartlett(n, m, r_hat, mc_reps=3000, seed=32)
+    assert est.per_factor.shape == ref.per_factor.shape == (r_hat,)
+    if r_hat == 0:
+        assert est.total == ref.total == 0.0 and est.mc_se == ref.mc_se == 0.0
+        return
+    assert abs(est.total - ref.total) <= 4 * np.hypot(est.mc_se, ref.mc_se)
+    assert abs(est.mc_se / ref.mc_se - 1) <= 0.1
+    assert np.all(np.diff(est.per_factor) <= 0)
 
 
 def test_mandel_near_asymptote_at_large_sizes():

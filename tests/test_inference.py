@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import special
 
+from factordf import inference
 from factordf.datasets import AGE_COEF_INDEX, synthetic_study
 from factordf.dof import DofMethod, df_naive, df_noise
-from factordf.inference import compute_direction_stats, df_totals, response_tests
+from factordf.fdr import build_generative_truth, simulate_dataset
+from factordf.inference import (compute_direction_stats, df_totals,
+                                response_tests, significant, without_factors)
 from factordf.inference import test_all_responses as run_all_tests
 from factordf.model import DatasetBundle
 from oracles import (adjusted_residuals, extract_factors,
@@ -210,3 +216,104 @@ def test_direction_stats_match_reduced_model_oracle(N, M, q):
             np.testing.assert_allclose(stats.rss, rss_, rtol=1e-8)
             np.testing.assert_allclose(stats.proj_sq, proj, rtol=1e-8)
             np.testing.assert_allclose(stats.estimates, est, rtol=1e-8)
+
+
+ALPHAS = (0.05, 1e-3, 1e-6)
+ALL_METHODS = (DofMethod.PROPOSED, DofMethod.GOLLOB, DofMethod.MANDEL,
+               DofMethod.NAIVE)
+
+
+@pytest.fixture(scope="module")
+def bootstrap_stats():
+    """Fits of 24 bootstrap datasets of one truth, with every scheme's df and
+    the r_hat = 0 baseline: (stats, df_tot) pairs."""
+    bundle, _ = synthetic_study(m_responses=300, seed=21)
+    truth = build_generative_truth(bundle, 2, 1e-3, AGE_COEF_INDEX)
+    cases = []
+    for d in range(24):
+        stats = compute_direction_stats(simulate_dataset(truth, 77, d), 2)
+        for meth in ALL_METHODS:
+            cases.append((stats, df_totals(stats, meth, 200, seed=5)))
+        cases.append((without_factors(stats), np.zeros(bundle.M)))
+    return cases
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_significant_equals_p_below_alpha(bootstrap_stats, alpha):
+    declared = 0
+    for stats, df_tot in bootstrap_stats:
+        for coef_index in range(stats.estimates.shape[0]):
+            want = response_tests(stats, coef_index, df_tot)[4] < alpha
+            got = significant(stats, coef_index, df_tot, alpha)
+            np.testing.assert_array_equal(got, want)
+            declared += int(want.sum())
+    assert declared > 0
+
+
+def unit_se_stats(stats, df_tot, t_values):
+    """``stats`` with se = 1 exactly for every response, so t equals the
+    estimate bit for bit: rss = df_resid and (X'X)^-1 = I."""
+    p = stats.estimates.shape[0]
+    return replace(stats, estimates=np.tile(t_values, (p, 1)),
+                   rss=stats.n - df_tot, xtx_inv=np.eye(p))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_significant_at_the_critical_value(bootstrap_stats, alpha):
+    # |t| exactly at each response's critical value -stdtrit(df, alpha / 2),
+    # at the cut below the largest df's, and one ulp either side of both
+    for stats, df_tot in bootstrap_stats[:5]:
+        df_resid = stats.n - df_tot
+        crit = -special.stdtrit(df_resid, alpha / 2.0)
+        cut = -special.stdtrit(df_resid.max(), alpha / 2.0) * (1.0 - 1e-6)
+        cut = np.full_like(crit, cut)
+        rows = []
+        for centre in (crit, cut):
+            for x in (np.nextafter(centre, 0), centre, np.nextafter(centre, np.inf)):
+                rows += [x, -x]
+        for t_values in rows:
+            probe = unit_se_stats(stats, df_tot, t_values)
+            est, se, t, _, p = response_tests(probe, 0, df_tot)
+            np.testing.assert_array_equal(se, 1.0)
+            np.testing.assert_array_equal(t, t_values)
+            np.testing.assert_array_equal(significant(probe, 0, df_tot, alpha),
+                                          p < alpha)
+
+
+def test_significant_skips_far_tails(bootstrap_stats, monkeypatch):
+    # p-values are computed only near the cut: far fewer than M of them
+    seen = []
+    real = inference.t_sf
+
+    def counting(x, df):
+        seen.append(np.size(x))
+        return real(x, df)
+
+    monkeypatch.setattr(inference, "t_sf", counting)
+    stats, df_tot = bootstrap_stats[0]
+    significant(stats, AGE_COEF_INDEX, df_tot, 1e-3)
+    assert sum(seen) < stats.rss.size // 4
+
+
+def test_significant_guard_falls_back_to_every_p_value(bootstrap_stats,
+                                                        monkeypatch):
+    # a quantile far beyond the true one fails the tail check, so every
+    # p-value is computed and the decisions stay exact
+    real = special.stdtrit
+    monkeypatch.setattr(inference.special, "stdtrit",
+                        lambda df, p: 10.0 * real(df, p))
+    for stats, df_tot in bootstrap_stats[:5]:
+        want = response_tests(stats, AGE_COEF_INDEX, df_tot)[4] < 0.05
+        assert want.any()
+        np.testing.assert_array_equal(
+            significant(stats, AGE_COEF_INDEX, df_tot, 0.05), want)
+
+
+def test_significant_shares_the_exhaustion_guard():
+    bundle, _ = synthetic_study(m_responses=60, seed=3)
+    stats = compute_direction_stats(bundle, 2)
+    df_tot = np.full(bundle.M, float(stats.n))
+    with pytest.raises(ValueError, match="exhausted"):
+        significant(stats, 0, df_tot, 0.05)
+    with pytest.raises(ValueError, match="out of range"):
+        significant(stats, 9, df_tot - 1.0, 0.05)
