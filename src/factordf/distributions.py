@@ -1,18 +1,20 @@
-"""Statistical primitives: seeded sampling, the Wishart samplers,
+"""Statistical primitives: seeded sampling, the Wishart spectrum sampler,
 chi-squared / Student-t helpers, and the one-sample Kolmogorov-Smirnov test.
 
-Two samplers draw white Wishart matrices.  ``wishart_factor`` draws the
-matrix itself (its Bartlett factor), for the simulations that need its
-eigenvectors; ``wishart_top_eigenvalues`` draws only the top of its spectrum,
-from the Dumitriu-Edelman (2002) bidiagonal model, in O(dim) draws.
+White Wishart matrices are drawn in reduced form, after Dumitriu & Edelman
+(2002): ``wishart_top_eigenvalues`` draws the top of the spectrum from the
+bidiagonal (Laguerre) model in O(dim) draws, and the simulations draw their
+Wishart part as the lower-banded factor that generalises it
+(``simulation.draw``), whose band matrix ``linalg.top_band_eigenpairs``
+solves.
 
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
 ``map_indexed`` is the thread fan-out those consumers share, and
 ``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits;
-``linalg.top_eigenpairs`` and ``wishart_top_eigenvalues`` find that library's
-eigensolvers through the same loader.
+``linalg``'s top-r solvers and ``wishart_top_eigenvalues`` find that
+library's eigensolvers through the same loader.
 """
 
 import os
@@ -24,6 +26,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 # scipy.special, not scipy.stats: the CDFs below are the ufuncs scipy.stats
 # wraps, bit for bit, and importing scipy.stats doubles the CLI's start-up.
 from scipy import special
@@ -46,8 +49,27 @@ class SeededGenerator:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = [self.seed & _MASK64, self.stream_id & _MASK64]
-        return np.random.Generator(np.random.Philox(key=key))
+        key = (self.seed & _MASK64, self.stream_id & _MASK64)
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its key as is.
+
+    ``Philox(key=k)`` also builds a ``SeedSequence()`` from OS entropy that
+    it never uses; seeded with this instead, a new Philox starts with key
+    ``k`` and counter 0, the same bits, without that cost.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("Philox's key is two 64-bit words")
+        return np.array(self.key, dtype=np.uint64)
 
 
 def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
@@ -99,6 +121,7 @@ class OpenBlas(NamedTuple):
     put: Callable               # (count) -> None
     dsyevr: Callable | None     # LAPACKE_dsyevr, where the build exports it
     dstebz: Callable | None     # LAPACKE_dstebz, likewise
+    dsbevx: Callable | None     # LAPACKE_dsbevx, likewise
 
 
 @lru_cache(maxsize=1)
@@ -135,7 +158,15 @@ def _openblas():
             ebz.restype = i64
             ebz.argtypes = [ctypes.c_char, ctypes.c_char, i64, f64, f64, i64,
                             i64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-        return OpenBlas(get, put, evr, ebz)
+        sbx = getattr(lib, "scipy_LAPACKE_dsbevx64_", None)
+        if sbx is not None:
+            # layout, jobz, range, uplo, n, kd, ab, ldab, q, ldq, vl, vu, il,
+            # iu, abstol, m, w, z, ldz, ifail
+            sbx.restype = i64
+            sbx.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                            ctypes.c_char, i64, i64, ptr, i64, ptr, i64, f64,
+                            f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
+        return OpenBlas(get, put, evr, ebz, sbx)
     return None
 
 
@@ -174,37 +205,6 @@ def one_blas_thread():
             _blas_depth -= 1
             if _blas_depth == 0:
                 put(_blas_saved)
-
-
-@lru_cache(maxsize=16)
-def _bartlett_indices(dim: int) -> tuple:
-    """(rows, cols) below the diagonal of a dim x dim matrix and the diagonal
-    positions; read-only, as every caller shares them."""
-    out = (*np.tril_indices(dim, -1), np.arange(dim))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
-                   reps: int) -> np.ndarray:
-    """``reps`` factors A, shape (reps, dim, .), with A A' ~ Wishart_dim(dof, I).
-
-    The simulations' matrix sampler: they need W's eigenvectors, not only its
-    spectrum (for that, see ``wishart_top_eigenvalues``).
-
-    When dof >= dim, A is the lower-triangular Bartlett (1933) factor:
-    N(0, 1) below the diagonal and sqrt(chi2_{dof - i}) on it, O(dim^2)
-    draws.  Otherwise A is a dense dim x dof standard normal matrix, which
-    is then no larger.
-    """
-    if dof < dim:
-        return rng.standard_normal((reps, dim, dof))
-    rows, cols, diag = _bartlett_indices(dim)
-    A = np.zeros((reps, dim, dim))
-    A[:, rows, cols] = rng.standard_normal((reps, len(rows)))
-    A[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(reps, dim)))
-    return A
 
 
 def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,

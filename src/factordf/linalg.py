@@ -1,15 +1,18 @@
-"""Dense linear-algebra kernels: covariate polar factors and top factors.
+"""Linear-algebra kernels: covariate polar factors and top factors.
 
 Every routine here is a pure function of its input bytes, so downstream
 estimates are reproducible across runs and thread counts.  ``top_factors`` is
-the one factor kernel: the model's residual factors go through it, and every
-Monte-Carlo replicate through its Gram-matrix half ``top_eigenpairs``.
+the one factor kernel: the model's residual factors go through it and its
+Gram-matrix half ``top_eigenpairs``.  Monte-Carlo replicates solve a band
+matrix instead, with ``top_band_eigenpairs``.
 
-``top_eigenpairs`` computes only the top r eigenpairs: a LAPACK ``dsyevr``
-subset solve (MRRR; Dhillon, Parlett & Voemel 2006) in the OpenBLAS numpy
-bundles, the library ``distributions.one_blas_thread`` pins, so a pinned
-simulation's solve runs on one thread too.  Where that library or its
-LAPACKE entry point is missing, the full ``np.linalg.eigh`` runs instead.
+Both compute only the top r eigenpairs, in the OpenBLAS numpy bundles, the
+library ``distributions.one_blas_thread`` pins, so a pinned simulation's
+solve runs on one thread too: ``top_eigenpairs`` by a LAPACK ``dsyevr``
+subset solve (MRRR; Dhillon, Parlett & Voemel 2006), ``top_band_eigenpairs``
+by ``dsbevx`` (reduction to tridiagonal form, bisection and inverse
+iteration).  Where that library or its LAPACKE entry point is missing, the
+full ``np.linalg.eigh`` of the dense matrix runs instead.
 """
 
 import numpy as np
@@ -98,6 +101,58 @@ def top_eigenpairs(G: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         lam = buf[nn:nn + r][::-1]
         vecs = buf[nn + n:nn + n + n * r].reshape(n, r)[:, ::-1]
     lam = np.maximum(lam, 0.0)
+    return _checked(lam, vecs, r)
+
+
+def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``top_eigenpairs`` of the symmetric band matrix M whose lower band is
+    ab, shape (kd + 1, n), in LAPACK's lower band storage: ab[t, j] =
+    M[j + t, j], entries past the matrix's last row ignored; ab is not
+    modified.
+
+    Only eigenpairs n - r + 1 ... n are computed, by LAPACKE ``dsbevx`` in
+    numpy's bundled OpenBLAS; without it, by a full ``np.linalg.eigh`` of
+    the dense M.  Raises as ``top_eigenpairs`` does.
+    """
+    kd1, n = ab.shape
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= {n}, got {r}")
+    if kd1 > n:     # a band wider than the matrix: drop what lies outside
+        ab, kd1 = ab[:n], n
+    blas = distributions._openblas()
+    if blas is None or blas.dsbevx is None:
+        M = np.zeros((n, n))
+        j = np.arange(n)
+        for t in range(kd1):
+            M[j[t:], j[:n - t]] = ab[t, :n - t]
+        w, Q = np.linalg.eigh(M)   # reads the lower triangle
+        return _checked(w[::-1][:r], Q[:, ::-1][:, :r], r)
+    # One buffer, column-major like LAPACK: a copy of ab for it to overwrite,
+    # the n x n reduction matrix q, the n eigenvalue slots, the r vectors
+    # (row i of an (r, n) view is vector i) and the int64 outputs m and
+    # ifail (n); int64 and float64 share a size.
+    nab = n * kd1
+    buf = np.empty(nab + n * n + n + n * r + 1 + n)
+    buf[:nab].reshape(n, kd1)[...] = ab.T
+    a = buf.ctypes.data
+    w = nab + n * n
+    z = w + n
+    m = z + n * r
+    info = blas.dsbevx(102, b"V", b"I", b"L", n, kd1 - 1, a, kd1, a + 8 * nab,
+                       n, 0.0, 0.0, n - r + 1, n, 0.0, a + 8 * m, a + 8 * w,
+                       a + 8 * z, n, a + 8 * (m + 1))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsbevx failed with info={info}")
+    found = buf.view(np.int64)[m]
+    if found != r:
+        raise np.linalg.LinAlgError(f"dsbevx found {found} of {r} eigenpairs")
+    return _checked(buf[w:w + r][::-1], buf[z:m].reshape(r, n)[::-1].T, r)
+
+
+def _checked(lam: np.ndarray, vecs: np.ndarray,
+             r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, vecs), or ValueError when the r-th eigenvalue vanishes next to
+    the first (so eigenvalues that pass are positive)."""
     if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
         raise ValueError(f"matrix rank is below the requested {r} factors")
     return lam, vecs

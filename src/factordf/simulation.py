@@ -2,24 +2,35 @@
 
 The model is Y = sqrt(n) U D V' + sigma E with D and V fixed, U Haar-uniform
 and E standard normal (n x m).  A replicate fits r_hat factors and measures
-the observed df along a test direction s.  It needs only the Gram matrix of
-Y's smaller side and Ys, and draws exactly those from their joint law
-instead of the n x m matrix:
+the observed df along a test direction s.  It needs only YY' and Ys, and
+draws them in reduced form instead of the n x m matrix:
 
 - W1 (m x k, k <= r + 1) is an orthonormal basis of span(V, s), fixed per
-  config.  Then Ys = Y1 (W1's) with Y1 = Y W1, and YY' = Y1 Y1' + sigma^2 W
-  with W ~ Wishart_n(m - k) independent of Y1.
-- When n > m the m x m dual is smaller: Y'Y = R1'R1 + sigma^2 W with
-  R1 = sqrt(n) D V' + sigma Z1 (r x m) and W ~ Wishart_m(n - r).
+  config.  Then Ys = Y1 a with Y1 = Y W1 and a = W1's, and
+  YY' = Y1 Y1' + sigma^2 W with W ~ Wishart_n(m - k) independent of Y1.
 - U is Haar and independent of the noise, whose law is invariant under
   rotations of the rows, so the RSS has the same law with U fixed to the
   first r coordinate vectors; no rotation is drawn.
+- An orthogonal H with H Y1 = [R; 0] (R from the QR of Y1, min(n, k) rows)
+  leaves H W H' ~ Wishart_n(m - k), independent of Y1.  Householder
+  reflections that fix e_1 ... e_k reduce it to B B' (Dumitriu & Edelman
+  2002, generalised from k = 1): B is lower banded with independent entries,
+  chi_{m-k-j} at B[j, j], chi_{n-k-j} at B[j+k, j], N(0, 1) between them,
+  and nothing outside the n x (m - k) matrix.
+- So YY' is similar to sigma^2 M with M = B B' + [R R' 0; 0 0] (R taken
+  from Y1 / sigma), a band matrix of bandwidth k and order p = min(n, m)
+  (B's rows past m are zero), under a rotation that fixes the first k
+  coordinates, where Ys / sigma is [R a; 0].  The RSS is sigma^2 times
+  ||R a||^2 minus the squares of the top eigenvectors' first k coordinates
+  against R a.
 
-``distributions.wishart_factor`` draws W (``dof.df_mandel`` needs only
-W's spectrum and draws it from ``wishart_top_eigenvalues``).  Replicates draw from counter-based streams keyed by (seed,
-replicate index), and BLAS runs on one thread during a simulation, so
-results are byte-identical at any thread count.  The dense n x m pipeline
-this replaces is kept as a test oracle.
+A replicate draws about 2p chi's and (k - 1) p normals for B, and Y1
+(n k normals; without signal, R = ||Y1|| is one more chi), then
+``linalg.top_band_eigenpairs`` solves M in O(p^2 k) instead of a dense
+O(p^3) solve.  Replicates draw from counter-based streams keyed by (seed,
+replicate index) and run one after another in the calling thread, with BLAS
+pinned to one thread, so results are byte-identical at any ``--threads``.
+The dense n x m pipeline this replaces is kept as a test oracle.
 """
 
 import json
@@ -29,10 +40,9 @@ from enum import Enum
 import numpy as np
 
 from .distributions import (DOMAIN_SIM, KsResult, chi2_cdf, ks_test,
-                            map_indexed, one_blas_thread, stream,
-                            wishart_factor)
+                            one_blas_thread, stream)
 from .dof import df_noise, df_signal_total, is_above_transition
-from .linalg import RANK_TOL, top_eigenpairs
+from .linalg import RANK_TOL, top_band_eigenpairs
 
 
 class SignalShape(str, Enum):
@@ -116,25 +126,28 @@ def direction_vector(config: SimConfig) -> np.ndarray:
 class SamplingPlan:
     """What every replicate of one config shares.
 
-    ``first`` below is Y1 = Y W1 (n x k) in the primal, R1 (r x m) in the
-    dual; ``signal`` is its mean, carried by its first r rows.
+    Replicates draw in units of sigma: Y1 = Y W1 / sigma is n x k, and
+    ``signal`` is its mean, carried by its first r rows.
     """
 
-    dual: bool              # n > m: work on the m x m Gram Y'Y
+    n: int
     basis: np.ndarray       # W1, (m, k)
-    signal: np.ndarray      # sqrt(n) D V'W1 (r, k), or sqrt(n) D V' (r, m)
-    direction: np.ndarray   # W1's (k,), or s (m,)
-    loading: np.ndarray     # W1'v_1 (k,), or v_1 (m,); empty when r = 0
-    noise_shape: tuple      # shape of first
-    dim: int                # W ~ Wishart_dim(dof)
-    dof: int
+    signal: np.ndarray      # sqrt(n) D V'W1 / sigma, (r, k)
+    direction: np.ndarray   # a = W1's, (k,)
+    loading: np.ndarray     # W1'v_1, (k,); empty when r = 0
+    dim: int                # p = min(n, m): M is p x p
+    columns: int            # B's nonzero columns, min(n, m - k)
+    chi_dof: np.ndarray     # dofs of the chi entries: R's when r = 0,
+                            # B's diagonal's, B's k-th subdiagonal's
+    chi_at: tuple           # their places in F's band storage
     sigma_sq: float
     s_sq: float             # s's
     r_hat: int
 
 
 def sampling_plan(config: SimConfig) -> SamplingPlan:
-    """Basis of span(V, s) and the shapes and scalings replicates share."""
+    """Basis of span(V, s) and the shapes, scalings and band places
+    replicates share."""
     n, m, r = config.n, config.m, config.r
     if r > n:
         raise ValueError("r must not exceed n")
@@ -146,68 +159,83 @@ def sampling_plan(config: SimConfig) -> SamplingPlan:
     left, sv, _ = np.linalg.svd(np.column_stack([V, s]), full_matrices=False)
     k = int(np.sum(sv > RANK_TOL * sv[0]))
     W1 = left[:, :k]
-    scale = np.sqrt(n * np.asarray(config.mu, dtype=np.float64))[:, None]
-    dual = n > m
-    V_rows = V.T if dual else V.T @ W1
+    mu = np.asarray(config.mu, dtype=np.float64)
+    V_rows = V.T @ W1
+    # B's column c is F's column k + c: its diagonal chi_{m-k-c} lands at
+    # F[k, k + c], its subdiagonal chi_{n-k-c} at F[0, k + c].  Without
+    # signal (r = 0, so k = 1) Y1 is noise alone and R = ||Y1|| ~ chi_n,
+    # drawn with them at F[0, 0].
+    diag = np.arange(min(n, m - k))
+    below = diag[:max(0, n - k)]
+    rho = [n] if r == 0 else []
     return SamplingPlan(
-        dual=dual, basis=W1, signal=scale * V_rows,
-        direction=s if dual else W1.T @ s,
-        loading=V_rows[0] if r > 0 else np.zeros(0),
-        noise_shape=(r, m) if dual else (n, k),
-        dim=m if dual else n, dof=n - r if dual else m - k,
+        n=n, basis=W1,
+        signal=np.sqrt(n * mu / config.sigma_sq)[:, None] * V_rows,
+        direction=W1.T @ s, loading=V_rows[0] if r > 0 else np.zeros(0),
+        dim=min(n, m), columns=len(diag),
+        chi_dof=np.concatenate([rho, m - k - diag,
+                                n - k - below]).astype(np.float64),
+        chi_at=(np.repeat([0, k, 0], [len(rho), len(diag), len(below)]),
+                np.concatenate([[0] * len(rho), k + diag,
+                                k + below]).astype(np.intp)),
         sigma_sq=float(config.sigma_sq), s_sq=float(s @ s),
         r_hat=config.r_hat)
 
 
 def draw(plan: SamplingPlan, rng: np.random.Generator):
-    """(first, W): Y1 or R1, and the Wishart part of the Gram matrix."""
-    first = np.sqrt(plan.sigma_sq) * rng.standard_normal(plan.noise_shape)
-    first[:len(plan.signal)] += plan.signal
-    A = wishart_factor(rng, plan.dim, plan.dof, 1)[0]
-    return first, A @ A.T
+    """(R, F): R from the QR of Y1, (min(n, k), k), and the factor
+    F = [R B] of M = F F' in upper band storage, F[t, j] = F_{j-t, j},
+    (k + 1, p + k), zero past F's columns.
+
+    Draws B's chi-squares (R's first when r = 0; then B's diagonal, then its
+    k-th subdiagonal), then Y1's normals when r > 0, then the normals
+    between B's two chi diagonals.  Entries of B below M's last row are
+    drawn but never read.
+    """
+    n, k = plan.n, len(plan.direction)
+    F = np.zeros((k + 1, plan.dim + k))
+    F[plan.chi_at] = np.sqrt(rng.chisquare(plan.chi_dof))
+    r = len(plan.signal)
+    if r == 0:
+        R = F[:1, :1]
+    else:
+        Y1 = rng.standard_normal((n, k))
+        Y1[:r] += plan.signal
+        R = np.sqrt(Y1.T.dot(Y1)) if k == 1 else np.linalg.qr(Y1, mode="r")
+        for t in range(k):      # R's t-th superdiagonal
+            d = R.diagonal(t)
+            F[t, t:t + len(d)] = d
+    if k > 1:
+        c = plan.columns
+        F[1:k, k:k + c] = rng.standard_normal((k - 1, c))
+    return R, F
 
 
-def gram(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """YY' (primal) or Y'Y (dual)."""
-    G = first.T @ first if plan.dual else first @ first.T
-    G += plan.sigma_sq * W
-    return G
+def band(F: np.ndarray, p: int) -> np.ndarray:
+    """Lower band ab[t, i] = M[i + t, i] of M = F F', (k + 1, p), from F in
+    ``draw``'s band storage: M[i + t, i] = sum over s = t..k of
+    F[s, i + s] F[s - t, i + s]."""
+    k = len(F) - 1
+    ab = F[k, k:k + p] * F[::-1, k:k + p]
+    for s in range(k):
+        ab[:s + 1] += F[s, s:s + p] * F[s::-1, s:s + p]
+    return ab
 
 
-def solve(plan: SamplingPlan, first: np.ndarray, W: np.ndarray) -> float:
+def solve(plan: SamplingPlan, R: np.ndarray, F: np.ndarray) -> float:
     """s' E_hat' E_hat s for the rank-r_hat truncation: ||Ys||^2 - ||left' Ys||^2.
 
-    In the dual, with Y'Y = R diag(lam) R', left' Ys = sqrt(lam) R's.
+    In M's coordinates Ys / sigma is [R a; 0], so left' Ys / sigma is the top
+    eigenvectors' first rows against R a.
     """
-    G = gram(plan, first, W)
-    if plan.dual:
-        base = float(plan.direction @ G @ plan.direction)
-    else:
-        Ys = first @ plan.direction
-        base = float(Ys @ Ys)
-    if plan.r_hat == 0:
-        return base
-    lam, vecs = top_eigenpairs(G, plan.r_hat)
-    if plan.dual:
-        return base - float(lam @ (vecs.T @ plan.direction) ** 2)
-    coef = vecs.T @ Ys
-    return base - float(coef @ coef)
-
-
-# Cells whose Gram matrix has fewer rows than this run in the calling thread.
-# Their replicates hold the GIL for most of their time, so a second thread
-# only contends for it.  Timed on 2 cores as speed on two threads relative to
-# one (median of 7 run_sim calls per side, 300 replicates, r_hat=1 noise
-# cells: primal n=dim, m=1000; dual n=2*dim, m=dim; median of 1-3 passes):
-#   dim     30    40    50    60    65    70    75    80    85    90    100
-#   primal  0.51  0.59  0.78  0.81  0.95  0.98  1.14  1.15  1.14  1.36  1.35
-#   dual    0.47  0.67  0.80  0.87  1.09  1.05  1.00  1.13  1.13  1.12  1.24
-# Output is the same either way.
-THREADED_MIN_DIM = 80
-
-
-def _threads_for(plan: SamplingPlan, threads: int) -> int:
-    return threads if plan.dim >= THREADED_MIN_DIM else 1
+    # .dot: on arrays this small it costs half of what @ does
+    Ra = R.dot(plan.direction)
+    rss = float(Ra.dot(Ra))
+    if plan.r_hat > 0:
+        _, vecs = top_band_eigenpairs(band(F, plan.dim), plan.r_hat)
+        coef = Ra.dot(vecs[:len(Ra)])
+        rss -= float(coef.dot(coef))
+    return plan.sigma_sq * rss
 
 
 def run_replicate(config: SimConfig, index: int,
@@ -220,8 +248,8 @@ def run_replicate(config: SimConfig, index: int,
         raise ValueError("replicate index out of range")
     if plan is None:
         plan = sampling_plan(config)
-    first, W = draw(plan, stream(config.seed, DOMAIN_SIM, index))
-    rss = solve(plan, first, W)
+    rng = stream(config.seed, DOMAIN_SIM, index)
+    rss = solve(plan, *draw(plan, rng))
     df_obs = config.n - rss / (config.sigma_sq * plan.s_sq)
     return rss, df_obs
 
@@ -268,13 +296,19 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
 
     The chi-squared goodness-of-fit test compares RSS / (sigma^2 s's) with
     the chi2 distribution on n - df_theory degrees of freedom.
+
+    Replicates run in the calling thread; ``threads`` is accepted so that
+    every command takes the same setting, and is not used.  A replicate is
+    mostly interpreter work under the GIL plus a band solve that gains little
+    from a second thread: timed on 2 cores, two threads ran at 0.45-0.74
+    times the speed of one at orders min(n, m) = 30-150.
     """
     if config.replicates < 100:
         raise ValueError("replicates must be >= 100")
     with one_blas_thread():
         plan = sampling_plan(config)
-        pairs = map_indexed(lambda i: run_replicate(config, i, plan),
-                            config.replicates, _threads_for(plan, threads))
+        pairs = [run_replicate(config, i, plan)
+                 for i in range(config.replicates)]
         rss = np.array([p[0] for p in pairs])
         dfo = np.array([p[1] for p in pairs])
         mean_df = float(dfo.mean())
@@ -393,19 +427,17 @@ class SpikeResult:
     replicates_used: int
 
 
-def spike_solve(plan: SamplingPlan, first: np.ndarray,
-                W: np.ndarray) -> tuple[float, float]:
+def spike_solve(plan: SamplingPlan, R: np.ndarray,
+                F: np.ndarray) -> tuple[float, float]:
     """(lambda_1, (vhat_1' v_1)^2) from one draw.
 
-    vhat_1' v_1 = left_1' Y v_1 / sing_1 with Y v_1 = Y1 (W1'v_1); in the dual
-    it is the top eigenvector's projection onto v_1.
+    vhat_1' v_1 = left_1' Y v_1 / sing_1, and Y v_1 / sigma = Y1 (W1'v_1) is
+    [R W1'v_1; 0] in M's coordinates.
     """
-    lam, vecs = top_eigenpairs(gram(plan, first, W), 1)
-    if plan.dual:
-        overlap = float(vecs[:, 0] @ plan.loading)
-    else:
-        overlap = float(vecs[:, 0] @ (first @ plan.loading)) / np.sqrt(lam[0])
-    return float(lam[0]), overlap ** 2
+    lam, vecs = top_band_eigenpairs(band(F, plan.dim), 1)
+    Rv = R.dot(plan.loading)
+    overlap = float(vecs[:len(Rv), 0].dot(Rv))
+    return plan.sigma_sq * float(lam[0]), overlap ** 2 / float(lam[0])
 
 
 def spike_replicate(config: SimConfig, index: int,
@@ -415,16 +447,18 @@ def spike_replicate(config: SimConfig, index: int,
         raise ValueError("spike diagnostics require exactly one true factor")
     if plan is None:
         plan = sampling_plan(config)
-    lam, overlap_sq = spike_solve(
-        plan, *draw(plan, stream(config.seed, DOMAIN_SIM, index)))
+    rng = stream(config.seed, DOMAIN_SIM, index)
+    lam, overlap_sq = spike_solve(plan, *draw(plan, rng))
     return lam / config.n, overlap_sq
 
 
 def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
+    """Means over the replicates; they run in the calling thread, and
+    ``threads`` is not used, as in ``run_sim``."""
     with one_blas_thread():
         plan = sampling_plan(config)
-        pairs = map_indexed(lambda i: spike_replicate(config, i, plan),
-                            config.replicates, _threads_for(plan, threads))
+        pairs = [spike_replicate(config, i, plan)
+                 for i in range(config.replicates)]
         mu1 = np.array([p[0] for p in pairs])
         ovl = np.array([p[1] for p in pairs])
         root = np.sqrt(config.replicates)

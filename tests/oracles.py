@@ -13,16 +13,17 @@ them is fast enough, or needed, for production sizes.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from factordf.distributions import (DOMAIN_MANDEL, DOMAIN_SIM,
-                                    SeededGenerator, stream, wishart_factor)
+                                    SeededGenerator, stream)
 from factordf.dof import DofEstimate, DofMethod, _estimate
 from factordf.linalg import _as_matrix, polar_factors, top_factors
 from factordf.model import DatasetBundle
-from factordf.simulation import SimConfig, loading_matrix
+from factordf.simulation import SamplingPlan, SimConfig, loading_matrix
 
 
 def canonical_signs(V: np.ndarray) -> np.ndarray:
@@ -358,6 +359,85 @@ def _rss_after_truncation(Y: np.ndarray, s: np.ndarray, r_hat: int) -> float:
     left, _ = top_factors(Y, r_hat)
     coef = left.T @ Ys
     return base - float(coef @ coef)
+
+
+def _reflector(x: np.ndarray) -> np.ndarray:
+    """Householder matrix H (symmetric, orthogonal) with H x = (-+||x||, 0, ...)."""
+    v = x.copy()
+    v[0] += np.copysign(np.linalg.norm(x), x[0])
+    vv = float(v @ v)
+    H = np.eye(len(x))
+    if vv > 0:
+        H -= np.outer(v, 2.0 * v / vv)
+    return H
+
+
+def band_reduce(plan: SamplingPlan, Y: np.ndarray):
+    """``simulation.draw``'s (R, F) for a dense response Y, computed instead
+    of drawn.
+
+    In units of sigma, R comes from the full QR Y1 = Y W1 = Q [R; 0].
+    Q'(Y W2), W2 the complement of the basis W1, is reduced to the lower band
+    factor B by Householder reflections on its columns and on its rows past
+    the first k, so the rotation they make fixes e_1 ... e_k.  Then YY' is
+    similar, under Q and that rotation, to F F' with F = [R B] (R padded
+    with zero rows), restricted to its first min(n, m) rows.
+    """
+    n, m = Y.shape
+    W1 = plan.basis
+    k = W1.shape[1]
+    Y = Y / np.sqrt(plan.sigma_sq)
+    Q, R = np.linalg.qr(Y @ W1, mode="complete")
+    W2 = np.linalg.qr(W1, mode="complete")[0][:, k:]
+    B = Q.T @ (Y @ W2)
+    d = m - k
+    for j in range(min(n, d)):
+        B[:, j:] = B[:, j:] @ _reflector(B[j, j:])      # row j past column j
+        if j + k < n:                                    # column j past row j+k
+            B[j + k:] = _reflector(B[j + k:, j]) @ B[j + k:]
+    p = plan.dim
+    full = np.hstack([R, B])[:p]
+    F = np.zeros((k + 1, p + k))
+    for j in range(min(p + k, m)):
+        for t in range(k + 1):
+            if 0 <= j - t < p:
+                F[t, j] = full[j - t, j]
+    return R[:min(n, k)], F
+
+
+# The dense Wishart matrix sampler the simulations drew from before the band
+# draw: Bartlett factors (reps, dim, dim), or plain normals below full rank.
+
+@lru_cache(maxsize=16)
+def _bartlett_indices(dim: int) -> tuple:
+    """(rows, cols) below the diagonal of a dim x dim matrix and the diagonal
+    positions; read-only, as every caller shares them."""
+    out = (*np.tril_indices(dim, -1), np.arange(dim))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
+                   reps: int) -> np.ndarray:
+    """``reps`` factors A, shape (reps, dim, .), with A A' ~ Wishart_dim(dof, I).
+
+    The simulations' matrix sampler: they need W's eigenvectors, not only its
+    spectrum (for that, see ``wishart_top_eigenvalues``).
+
+    When dof >= dim, A is the lower-triangular Bartlett (1933) factor:
+    N(0, 1) below the diagonal and sqrt(chi2_{dof - i}) on it, O(dim^2)
+    draws.  Otherwise A is a dense dim x dof standard normal matrix, which
+    is then no larger.
+    """
+    if dof < dim:
+        return rng.standard_normal((reps, dim, dof))
+    rows, cols, diag = _bartlett_indices(dim)
+    A = np.zeros((reps, dim, dim))
+    A[:, rows, cols] = rng.standard_normal((reps, len(rows)))
+    A[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(reps, dim)))
+    return A
+
 
 
 # Mandel's df as drawn before the spectrum sampler: dense Bartlett Wishart

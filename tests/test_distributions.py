@@ -10,10 +10,10 @@ from scipy import integrate, special, stats
 from factordf import distributions, simulation
 from factordf.distributions import (SeededGenerator, chi2_cdf, kolmogorov_sf,
                                     ks_test, map_indexed, stream, t_sf,
-                                    wishart_factor, wishart_top_eigenvalues,
-                                    worker_count)
+                                    wishart_top_eigenvalues, worker_count)
 from factordf.dof import df_mandel
-from oracles import chi2_quantile, sample_standard_normal, spawn, t_cdf
+from oracles import (chi2_quantile, sample_standard_normal, spawn, t_cdf,
+                     wishart_factor)
 
 
 def test_sampling_is_deterministic():
@@ -42,6 +42,63 @@ def test_stream_families_do_not_collide():
     a = stream(5, 1, 0).standard_normal(8)
     b = stream(5, 2, 0).standard_normal(8)
     assert not np.array_equal(a, b)
+
+
+# (seed, domain, index): seeds past 2^63 and below 0, indices past 2^32 and
+# below 0 are masked to 64 and 32 bits
+STREAM_TRIPLES = [(0, 0, 0), (5, 1, 0), (5, 1, 7), (123456789, 2, 41),
+                  (2**64 - 1, 3, 2**32 - 1), (-1, 4, 2**32 + 5), (7, 2**32 + 1, -3)]
+
+
+def philox_by_key(seed, domain, index):
+    """The stream as numpy's keyed Philox constructor builds it.  The key is
+    a uint64 array: a list holding a word past 2^63 would pass through
+    float64 and lose bits."""
+    sid = ((domain & 0xFFFFFFFF) << 32) | (index & 0xFFFFFFFF)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, sid], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed,domain,index", STREAM_TRIPLES)
+def test_stream_bits_pinned(seed, domain, index):
+    want = philox_by_key(seed, domain, index).bit_generator.random_raw(9)
+    np.testing.assert_array_equal(
+        stream(seed, domain, index).bit_generator.random_raw(9), want)
+    # and the draws built on those bits
+    np.testing.assert_array_equal(
+        stream(seed, domain, index).chisquare([3.0, 40.0, 1e4]),
+        philox_by_key(seed, domain, index).chisquare([3.0, 40.0, 1e4]))
+
+
+STREAM_WORDS = {(0, 0, 0): [213000021201967259, 4455796210202625458],
+                (5, 1, 7): [6057299413522222751, 5779484473137561022]}
+
+
+def test_stream_bits_literal():
+    # the first words of two streams, written out: a change of bit
+    # generator or key layout shows here even if both sides moved together
+    assert list(stream(0, 0, 0).bit_generator.random_raw(2)) == \
+        STREAM_WORDS[(0, 0, 0)]
+    assert list(stream(5, 1, 7).bit_generator.random_raw(2)) == \
+        STREAM_WORDS[(5, 1, 7)]
+
+
+def test_seeds_past_2_63_keep_their_bits():
+    # seeds whose 64-bit word is 2^63 or more, negative ones included, are
+    # keyed exactly, so neighbouring seeds do not share a stream
+    for a, b in ((-1, -2), (2**63, 2**63 + 1), (2**64 - 1, 2**64 - 2)):
+        assert stream(a, 1, 0).bit_generator.state["state"]["key"][0] == \
+            a & 0xFFFFFFFFFFFFFFFF
+        assert not np.array_equal(stream(a, 1, 0).standard_normal(4),
+                                  stream(b, 1, 0).standard_normal(4))
+
+
+def test_streams_do_not_share_bit_generators():
+    a, b = stream(5, 1, 0), stream(5, 1, 0)
+    assert a.bit_generator is not b.bit_generator
+    a.standard_normal(3)
+    np.testing.assert_array_equal(b.standard_normal(3),
+                                  stream(5, 1, 0).standard_normal(3))
 
 
 def test_chi2_quantile_exponential_case():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from factordf import distributions
-from factordf.linalg import polar_factors, top_eigenpairs, top_factors
+from factordf.linalg import (polar_factors, top_band_eigenpairs,
+                             top_eigenpairs, top_factors)
 from oracles import hat_matrix, orthonormal_complement, truncated_svd
 
 
@@ -237,3 +238,60 @@ def test_top_eigenpairs_same_bits_from_two_threads():
     for got_lam, got_vecs in results:
         np.testing.assert_array_equal(got_lam, lam)
         np.testing.assert_array_equal(got_vecs, vecs)
+
+
+def band_and_probe(dim, kd, seed=0):
+    """Lower band ab[t, j] = M[j + t, j] of M = F F' with F upper banded
+    (kd superdiagonals), M itself, and a probe vector."""
+    rng = np.random.default_rng(seed + 7 * dim + kd)
+    F = np.triu(np.tril(rng.standard_normal((dim, dim + kd)), kd))
+    M = F @ F.T
+    ab = np.zeros((kd + 1, dim))
+    for t in range(kd + 1):
+        inside = max(dim - t, 0)
+        ab[t, :inside] = np.diagonal(M, -t)
+        ab[t, inside:] = 99.0       # past the last row: never read
+    return ab, M, rng.standard_normal(dim)
+
+
+@pytest.mark.parametrize("dim,kd", [(1, 1), (2, 1), (5, 1), (5, 2), (50, 1),
+                                    (50, 3), (100, 1), (100, 2), (3, 4)])
+def test_top_band_eigenpairs_match_full_eigh(dim, kd):
+    ab, M, y = band_and_probe(dim, kd)
+    before = ab.copy()
+    # random band factors are badly conditioned, so r stops at 5, and both
+    # solvers are accurate to a few ulps of the spectrum's scale
+    for r in sorted({1, min(2, dim), min(5, dim)}):
+        lam, vecs = top_band_eigenpairs(ab, r)
+        ref_lam, ref_vecs = eigh_top(M, r)
+        assert lam.shape == (r,) and vecs.shape == (dim, r)
+        np.testing.assert_allclose(lam, ref_lam, rtol=0,
+                                   atol=1e-12 * ref_lam[0])
+        np.testing.assert_allclose((vecs.T @ y) ** 2, (ref_vecs.T @ y) ** 2,
+                                   rtol=0, atol=1e-10 * float(y @ y))
+        np.testing.assert_array_equal(ab, before)
+
+
+def test_top_band_eigenpairs_fallback_agrees(monkeypatch):
+    cases = [(5, 1), (50, 2), (100, 1)]
+    solved = [top_band_eigenpairs(band_and_probe(*c)[0], 2) for c in cases]
+    monkeypatch.setattr(distributions, "_openblas", lambda: None)
+    for c, (lam, vecs) in zip(cases, solved):
+        ab, _, y = band_and_probe(*c)
+        lam_eigh, vecs_eigh = top_band_eigenpairs(ab, 2)
+        np.testing.assert_allclose(lam_eigh, lam, rtol=1e-12, atol=0)
+        np.testing.assert_allclose((vecs_eigh.T @ y) ** 2, (vecs.T @ y) ** 2,
+                                   rtol=0, atol=1e-12 * float(y @ y))
+
+
+@pytest.mark.parametrize("solver", ["band", "eigh"])
+def test_top_band_eigenpairs_rank_error(solver, monkeypatch):
+    if solver == "eigh":
+        monkeypatch.setattr(distributions, "_openblas", lambda: None)
+    ab = np.zeros((2, 5))
+    ab[0, 0] = 4.0              # rank one: M = 4 e_1 e_1'
+    with pytest.raises(ValueError, match="rank is below the requested 2"):
+        top_band_eigenpairs(ab, 2)
+    for r in (0, 6):
+        with pytest.raises(ValueError):
+            top_band_eigenpairs(ab, r)

@@ -1,11 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from factordf.dof import df_noise, df_signal_k, noise_floor
 from factordf.linalg import top_factors
+from factordf import distributions, simulation
 from oracles import (_rss_after_truncation, _simulate_response,
-                     adjusted_residuals, extract_factors, rss)
+                     adjusted_residuals, band_reduce, extract_factors, rss)
 from oracles import TestDirection as Direction
 from factordf.simulation import (CSV_COLUMNS, SignalShape,
                                  SimConfig, cell_columns, cell_record,
@@ -42,17 +45,6 @@ def test_replicate_deterministic():
     assert run_replicate(cfg, 8) != a
 
 
-def split_dense(plan, Y, r):
-    """(first, W) of a dense response Y: the primal column rotation onto
-    [W1 W2], or the dual split of Y's rows after the first r."""
-    if plan.dual:
-        return Y[:r], Y[r:].T @ Y[r:] / plan.sigma_sq
-    k = plan.basis.shape[1]
-    W2 = np.linalg.qr(plan.basis, mode="complete")[0][:, k:]
-    YW2 = Y @ W2
-    return Y @ plan.basis, YW2 @ YW2.T / plan.sigma_sq
-
-
 def custom_cell(n, m, **kw):
     # one loading, a direction outside its span: span(V, s) has k = 2
     rng = np.random.default_rng(n * 100 + m)
@@ -68,7 +60,7 @@ def assert_solve_matches_dense(cfg, indices=range(4)):
     s = direction_vector(cfg)
     for i in indices:
         Y = _simulate_response(cfg, i)
-        got = solve(plan, *split_dense(plan, Y, cfg.r))
+        got = solve(plan, *band_reduce(plan, Y))
         want = _rss_after_truncation(Y, s, cfg.r_hat)
         assert got == pytest.approx(want, rel=1e-8)
         if cfg.r_hat > 0:   # and the explicit truncation pipeline
@@ -79,8 +71,8 @@ def assert_solve_matches_dense(cfg, indices=range(4)):
 
 
 def test_replicate_matches_factor_module():
-    # wide and near-square: solve on (Y W1, (Y W2)(Y W2)') of a dense draw
-    # reproduces the dense pipeline's RSS
+    # wide and near-square: solve on the (R, F) that Householder reflections
+    # make of a dense draw reproduces the dense pipeline's RSS
     cells = [
         SimConfig(n=8, m=14, r=1, mu=(3.0,), shape=SignalShape.ONES,
                   r_hat=2, replicates=20, seed=0),
@@ -94,14 +86,14 @@ def test_replicate_matches_factor_module():
     ]
     for cfg in cells:
         plan = assert_solve_matches_dense(cfg)
-        assert not plan.dual
+        assert plan.dim == cfg.n
     assert sampling_plan(cells[-1]).basis.shape == (25, 2)
     assert sampling_plan(cells[0]).basis.shape == (14, 2)
     assert sampling_plan(cells[2]).basis.shape == (10, 1)   # v = s
 
 
 def test_replicate_matches_factor_module_tall():
-    # n > m: solve on the row split (R1, R2'R2) works on the m x m dual
+    # n > m: M has order m, B's rows past m vanish
     cells = [
         SimConfig(n=15, m=6, r=1, mu=(2.5,), shape=SignalShape.BASIS,
                   r_hat=1, replicates=20, seed=3),
@@ -112,7 +104,7 @@ def test_replicate_matches_factor_module_tall():
         custom_cell(12, 5, r_hat=2, seed=7),
     ]
     for cfg in cells:
-        assert assert_solve_matches_dense(cfg).dual
+        assert assert_solve_matches_dense(cfg).dim == cfg.m
 
 
 def test_spike_solve_matches_dense():
@@ -125,23 +117,40 @@ def test_spike_solve_matches_dense():
             Y = _simulate_response(cfg, i)
             left, sing = top_factors(Y, 1)
             vhat = Y.T @ left[:, 0] / sing[0]
-            lam, overlap_sq = spike_solve(plan, *split_dense(plan, Y, 1))
+            lam, overlap_sq = spike_solve(plan, *band_reduce(plan, Y))
             assert lam == pytest.approx(sing[0] ** 2, rel=1e-10)
             assert overlap_sq == pytest.approx((vhat @ v) ** 2, rel=1e-8)
 
 
 # Engine vs dense oracle in law.  Seeds fixed before the first run; the
 # oracle uses other seeds than the engine, so the two samples share no draws.
+# k = dim span(V, s) is M's bandwidth.
 LAW_CELLS = [
-    # (label, config keywords): primal Bartlett, primal signal, near-square
-    # (dense Wishart factor), dual Bartlett, dual dense factor with two
-    # factors and s partly outside their span
-    ("primal-noise", dict(n=10, m=60, r=0, r_hat=1)),
-    ("primal-basis", dict(n=20, m=80, r=1, mu=(3.0,), r_hat=1)),
-    ("near-square", dict(n=12, m=12, r=1, mu=(2.0,), r_hat=1)),
-    ("dual-basis", dict(n=30, m=10, r=1, mu=(2.0,), r_hat=1)),
-    ("dual-dense", dict(n=11, m=10, r=2, mu=(4.0, 2.0), r_hat=2,
-                        shape=SignalShape.CUSTOM)),
+    # (label, k, config keywords): noise, signal along s, near-square,
+    # n > m, n > m with two factors and s outside their span (k = 3)
+    ("primal-noise", 1, dict(n=10, m=60, r=0, r_hat=1)),
+    ("primal-basis", 1, dict(n=20, m=80, r=1, mu=(3.0,), r_hat=1)),
+    ("near-square", 1, dict(n=12, m=12, r=1, mu=(2.0,), r_hat=1)),
+    ("dual-basis", 1, dict(n=30, m=10, r=1, mu=(2.0,), r_hat=1)),
+    ("dual-dense", 3, dict(n=11, m=10, r=2, mu=(4.0, 2.0), r_hat=2,
+                           shape=SignalShape.CUSTOM)),
+    # the band at k = 2: ones, perp-basis with n > m, a custom loading with
+    # s outside its span, two fitted factors, sigma^2 != 1, a band cut short
+    # by m - k < n, and m = k, where M = R R' has no Wishart part
+    ("ones-k2", 2, dict(n=20, m=60, r=1, mu=(3.0,), r_hat=1,
+                        shape=SignalShape.ONES)),
+    ("perp-basis-tall", 2, dict(n=30, m=12, r=1, mu=(2.0,), r_hat=1,
+                                shape=SignalShape.PERP_BASIS)),
+    ("custom-outside", 2, dict(n=15, m=40, r=1, mu=(2.5,), r_hat=1,
+                               shape=SignalShape.CUSTOM)),
+    ("r-hat-2", 2, dict(n=15, m=40, r=1, mu=(3.0,), r_hat=2,
+                        shape=SignalShape.ONES)),
+    ("sigma-sq", 1, dict(n=20, m=60, r=1, mu=(2.0,), r_hat=1,
+                         sigma_sq=2.5)),
+    ("truncated-band", 2, dict(n=20, m=21, r=1, mu=(2.0,), r_hat=1,
+                               shape=SignalShape.ONES)),
+    ("m-equals-k", 2, dict(n=10, m=2, r=1, mu=(2.0,), r_hat=1,
+                           shape=SignalShape.ONES)),
 ]
 LAW_SEED, ORACLE_SEED, LAW_REPS = 7100, 7200, 1000
 
@@ -149,26 +158,48 @@ LAW_SEED, ORACLE_SEED, LAW_REPS = 7100, 7200, 1000
 def law_config(kw, seed):
     kw = dict(kw)
     if kw.get("shape") is SignalShape.CUSTOM:
-        m = kw["m"]
-        V = np.zeros((m, 2))
-        V[0, 0] = V[1, 1] = 1.0
+        m, r = kw["m"], kw["r"]
+        V = np.zeros((m, r))
+        if r == 2:
+            V[0, 0] = V[1, 1] = 1.0
+            kw["test_direction"] = np.eye(m)[0] + np.eye(m)[2]
+        else:
+            V[:, 0] = np.cos(np.arange(m))
+            V /= np.linalg.norm(V)
+            kw["test_direction"] = np.eye(m)[0] + np.eye(m)[1]
         kw["custom_loadings"] = V
-        kw["test_direction"] = np.eye(m)[0] + np.eye(m)[2]
     return SimConfig(replicates=LAW_REPS, seed=seed, **kw)
 
 
-@pytest.mark.parametrize("label,kw", LAW_CELLS, ids=[c[0] for c in LAW_CELLS])
-def test_engine_rss_law_matches_dense_oracle(label, kw):
+@pytest.mark.parametrize("label,k,kw", LAW_CELLS,
+                         ids=[c[0] for c in LAW_CELLS])
+def test_engine_rss_law_matches_dense_oracle(label, k, kw):
     cfg = law_config(kw, LAW_SEED)
     plan = sampling_plan(cfg)
-    assert plan.dual == label.startswith("dual")
-    assert (plan.dof < plan.dim) == (label in ("near-square", "dual-dense"))
+    assert plan.basis.shape[1] == k
+    assert plan.dim == min(cfg.n, cfg.m)
     engine = [run_replicate(cfg, i, plan)[0] for i in range(LAW_REPS)]
     ref_cfg = law_config(kw, ORACLE_SEED)
     s = direction_vector(ref_cfg)
     dense = [_rss_after_truncation(_simulate_response(ref_cfg, i), s,
                                    cfg.r_hat) for i in range(LAW_REPS)]
     assert stats.ks_2samp(engine, dense).pvalue > 0.01
+
+
+@pytest.mark.parametrize("handle", ["no library", "no dsbevx"])
+def test_band_solve_fallback(monkeypatch, handle):
+    # without dsbevx every replicate solves the dense M with eigh instead
+    real = distributions._openblas()
+    if real is None or real.dsbevx is None:
+        pytest.skip("no bundled OpenBLAS dsbevx: the dense solve runs")
+    cells = [law_config(kw, LAW_SEED) for label, _, kw in LAW_CELLS
+             if label in ("primal-basis", "dual-dense", "r-hat-2",
+                          "m-equals-k")]
+    want = [[run_replicate(cfg, i)[0] for i in range(20)] for cfg in cells]
+    fake = None if handle == "no library" else real._replace(dsbevx=None)
+    monkeypatch.setattr(distributions, "_openblas", lambda: fake)
+    got = [[run_replicate(cfg, i)[0] for i in range(20)] for cfg in cells]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_null_df_mean_is_zero():
@@ -197,6 +228,25 @@ def test_thread_count_does_not_change_bytes():
     r1 = run_sim(cfg, threads=1)
     r8 = run_sim(cfg, threads=8)
     assert r1 == r8
+
+
+@pytest.mark.parametrize("entry,spike", [("run_replicate", False),
+                                         ("spike_replicate", True)])
+def test_replicates_run_in_the_calling_thread(monkeypatch, entry, spike):
+    # every replicate goes through the module global, on this thread, at
+    # any thread count
+    seen = []
+    real = getattr(simulation, entry)
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(simulation, entry, recording)
+    cfg = SimConfig(n=20, m=60, r=1, mu=(3.0,), shape=SignalShape.ONES,
+                    r_hat=1, replicates=100, seed=4)
+    (run_spike_sim if spike else run_sim)(cfg, threads=8)
+    assert seen == [threading.get_ident()] * cfg.replicates
 
 
 def test_single_cell_grid_equals_run_sim():
