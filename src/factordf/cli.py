@@ -22,6 +22,7 @@ from .factors import variance_explained
 from .fdr import (REPORT_COLUMNS, BootstrapConfig, evaluate, report_columns,
                   report_to_json)
 from .inference import compute_direction_stats, df_totals, response_tests
+from .linalg import CodedError
 from .model import DatasetBundle, fit_two_sided
 from .simulation import (CSV_COLUMNS, GridCell, SignalShape, SimConfig,
                          basis_signal_preset, cell_columns, grid_to_json,
@@ -29,14 +30,13 @@ from .simulation import (CSV_COLUMNS, GridCell, SignalShape, SimConfig,
 
 FORMATS = ("table", "csv", "json")
 
+# Exit status when standard output is a pipe whose reader has gone: 128 +
+# SIGPIPE, the status a shell reports for a process that signal ends.
+EXIT_CLOSED_PIPE = 141
 
-class IngestError(Exception):
+
+class IngestError(CodedError):
     """Input-file validation or file I/O failure with a stable error code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
 
 
 # Text that np.loadtxt would read otherwise than csv.reader and float() do:
@@ -350,22 +350,27 @@ def cmd_bootstrap(args, out) -> None:
 def cmd_generate(args, out) -> None:
     bundle, truth = synthetic_study(m_responses=args.m, seed=args.seed,
                                     signal_fraction=args.signal_fraction)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     def write(name, header, columns):
         with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
             _write_csv(fh, header, columns, "%.12g")
 
-    write("y.csv", ["id", *bundle.col_ids], [bundle.row_ids, *bundle.Y.T])
-    write("x.csv", ["id", "intercept", "sex", "age"],
-          [bundle.row_ids, *bundle.X.T])
-    write("z.csv", ["id", "intercept", "tissue"], [bundle.col_ids, *bundle.Z.T])
-    with open(os.path.join(args.out_dir, "truth.json"), "w") as fh:
-        json.dump({"signal_genes": [bundle.col_ids[j]
-                                    for j in np.nonzero(truth.signal_mask)[0]],
-                   "age_coef_index": AGE_COEF_INDEX,
-                   "seed": args.seed}, fh, indent=2)
-        fh.write("\n")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        write("y.csv", ["id", *bundle.col_ids], [bundle.row_ids, *bundle.Y.T])
+        write("x.csv", ["id", "intercept", "sex", "age"],
+              [bundle.row_ids, *bundle.X.T])
+        write("z.csv", ["id", "intercept", "tissue"],
+              [bundle.col_ids, *bundle.Z.T])
+        with open(os.path.join(args.out_dir, "truth.json"), "w") as fh:
+            json.dump({"signal_genes": [bundle.col_ids[j] for j in
+                                        np.nonzero(truth.signal_mask)[0]],
+                       "age_coef_index": AGE_COEF_INDEX,
+                       "seed": args.seed}, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise IngestError("IO_ERROR",
+                          f"cannot write {args.out_dir}: {exc}") from exc
     print(f"wrote y.csv, x.csv, z.csv, truth.json to {args.out_dir}",
           file=sys.stderr)
 
@@ -449,22 +454,42 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _drop_stdout() -> None:
+    """Point standard output's descriptor at the null device, so that the
+    flush at interpreter exit has no fault to report."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out, close = sys.stdout, False
+    out = None
     try:
         out, close = _open_output(args)
-        args.func(args, out)
+        try:
+            args.func(args, out)
+        finally:    # write out what is buffered, so that its faults show here
+            (out.close if close else out.flush)()
         return 0
-    except IngestError as exc:
+    except OSError as exc:
+        if out is sys.stdout:
+            _drop_stdout()
+            if isinstance(exc, BrokenPipeError):
+                return EXIT_CLOSED_PIPE
+        print(f"error [IO_ERROR]: cannot write "
+              f"{args.output or 'standard output'}: {exc}", file=sys.stderr)
+        return 1
+    except CodedError as exc:
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if close:
-            out.close()
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ the discovery rates are averaged against the truth's nonzero set.
 """
 
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,9 @@ class BootstrapConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # DofMethod("x") raises ValueError on an unknown method
+        object.__setattr__(self, "methods",
+                           tuple(DofMethod(m) for m in self.methods))
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         if self.n_datasets < 10:
@@ -59,14 +63,17 @@ class GenerativeTruth:
     nonzero_mask: np.ndarray  # (M,) bool
     col_ids: tuple = ()
     row_ids: tuple = ()
-    # (N, M) fixed mean of every bootstrap dataset, formed once per truth
+    # (N, M) fixed mean and (M,) noise scale of every bootstrap dataset,
+    # formed once per truth
     mean_surface: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = self.X @ self.beta.T + self.factor_term
         if self.Z is not None:
             mean = mean + self.A_hat @ self.Z.T
         object.__setattr__(self, "mean_surface", mean)
+        object.__setattr__(self, "noise_sd", np.sqrt(self.variances))
 
 
 def build_generative_truth(data: DatasetBundle, k_factors: int, alpha: float,
@@ -91,13 +98,20 @@ def build_generative_truth(data: DatasetBundle, k_factors: int, alpha: float,
                            data.col_ids, data.row_ids)
 
 
-def simulate_dataset(truth: GenerativeTruth, seed: int,
-                     index: int = 0) -> DatasetBundle:
-    """One bootstrap dataset: fixed mean surface plus heteroscedastic noise."""
+def simulate_dataset(truth: GenerativeTruth, seed: int, index: int = 0, *,
+                     out: np.ndarray | None = None) -> DatasetBundle:
+    """One bootstrap dataset: fixed mean surface plus heteroscedastic noise.
+
+    The response matrix is drawn into ``out``, a C-contiguous float (N, M)
+    array, when one is given (the bundle's Y is then ``out``), and into a
+    new array otherwise; its bytes are the same either way.
+    """
     rng = stream(seed, DOMAIN_FDR_DATASET, index)
-    N, M = truth.factor_term.shape
-    noise = np.sqrt(truth.variances)[None, :] * rng.standard_normal((N, M))
-    return DatasetBundle(truth.mean_surface + noise, truth.X, truth.Z,
+    Y = np.empty(truth.factor_term.shape) if out is None else out
+    rng.standard_normal(out=Y)
+    Y *= truth.noise_sd
+    Y += truth.mean_surface
+    return DatasetBundle(Y, truth.X, truth.Z,
                          row_ids=truth.row_ids, col_ids=truth.col_ids)
 
 
@@ -122,19 +136,21 @@ class FdrReport:
 
 def _dataset_rates(p_values: np.ndarray, alpha: float,
                    mask: np.ndarray) -> tuple[float, float, float, int]:
-    return _declared_rates(p_values < alpha, mask)
+    n_signals = int(np.count_nonzero(mask))
+    return _declared_rates(p_values < alpha, mask, n_signals,
+                           len(mask) - n_signals)
 
 
-def _declared_rates(declared: np.ndarray,
-                    mask: np.ndarray) -> tuple[float, float, float, int]:
+def _declared_rates(declared: np.ndarray, mask: np.ndarray, n_signals: int,
+                    n_nulls: int) -> tuple[float, float, float, int]:
     """(fdr, fpr, tpr, discoveries) of one dataset's decisions against the
-    truth's nonzero ``mask``."""
-    tp = int(np.sum(declared & mask))
-    fp = int(np.sum(declared & ~mask))
-    n_disc = tp + fp
+    truth's nonzero ``mask``, which holds ``n_signals`` and ``n_nulls``."""
+    n_disc = int(np.count_nonzero(declared))
+    tp = int(np.count_nonzero(declared & mask))
+    fp = n_disc - tp
     fdr = fp / n_disc if n_disc > 0 else 0.0
-    fpr = fp / max(int(np.sum(~mask)), 1)
-    tpr = tp / max(int(np.sum(mask)), 1)
+    fpr = fp / max(n_nulls, 1)
+    tpr = tp / max(n_signals, 1)
     return fdr, fpr, tpr, n_disc
 
 
@@ -144,6 +160,8 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
         data, config.k_factors, config.alpha, config.coef_index,
         mandel_reps=config.mandel_reps, seed=config.seed)
     mask = truth.nonzero_mask
+    n_signals = int(np.count_nonzero(mask))
+    n_nulls = len(mask) - n_signals
     labels = [m.value for m in config.methods]
     if config.include_baseline:
         labels.append(BASELINE)
@@ -158,20 +176,32 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
         if total is not None:
             constant[meth] = np.full(data.M, total)
 
+    # Each worker thread draws and fits every dataset in one set of (N, M)
+    # buffers: Y, the residuals E and a scratch matrix.  A dataset's bundle.Y
+    # and stats.residuals alias them until that thread's next dataset, and
+    # nothing of either outlives one_dataset.
+    buffers = threading.local()
+
     def one_dataset(d: int):
-        bundle = simulate_dataset(truth, config.seed, d)
-        stats = compute_direction_stats(bundle, config.k_factors)
+        bufs = getattr(buffers, "bufs", None)
+        if bufs is None:
+            bufs = buffers.bufs = tuple(np.empty((data.N, data.M))
+                                        for _ in range(3))
+        bundle = simulate_dataset(truth, config.seed, d, out=bufs[0])
+        stats = compute_direction_stats(bundle, config.k_factors,
+                                        out=bufs[1:])
         rows = []
         for meth in config.methods:
             df_tot = constant.get(meth)
             if df_tot is None:
                 df_tot = df_totals(stats, meth, config.mandel_reps, config.seed)
             rows.append(_declared_rates(significant(
-                stats, config.coef_index, df_tot, config.alpha), mask))
+                stats, config.coef_index, df_tot, config.alpha), mask,
+                n_signals, n_nulls))
         if config.include_baseline:
             rows.append(_declared_rates(significant(
                 without_factors(stats), config.coef_index, np.zeros(bundle.M),
-                config.alpha), mask))
+                config.alpha), mask, n_signals, n_nulls))
         return rows
 
     all_rows = map_indexed(one_dataset, config.n_datasets, config.threads)

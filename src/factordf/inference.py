@@ -15,7 +15,7 @@ from scipy import special
 from . import dof as dof_mod
 from .distributions import t_sf
 from .dof import DofMethod
-from .linalg import top_factors
+from .linalg import CodedError, top_factors
 from .model import CoefficientEstimates, DatasetBundle, fit_two_sided
 
 
@@ -54,17 +54,27 @@ class DirectionStats:
     coefficients: CoefficientEstimates  # the two-sided fit behind all of it
 
 
-def compute_direction_stats(bundle: DatasetBundle, r_hat: int) -> DirectionStats:
-    """Fit once and assemble the statistics for all M response directions."""
+def compute_direction_stats(bundle: DatasetBundle, r_hat: int, *,
+                            out: tuple[np.ndarray, np.ndarray] | None = None
+                            ) -> DirectionStats:
+    """Fit once and assemble the statistics for all M response directions.
+
+    ``out`` is an optional pair of C-contiguous float (N, M) arrays
+    ``(E, work)``, as for ``fit_two_sided``: the residuals are then formed
+    in E (``residuals`` is E) and the factor-adjusted residuals in ``work``,
+    with the same bytes as without them.
+    """
     if bundle.X is None:
         raise ValueError("testing coefficient components requires X")
     n = bundle.N - bundle.p
     m = bundle.M - bundle.q
     if not 0 <= r_hat < min(n, m):
-        raise ValueError(f"r_hat must be in [0, {min(n, m)}), got {r_hat}")
+        raise CodedError("R_HAT_RANGE",
+                         f"r_hat must be in [0, {min(n, m)}), got {r_hat}")
 
-    coef, resid = fit_two_sided(bundle)
+    coef, resid = fit_two_sided(bundle, out=out)
     E = resid.E_hat
+    work = None if out is None else out[1]
     Bt = coef.B_hat.T                       # (p, M)
     P1 = bundle.P1
     if P1 is not None:
@@ -77,7 +87,8 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int) -> DirectionStats
     if r_hat > 0:
         left, sing = top_factors(E, r_hat)
         loadings = (E.T @ left) / sing
-        adjusted = E - (left * sing) @ loadings.T
+        adjusted = np.subtract(
+            E, np.matmul(left * sing, loadings.T, out=work), out=work)
         proj = loadings**2 / s_normsq[:, None]
     else:
         sing = np.zeros(0)
@@ -143,11 +154,13 @@ def _t_statistics(stats: DirectionStats, coef_index: int, df_tot: np.ndarray
     """(estimate, se, t, df_resid) arrays for all responses at once."""
     p_cov = stats.estimates.shape[0]
     if not 0 <= coef_index < p_cov:
-        raise ValueError(f"coef_index {coef_index} out of range [0, {p_cov})")
+        raise CodedError("COEF_INDEX_RANGE",
+                         f"coef_index {coef_index} out of range [0, {p_cov})")
     df_resid = stats.n - df_tot
     if np.any(df_resid <= 0):
         worst = float(df_tot.max())
-        raise ValueError(
+        raise CodedError(
+            "DF_EXHAUSTED",
             f"degrees of freedom exhausted: n = {stats.n}, max df(s) = {worst:.4f}")
     est = stats.estimates[coef_index]
     sigma_sq = stats.rss / df_resid

@@ -23,6 +23,16 @@ from . import distributions
 RANK_TOL = 1e-10
 
 
+class CodedError(ValueError):
+    """A fault with a stable error code, which the CLI prints as
+    ``error [CODE]: message``; ``str()`` gives ``CODE: message``."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+        self.message = message
+
+
 def _as_matrix(A, name: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -154,5 +164,6 @@ def _checked(lam: np.ndarray, vecs: np.ndarray,
     """(lam, vecs), or ValueError when the r-th eigenvalue vanishes next to
     the first (so eigenvalues that pass are positive)."""
     if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
-        raise ValueError(f"matrix rank is below the requested {r} factors")
+        raise CodedError("FACTOR_RANK",
+                         f"matrix rank is below the requested {r} factors")
     return lam, vecs

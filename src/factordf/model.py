@@ -91,28 +91,40 @@ class ResidualMatrix:
     E_hat: np.ndarray
 
 
-def fit_two_sided(bundle: DatasetBundle) -> tuple[CoefficientEstimates, ResidualMatrix]:
+def fit_two_sided(bundle: DatasetBundle, *,
+                  out: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[CoefficientEstimates, ResidualMatrix]:
     """Least squares fit of the two-sided regression part of the model.
 
     Returns the coefficient blocks under the stated identifiability
     convention and the residual matrix E_hat = (I - H_X) Y (I - H_Z).  With
     X = Q1 R and Z = P1 S, B_hat = Y' Q1 R^-1 and A_hat = Yx P1 S^-1, where
     Yx = (I - H_X) Y; the normal equations would square the conditioning.
+
+    ``out`` is an optional pair of C-contiguous float (N, M) arrays
+    ``(E, work)``: E_hat is then formed in E (and is E) and ``work`` holds
+    a product on the way, with the same bytes as without them.  Without
+    ``out`` every matrix is a new array, except that E_hat is Y itself when
+    the bundle has neither X nor Z.
     """
     Y, Q1, R, P1, S = bundle.Y, bundle.Q1, bundle.R, bundle.P1, bundle.S
+    E, work = (None, None) if out is None else out
 
     if Q1 is not None:
         QtY = Q1.T @ Y
         B_hat = np.linalg.solve(R, QtY).T
-        Yx = Y - Q1 @ QtY
+        Yx = np.subtract(Y, np.matmul(Q1, QtY, out=E), out=E)
     else:
         B_hat = np.zeros((bundle.M, 0))
         Yx = Y
+        if E is not None:
+            E[...] = Y
+            Yx = E
 
     if P1 is not None:
         YxP = Yx @ P1
         A_hat = np.linalg.solve(S, YxP.T).T
-        E_hat = Yx - YxP @ P1.T
+        E_hat = np.subtract(Yx, np.matmul(YxP, P1.T, out=work), out=E)
     else:
         A_hat = np.zeros((bundle.N, 0))
         E_hat = Yx

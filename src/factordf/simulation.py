@@ -68,6 +68,8 @@ class SimConfig:
     test_direction: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        # SignalShape("x") raises ValueError on an unknown shape
+        object.__setattr__(self, "shape", SignalShape(self.shape))
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
         if self.r < 0 or len(self.mu) != self.r:

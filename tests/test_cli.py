@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from factordf import distributions
-from factordf.cli import FORMATS, IngestError, _write_csv, ingest, main
+from factordf.cli import (EXIT_CLOSED_PIPE, FORMATS, IngestError, _write_csv,
+                          ingest, main)
 from factordf.datasets import synthetic_study
 
 
@@ -585,3 +586,116 @@ def test_cli_output_into_missing_directory(tmp_path, capsys):
 def test_cli_seed_required_for_stochastic(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--n", "10", "--m", "10"])
+
+
+# Six subjects, X = (intercept, age): n = 4 and m = 4 residual dimensions.
+SIX_X = [["id", "intercept", "age"], ["s1", "1", "2"], ["s2", "1", "5"],
+         ["s3", "1", "9"], ["s4", "1", "3"], ["s5", "1", "7"],
+         ["s6", "1", "4"]]
+SIX_Y = [["id", "g1", "g2", "g3", "g4"],
+         ["s1", "1.25", "-0.5", "0.75", "2.0"],
+         ["s2", "0.1", "0.2", "0.3", "0.4"],
+         ["s3", "-1.0", "1.0", "-1.0", "1.0"],
+         ["s4", "2.5", "0.5", "1.5", "-0.5"],
+         ["s5", "0.0", "-2.0", "1.0", "3.0"],
+         ["s6", "1.0", "1.5", "-0.25", "0.5"]]
+# every response the same: the residual matrix has rank 1
+SIX_Y_RANK1 = [SIX_Y[0]] + [[r[0]] + [r[1]] * 4 for r in SIX_Y[1:]]
+
+
+@pytest.mark.parametrize("y_rows, flags, line", [
+    (SIX_Y, ["--coef-index", "1", "--r-hat", "1"],
+     "error [DF_EXHAUSTED]: degrees of freedom exhausted: n = 4, "
+     "max df(s) = 6.0166"),
+    (SIX_Y, ["--coef-index", "1", "--r-hat", "100"],
+     "error [R_HAT_RANGE]: r_hat must be in [0, 4), got 100"),
+    (SIX_Y, ["--coef-index", "9", "--r-hat", "1", "--method", "naive"],
+     "error [COEF_INDEX_RANGE]: coef_index 9 out of range [0, 2)"),
+    (SIX_Y_RANK1, ["--coef-index", "1", "--r-hat", "2", "--method", "naive"],
+     "error [FACTOR_RANK]: matrix rank is below the requested 2 factors"),
+], ids=["DF_EXHAUSTED", "R_HAT_RANGE", "COEF_INDEX_RANGE", "FACTOR_RANK"])
+def test_cli_model_fault_codes(tmp_path, capsys, y_rows, flags, line):
+    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_csv(y, y_rows)
+    write_csv(x, SIX_X)
+    code, out, err = run_cli(["test", "--y", str(y), "--x", str(x), *flags],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
+
+
+def cli_process(args, **kwargs):
+    return subprocess.run([sys.executable, "-m", "factordf.cli", *args],
+                          stderr=subprocess.PIPE, **kwargs)
+
+
+SIMULATE_ARGS = ["simulate", "--n", "10", "--m", "20", "--replicates", "100",
+                 "--seed", "1", "--format", "csv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "test"])
+def test_cli_closed_stdout_pipe_exits_quietly(fixture_dir, command):
+    args = SIMULATE_ARGS if command == "simulate" else [
+        "test", "--y", str(fixture_dir / "y.csv"),
+        "--x", str(fixture_dir / "x.csv"), "--z", str(fixture_dir / "z.csv"),
+        "--coef-index", "2", "--r-hat", "2", "--format", "csv"]
+    read, write = os.pipe()
+    os.close(read)      # the reader is gone before the first byte is written
+    try:
+        proc = cli_process(args, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_CLOSED_PIPE == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("where", ["stdout", "--output"])
+def test_cli_full_device_is_io_error(where):
+    if where == "stdout":
+        with open("/dev/full", "w") as full:
+            proc = cli_process(SIMULATE_ARGS, stdout=full)
+        target = "standard output"
+    else:
+        proc = cli_process(SIMULATE_ARGS + ["--output", "/dev/full"],
+                           stdout=subprocess.DEVNULL)
+        target = "/dev/full"
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == (f"error [IO_ERROR]: cannot write {target}: "
+                                    "[Errno 28] No space left on device\n")
+
+
+def test_cli_read_only_stdout_is_io_error(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("")
+    with open(target) as read_only:     # writes to this descriptor fail
+        proc = cli_process(SIMULATE_ARGS, stdout=read_only)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == ("error [IO_ERROR]: cannot write standard "
+                                    "output: [Errno 9] Bad file descriptor\n")
+
+
+def test_cli_read_only_output_is_io_error(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("")
+    target.chmod(0o444)
+    if os.access(target, os.W_OK):
+        pytest.skip("file modes do not bind this user (root)")
+    proc = cli_process(SIMULATE_ARGS + ["--output", str(target)],
+                       stdout=subprocess.PIPE)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error [IO_ERROR]: cannot write {target}: [Errno 13] Permission "
+        f"denied: '{target}'\n")
+    assert target.read_text() == ""
+
+
+def test_cli_generate_write_fault_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "fixture"    # a directory inside a regular file
+    code, out, err = run_cli(["generate", "--out-dir", str(target), "--m",
+                              "20", "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error [IO_ERROR]: cannot write {target}: [Errno 20] "
+                   f"Not a directory: '{target}'\n")

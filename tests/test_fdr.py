@@ -183,9 +183,9 @@ def test_truth_fits_once(monkeypatch):
     calls = []
     real = inference.fit_two_sided
 
-    def counting(data):
+    def counting(data, **kwargs):
         calls.append(data)
-        return real(data)
+        return real(data, **kwargs)
 
     for mod in (inference, model):
         monkeypatch.setattr(mod, "fit_two_sided", counting)
@@ -203,3 +203,11 @@ def test_config_validation():
         BootstrapConfig(alpha=0.0)
     with pytest.raises(ValueError):
         BootstrapConfig(n_datasets=5)
+
+
+def test_config_methods_by_name():
+    cfg = BootstrapConfig(methods=("proposed", DofMethod.NAIVE))
+    assert cfg.methods == (DofMethod.PROPOSED, DofMethod.NAIVE)
+    assert all(isinstance(m, DofMethod) for m in cfg.methods)
+    with pytest.raises(ValueError, match="not a valid DofMethod"):
+        BootstrapConfig(methods=("bonferroni",))

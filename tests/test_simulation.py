@@ -336,3 +336,15 @@ def test_config_validation():
         SimConfig(n=10, m=10, r=2, mu=(1.0, 2.0), replicates=100, seed=0)
     with pytest.raises(ValueError):
         SimConfig(n=10, m=10, r=0, r_hat=11, replicates=100, seed=0)
+
+
+def test_config_shape_string_is_the_enum():
+    # a plain string once matched none of loading_matrix's `is` branches and
+    # gave a signal-free cell
+    kw = dict(n=100, m=50, r=1, mu=(21.0,), replicates=200, seed=1)
+    by_name = SimConfig(shape="basis", **kw)
+    assert by_name.shape is SignalShape.BASIS
+    assert by_name == SimConfig(shape=SignalShape.BASIS, **kw)
+    assert run_sim(by_name) == run_sim(SimConfig(shape=SignalShape.BASIS, **kw))
+    with pytest.raises(ValueError, match="not a valid SignalShape"):
+        SimConfig(shape="diagonal", **kw)
