@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import AGE_COEF_INDEX, synthetic_study
-from .dof import DofMethod
+from .dof import DofMethod, df_mandel
 from .factors import variance_explained
 from .fdr import (REPORT_COLUMNS, BootstrapConfig, evaluate, report_columns,
                   report_to_json)
@@ -285,9 +285,16 @@ def cmd_test(args, out) -> None:
     r_hat = 0 if args.method == "none" else args.r_hat
     method = DofMethod(args.method) if r_hat > 0 else None
     if method is DofMethod.MANDEL and args.seed is None:
-        raise ValueError("--method mandel requires --seed")
+        raise CodedError("SEED_REQUIRED", "--method mandel requires --seed")
     stats = compute_direction_stats(bundle, r_hat)
-    df_tot = df_totals(stats, method, args.mandel_reps, args.seed)
+    if method is DofMethod.MANDEL:
+        # Mandel's df is one Monte-Carlo number: report where it came from
+        mandel = df_mandel(stats.n, stats.m, r_hat, args.mandel_reps, args.seed)
+        df_tot = np.full(bundle.M, mandel.total)
+        print(f"mandel df: total={mandel.total:.10g} mc_se={mandel.mc_se:.10g} "
+              f"draws={args.mandel_reps} seed={args.seed}", file=sys.stderr)
+    else:
+        df_tot = df_totals(stats, method, args.mandel_reps, args.seed)
     est, se, t, df_resid, p = response_tests(stats, args.coef_index, df_tot)
     order = np.lexsort((np.array(bundle.col_ids), p))
     header = ["response", "estimate", "se", "t", "df_resid", "p", "method"]
@@ -466,10 +473,21 @@ def _drop_stdout() -> None:
     os.close(null)
 
 
+def _check_ranges(args) -> None:
+    """Reject flag values outside their ranges, before any work is done."""
+    if args.threads < 1:
+        raise CodedError("THREADS_RANGE",
+                         f"--threads must be >= 1, got {args.threads}")
+    if args.command == "test" and not 0 < args.alpha < 1:
+        raise CodedError("ALPHA_RANGE",
+                         f"alpha must lie in (0, 1), got {args.alpha:g}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = None
     try:
+        _check_ranges(args)
         out, close = _open_output(args)
         try:
             args.func(args, out)
@@ -486,6 +504,9 @@ def main(argv=None) -> int:
         return 1
     except CodedError as exc:
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
+        return 1
+    except np.linalg.LinAlgError as exc:
+        print(f"error [SOLVER_FAILED]: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,10 @@ chi-squared / Student-t helpers, and the one-sample Kolmogorov-Smirnov test.
 
 White Wishart matrices are drawn in reduced form, after Dumitriu & Edelman
 (2002): ``wishart_top_eigenvalues`` draws the top of the spectrum from the
-bidiagonal (Laguerre) model in O(dim) draws, and the simulations draw their
-Wishart part as the lower-banded factor that generalises it
+bidiagonal (Laguerre) model in O(dim) draws and solves every draw's
+tridiagonal at once, in numpy, by a Laguerre iteration whose every value a
+Sturm count certifies (``_tridiagonal_top``).  The simulations draw their
+Wishart part as the lower-banded factor that generalises that model
 (``simulation.draw``), whose band matrix ``linalg.top_band_eigenpairs``
 solves.
 
@@ -13,8 +15,8 @@ draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
 ``map_indexed`` is the thread fan-out those consumers share, and
 ``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits;
-``linalg``'s top-r solvers and ``wishart_top_eigenvalues`` find that
-library's eigensolvers through the same loader.
+``linalg``'s top-r solvers find that library's eigensolvers through the
+same loader.
 """
 
 import os
@@ -120,7 +122,6 @@ class OpenBlas(NamedTuple):
     get: Callable               # () -> BLAS thread count
     put: Callable               # (count) -> None
     dsyevr: Callable | None     # LAPACKE_dsyevr, where the build exports it
-    dstebz: Callable | None     # LAPACKE_dstebz, likewise
     dsbevx: Callable | None     # LAPACKE_dsbevx, likewise
 
 
@@ -151,13 +152,6 @@ def _openblas():
             evr.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
                             ctypes.c_char, i64, ptr, i64, f64, f64, i64, i64,
                             f64, ptr, ptr, ptr, i64, ptr]
-        ebz = getattr(lib, "scipy_LAPACKE_dstebz64_", None)
-        if ebz is not None:
-            # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w,
-            # iblock, isplit
-            ebz.restype = i64
-            ebz.argtypes = [ctypes.c_char, ctypes.c_char, i64, f64, f64, i64,
-                            i64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
         sbx = getattr(lib, "scipy_LAPACKE_dsbevx64_", None)
         if sbx is not None:
             # layout, jobz, range, uplo, n, kd, ab, ldab, q, ldq, vl, vu, il,
@@ -166,7 +160,7 @@ def _openblas():
             sbx.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
                             ctypes.c_char, i64, i64, ptr, i64, ptr, i64, f64,
                             f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
-        return OpenBlas(get, put, evr, ebz, sbx)
+        return OpenBlas(get, put, evr, sbx)
     return None
 
 
@@ -215,9 +209,10 @@ def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,
     W's spectrum has the law of that of T = B B' (Dumitriu & Edelman 2002,
     beta = 1), with B lower bidiagonal: sqrt(chi2_{dof - i}) on the diagonal
     and sqrt(chi2_{dim - 1 - i}) below it.  T is tridiagonal, so a draw costs
-    2 dim - 1 chi-squares and a tridiagonal eigensolve instead of dim^2
-    normals and a dense one.  The diagonal's chi-squares are drawn first,
-    then the subdiagonal's, each as one (reps, .) array.
+    2 dim - 1 chi-squares and a share of one vectorised tridiagonal solve
+    (``_tridiagonal_top``) instead of dim^2 normals and a dense eigensolve.
+    The diagonal's chi-squares are drawn first, then the subdiagonal's, each
+    as one (reps, .) array.
     """
     if not (0 <= r <= dim <= dof and reps >= 1):
         raise ValueError(f"need 0 <= r <= dim <= dof and reps >= 1, got "
@@ -225,48 +220,235 @@ def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,
     i = np.arange(dim)
     diag_sq = rng.chisquare(dof - i, size=(reps, dim))            # B_ii^2
     sub_sq = rng.chisquare(dim - 1 - i[:-1], size=(reps, dim - 1))  # B_i+1,i^2
-    d = diag_sq.copy()
+    # column-major, so that the solve's (n, reps) view of d is no copy; the
+    # chi-square arrays go before the solve starts
+    e = np.multiply(diag_sq[:, :-1], sub_sq, order="F")
+    np.sqrt(e, out=e)                       # T_i+1,i = B_ii B_i+1,i
+    d = np.asfortranarray(diag_sq)
+    del diag_sq
     d[:, 1:] += sub_sq                      # T_ii = B_ii^2 + B_i,i-1^2
-    e = np.sqrt(diag_sq[:, :-1] * sub_sq)   # T_i+1,i = B_ii B_i+1,i
+    del sub_sq
     return _tridiagonal_top(d, e, r)
 
 
+# LAPACK's relative machine precision and safe minimum (dlamch "P", "S"),
+# and the factor by which its bisection widens the Gershgorin interval.
+_ULP = np.finfo(np.float64).eps
+_SAFMIN = np.finfo(np.float64).tiny
+_FUDGE = 2.1
+# Laguerre iterations a draw may take before it goes to bisection.
+_MAX_LAGUERRE = 12
+# lambda_k's iteration starts this fraction of the Gershgorin norm above
+# lambda_{k-1}: deflating by the computed lambda_{k-1} perturbs H by about
+# its error over the cube of that distance, which must stay far below H.
+_RESTART = 1e-3
+# A step counts as the last when the cubic rate, |step| (|step| / |previous
+# step|)^3, puts the next one below this fraction of the tolerance.
+_PREDICTED = 1e-2
+
+
+# Zero pivots and the infinities they spread are expected and handled.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
     """Top r eigenvalues, descending, shape (reps, r), of the symmetric
     tridiagonal matrices with diagonals d (reps, n) and off-diagonals
     e (reps, n - 1).
 
-    Each is solved by LAPACKE ``dstebz`` (bisection, range ``I``, eigenvalues
-    n - r + 1 ... n only) in numpy's bundled OpenBLAS; without it, by a
-    stacked ``np.linalg.eigvalsh`` of the dense matrices.  Raises
-    ``LinAlgError`` when the solver fails.
+    All draws are solved together, each numpy call acting on every draw
+    still iterating.  For k = 1 ... r, lambda_k comes from a Laguerre
+    iteration on det(T - x I) (Li & Zeng 1994) deflated by the lambda_j,
+    j < k, already found: lambda_1 starts at the Gershgorin upper bound,
+    from which the iteration falls monotonically to it, and lambda_k just
+    above lambda_{k-1}, as soon as that has converged.  A draw whose
+    iterate leaves its bracket (the Gershgorin lower bound up to the
+    start), or which has not converged after ``_MAX_LAGUERRE`` steps, is
+    left to bisection.  A step that is not finite means x sits on a zero
+    pivot, mostly on an eigenvalue; x then stands for the certificate to
+    judge.
+
+    Every value is then certified by Sturm counts at lambda_k -+ tol, with
+    the tolerance of LAPACK's bisection, tol = max(ulp ||T||, pivmin,
+    2 ulp |lambda_k|): at least k eigenvalues must lie above lambda_k - tol
+    and at most k - 1 above lambda_k + tol.  Values that fail are found
+    again by pivmin-guarded Sturm bisection of the Gershgorin interval to
+    that tolerance, as LAPACK bisects.  Raises ``LinAlgError`` when
+    bisection cannot converge (a non-finite matrix).
     """
     reps, n = d.shape
+    top = np.full((reps, r), np.nan)
     if r == 0:
-        return np.zeros((reps, 0))
-    blas = _openblas()
-    if blas is None or blas.dstebz is None:
-        T = np.zeros((reps, n, n))
-        i = np.arange(n)
-        T[:, i, i] = d
-        T[:, i[1:], i[:-1]] = e     # eigvalsh reads the lower triangle
-        return np.linalg.eigvalsh(T)[:, ::-1][:, :r]
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    e = np.ascontiguousarray(e, dtype=np.float64)
-    # Draw k's r eigenvalues land, ascending, at w[k r:]; dstebz may use up
-    # to n slots of w, and the slots past its r are the next draw's.
-    w = np.empty(reps * r + n)
-    ints = np.empty(2 + 2 * n, dtype=np.int64)   # m, nsplit, iblock, isplit
-    dp, ep, wp, ip = d.ctypes.data, e.ctypes.data, w.ctypes.data, ints.ctypes.data
-    solve = blas.dstebz
-    for k in range(reps):
-        info = solve(b"I", b"E", n, 0.0, 0.0, n - r + 1, n, 0.0,
-                     dp + 8 * n * k, ep + 8 * (n - 1) * k, ip, ip + 8,
-                     wp + 8 * r * k, ip + 16, ip + 16 + 8 * n)
-        if info != 0 or ints[0] != r:
-            raise np.linalg.LinAlgError(
-                f"dstebz failed with info={info}, found {ints[0]} of {r}")
-    return w[:reps * r].reshape(reps, r)[:, ::-1]
+        return top
+    # (n, reps) layout, row i of every draw one contiguous array: a copy,
+    # or for a column-major d a view
+    D = np.ascontiguousarray(d.T, dtype=np.float64)
+    C = np.array(e.T, dtype=np.float64, order="C")
+    np.multiply(C, C, out=C)                      # squared off-diagonals
+    gl, gu = np.full(reps, np.inf), np.full(reps, -np.inf)
+    left = np.zeros(reps)                         # Gershgorin: d_i -+ radius
+    for i, Di in enumerate(D):
+        right = np.sqrt(C[i]) if i < n - 1 else np.zeros(reps)
+        rad = left + right
+        np.minimum(gl, Di - rad, out=gl)
+        np.maximum(gu, Di + rad, out=gu)
+        left = right
+    tnorm = np.maximum(np.abs(gl), np.abs(gu))
+    pivmin = _SAFMIN * np.maximum(1.0, C.max(axis=0, initial=0.0))
+    gl -= _FUDGE * (tnorm * _ULP * n + 2 * pivmin)
+    gu += _FUDGE * (tnorm * _ULP * n + pivmin)
+    atol = np.maximum(_ULP * tnorm, pivmin)
+
+    # Column c of the working arrays iterates for lambda_{k[c] + 1} of draw
+    # act[c], and goes on to the next eigenvalue as soon as one converges.
+    act, k = np.arange(reps), np.zeros(reps, dtype=np.int64)
+    x = gu.copy()
+    lo, hi, tol0 = gl, x, atol             # per column: bracket, tolerance
+    prev, steps = x - gl, np.zeros(reps, dtype=np.int64)
+    live, Da, Ca = np.ones(reps, dtype=bool), D, C
+    while True:
+        G, H = _laguerre_sums(Da, Ca, x)
+        if r > 1:                  # deflate by the lambda_j, j < k, found
+            w = x[:, None] - top[act, :r - 1]
+            np.divide(1.0, w, out=w)
+            w[np.arange(r - 1) >= k[:, None]] = 0.0
+            G -= w.sum(axis=1)
+            w *= w
+            H -= w.sum(axis=1)
+        # step = deg / (G + sign(G) sqrt((deg - 1) (deg H - G^2))), with
+        # deg = n - k the degree of det(T - x I) deflated
+        deg = n - k
+        H *= deg
+        H -= G * G
+        H *= deg - 1
+        np.maximum(H, 0.0, out=H)
+        np.sqrt(H, out=H)
+        np.copysign(H, G, out=H)
+        H += G
+        step = np.divide(deg, H, out=H)
+        step[~np.isfinite(step)] = 0.0          # x on a zero pivot
+        xn = x - step
+        tol = _tolerance(tol0, xn)
+        np.abs(step, out=step)
+        converged = (step <= tol) | (
+            step * (step / prev) ** 3 <= _PREDICTED * tol)
+        steps += 1
+        stray = ~((xn >= lo) & (xn <= hi)) | (
+            ~converged & (steps >= _MAX_LAGUERRE))
+        done = live & (stray | converged)
+        xn[stray] = np.nan
+        top[act[done], k[done]] = xn[done]
+        # a column that converged restarts just above the value it found
+        k += done
+        live &= k < r
+        if not live.any():
+            break
+        start = done & live
+        x = np.where(live, xn, x)
+        x[start] += _RESTART * tnorm[act[start]]
+        hi = np.where(start, x, hi)
+        prev = np.where(start, x - lo, np.where(live, step, prev))
+        steps[start] = 0
+        # Finished columns stand still until seven in eight have finished;
+        # the live ones then move to new arrays, padded to a power of two
+        # by repeats of the last (whose results are its own): small arrays
+        # in a few sizes that recur from call to call.  Packing at half,
+        # into arrays of hundreds of columns, left the heap grown by ~2 MB
+        # after about half of the bootstrap runs.
+        if 8 * np.count_nonzero(live) <= len(live):
+            keep = np.flatnonzero(live)
+            width = 1 << (len(keep) - 1).bit_length()
+            keep = keep[np.minimum(np.arange(width), len(keep) - 1)]
+            act, k, x, lo, hi, tol0, prev, steps, live = (
+                act[keep], k[keep], x[keep], lo[keep], hi[keep], tol0[keep],
+                prev[keep], steps[keep], live[keep])
+            Da, Ca = Da[:, keep], Ca[:, keep]
+
+    # one count over every (draw, k) at lambda_k + tol and lambda_k - tol
+    lam = top.T                                   # (r, reps)
+    tol = _tolerance(atol, lam)
+    above = _count_above(D, C, np.concatenate([lam + tol, lam - tol]), pivmin)
+    k = np.arange(1, r + 1)[:, None]
+    good = (above[:r] <= k - 1) & (above[r:] >= k)
+    if not good.all():
+        k, draw = np.nonzero(~good)
+        top[draw, k] = _bisect(D[:, draw], C[:, draw], pivmin[draw], k + 1,
+                               gl[draw], gu[draw], atol[draw])
+    return np.sort(top, axis=1)[:, ::-1]
+
+
+def _tolerance(atol, x):
+    """LAPACK's bisection width at x: max(atol, 2 ulp |x|)."""
+    return np.maximum(atol, 2 * _ULP * np.abs(x))
+
+
+def _laguerre_sums(D: np.ndarray, C: np.ndarray,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = sum 1/(x - lambda) and H = sum 1/(x - lambda)^2 over each
+    spectrum, for the tridiagonals of diagonal rows D (n, A) and squared
+    off-diagonal rows C (n - 1, A) at x (A,).
+
+    det(T - x I) is the product of the LDL' pivots q_i = d_i - x -
+    c_{i-1} / q_{i-1}, so G = sum a_i and H = -sum u_i, where a_i = q_i'/q_i
+    and u_i = q_i''/q_i - a_i^2 follow the pivots row by row.
+    """
+    q = D[0] - x
+    a = np.divide(-1.0, q)
+    a2 = a * a
+    G, H, u = a.copy(), a2.copy(), -a2       # u = b - a^2
+    t = np.empty_like(q)
+    for Di, Ci in zip(D[1:], C):
+        np.divide(Ci, q, out=t)              # t = c / q_{i-1}
+        np.subtract(Di, t, out=q)
+        q -= x
+        u -= a2                              # b_i = t (b - 2 a^2) / q_i
+        u *= t
+        u /= q
+        a *= t                               # a_i = (t a - 1) / q_i
+        a -= 1.0
+        a /= q
+        G += a
+        np.multiply(a, a, out=a2)
+        u -= a2
+        H -= u
+    return G, H
+
+
+def _count_above(D: np.ndarray, C: np.ndarray, x: np.ndarray,
+                 pivmin: np.ndarray) -> np.ndarray:
+    """Eigenvalues above each x (m, P) of the tridiagonals of diagonal rows
+    D (n, P) and squared off-diagonal rows C (n - 1, P): a Sturm count of
+    the LDL' pivots, each of magnitude under pivmin (P,) taken as -pivmin,
+    as LAPACK's dlaebz counts."""
+    q = np.empty(np.broadcast_shapes(x.shape, D.shape[1:]))
+    t, tiny = np.empty_like(q), np.empty_like(q, dtype=bool)
+    below = np.zeros(q.shape, dtype=np.int64)
+    for i, Di in enumerate(D):
+        if i:
+            np.divide(C[i - 1], q, out=t)
+            np.subtract(Di, t, out=q)
+            q -= x
+        else:
+            np.subtract(Di, x, out=q)
+        np.less(np.abs(q, out=t), pivmin, out=tiny)
+        np.copyto(q, -pivmin, where=tiny)       # rare: a cheap sparse copy
+        below += q <= 0
+    return len(D) - below
+
+
+def _bisect(D: np.ndarray, C: np.ndarray, pivmin: np.ndarray, k: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray, atol: np.ndarray) -> np.ndarray:
+    """The k-th largest eigenvalue (P,) of each tridiagonal of
+    ``_count_above``, bisected from [lo, hi] until the interval is narrower
+    than ``_tolerance``; its midpoint."""
+    for _ in range(256):
+        live = ~(hi - lo < _tolerance(atol, np.maximum(np.abs(lo), np.abs(hi))))
+        if not live.any():
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        up = _count_above(D, C, mid[None], pivmin)[0] >= k
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & ~up, mid, hi)
+    raise np.linalg.LinAlgError("Sturm bisection did not converge: "
+                                "the tridiagonal is not finite")
 
 
 def chi2_cdf(x, df: float):

@@ -13,6 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import DOMAIN_MANDEL, stream, wishart_top_eigenvalues
+from .linalg import CodedError
 
 
 class DofMethod(str, Enum):
@@ -159,15 +160,21 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     normal matrix).  The equivalent min(n, m)-dimensional Wishart has the
     same nonzero spectrum; its top r_hat eigenvalues are drawn from the
     Dumitriu-Edelman bidiagonal model (``wishart_top_eigenvalues``), so no
-    matrix is formed.  Results are deterministic for a fixed seed.
-    ``mc_se`` is the Monte-Carlo standard error of the total.
+    matrix is formed, and all draws' tridiagonals are solved together by a
+    deflated Laguerre iteration whose every value a Sturm count certifies
+    to LAPACK's bisection tolerance (bisection finds any it cannot).
+    Results are deterministic for a fixed seed.  ``mc_se`` is the
+    Monte-Carlo standard error of the total.  Fewer than 100 draws is a
+    ``MANDEL_REPS_RANGE`` and a missing seed a ``SEED_REQUIRED``
+    ``CodedError``.
     """
     if r_hat > min(n, m):
         raise ValueError("r_hat must not exceed min(n, m)")
     if mc_reps < 100:
-        raise ValueError("mc_reps must be >= 100")
+        raise CodedError("MANDEL_REPS_RANGE",
+                         f"mc_reps must be >= 100, got {mc_reps}")
     if seed is None:
-        raise ValueError("df_mandel requires an explicit seed")
+        raise CodedError("SEED_REQUIRED", "df_mandel requires an explicit seed")
     dim, dof = min(n, m), max(n, m)
     top = wishart_top_eigenvalues(stream(seed, DOMAIN_MANDEL), dim, dof,
                                   mc_reps, r_hat) / m

@@ -17,6 +17,7 @@ from .distributions import DOMAIN_FDR_DATASET, map_indexed, stream
 from .dof import DofMethod
 from .inference import (compute_direction_stats, constant_df_total, df_totals,
                         response_tests, significant, without_factors)
+from .linalg import CodedError
 from .model import DatasetBundle
 
 BASELINE = "none"   # the unadjusted (r_hat = 0) comparison row
@@ -42,7 +43,8 @@ class BootstrapConfig:
         object.__setattr__(self, "methods",
                            tuple(DofMethod(m) for m in self.methods))
         if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise CodedError("ALPHA_RANGE",
+                             f"alpha must lie in (0, 1), got {self.alpha:g}")
         if self.n_datasets < 10:
             raise ValueError("n_datasets must be >= 10")
         if self.k_factors < 1:

@@ -440,6 +440,21 @@ def wishart_factor(rng: np.random.Generator, dim: int, dof: int,
 
 
 
+# The dense solve of the tridiagonals that the spectrum sampler draws.
+
+def dense_tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
+    """Top r eigenvalues, descending, shape (reps, r), of the symmetric
+    tridiagonals with diagonals d (reps, n) and off-diagonals e (reps, n - 1),
+    by ``np.linalg.eigvalsh`` of the dense matrices."""
+    reps, n = d.shape
+    T = np.zeros((reps, n, n))
+    i = np.arange(n)
+    T[:, i, i] = d
+    T[:, i[1:], i[:-1]] = e
+    T[:, i[:-1], i[1:]] = e
+    return np.linalg.eigvalsh(T)[:, ::-1][:, :r]
+
+
 # Mandel's df as drawn before the spectrum sampler: dense Bartlett Wishart
 # matrices and a full eigvalsh per draw.
 

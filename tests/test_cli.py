@@ -13,6 +13,7 @@ from factordf import distributions
 from factordf.cli import (EXIT_CLOSED_PIPE, FORMATS, IngestError, _write_csv,
                           ingest, main)
 from factordf.datasets import synthetic_study
+from factordf.dof import df_mandel
 
 
 def write_csv(path, rows):
@@ -622,6 +623,90 @@ def test_cli_model_fault_codes(tmp_path, capsys, y_rows, flags, line):
                              capsys)
     assert code == 1 and out == ""
     assert err == line + "\n"
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--method", "mandel", "--mandel-reps", "5", "--seed", "1"],
+     "error [MANDEL_REPS_RANGE]: mc_reps must be >= 100, got 5"),
+    (["--method", "mandel"],
+     "error [SEED_REQUIRED]: --method mandel requires --seed"),
+    (["--alpha", "2"], "error [ALPHA_RANGE]: alpha must lie in (0, 1), got 2"),
+    (["--alpha", "0"], "error [ALPHA_RANGE]: alpha must lie in (0, 1), got 0"),
+    (["--threads", "0"], "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
+    (["--threads", "-3"],
+     "error [THREADS_RANGE]: --threads must be >= 1, got -3"),
+], ids=["MANDEL_REPS_RANGE", "SEED_REQUIRED", "ALPHA_RANGE-2", "ALPHA_RANGE-0",
+        "THREADS_RANGE-0", "THREADS_RANGE-neg"])
+def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
+    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_csv(y, SIX_Y)
+    write_csv(x, SIX_X)
+    code, out, err = run_cli(["test", "--y", str(y), "--x", str(x),
+                              "--coef-index", "1", "--r-hat", "1", *flags],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
+
+
+@pytest.mark.parametrize("command, line", [
+    (["bootstrap", "--alpha", "2"],
+     "error [ALPHA_RANGE]: alpha must lie in (0, 1), got 2"),
+    (["bootstrap", "--threads", "0"],
+     "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
+    (["simulate", "--threads", "0"],
+     "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
+], ids=["bootstrap-ALPHA_RANGE", "bootstrap-THREADS_RANGE",
+        "simulate-THREADS_RANGE"])
+def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
+                                             line):
+    name, *flags = command
+    if name == "bootstrap":
+        args = ["bootstrap", "--y", str(fixture_dir / "y.csv"),
+                "--x", str(fixture_dir / "x.csv"), "--coef-index", "2",
+                "--n-datasets", "10"]
+    else:
+        args = ["simulate", "--n", "10", "--m", "20", "--replicates", "100"]
+    code, out, err = run_cli([*args, "--seed", "1", *flags], capsys)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
+
+
+def test_cli_solver_failure_code(tmp_path, capsys, monkeypatch):
+    # a tridiagonal the Sturm bisection cannot solve reaches the CLI coded
+    solve = distributions._tridiagonal_top
+
+    def poisoned(d, e, r):
+        d = d.copy()
+        d[0, 0] = np.nan
+        return solve(d, e, r)
+
+    monkeypatch.setattr(distributions, "_tridiagonal_top", poisoned)
+    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_csv(y, SIX_Y)
+    write_csv(x, SIX_X)
+    code, out, err = run_cli(["test", "--y", str(y), "--x", str(x),
+                              "--coef-index", "1", "--r-hat", "1",
+                              "--method", "mandel", "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error [SOLVER_FAILED]: Sturm bisection did not converge: "
+                   "the tridiagonal is not finite\n")
+
+
+def test_cli_mandel_provenance_on_stderr(fixture_dir, capsys):
+    files = [str(fixture_dir / f"{k}.csv") for k in "yxz"]
+    args = ["test", "--y", files[0], "--x", files[1], "--z", files[2],
+            "--coef-index", "2", "--r-hat", "2", "--method", "mandel",
+            "--mandel-reps", "200", "--seed", "3", "--format", "csv"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    bundle = ingest(*files)
+    est = df_mandel(bundle.N - bundle.p, bundle.M - bundle.q, 2, 200, 3)
+    first, second = err.splitlines()
+    assert first == (f"mandel df: total={est.total:.10g} "
+                     f"mc_se={est.mc_se:.10g} draws=200 seed=3")
+    assert second.startswith("significant at alpha=0.001: ")
+    df_resid = {row.split(",")[4] for row in out.splitlines()[1:]}
+    assert df_resid == {f"{bundle.N - bundle.p - est.total:.10g}"}
 
 
 def cli_process(args, **kwargs):

@@ -12,8 +12,8 @@ from factordf.distributions import (SeededGenerator, chi2_cdf, kolmogorov_sf,
                                     ks_test, map_indexed, stream, t_sf,
                                     wishart_top_eigenvalues, worker_count)
 from factordf.dof import df_mandel
-from oracles import (chi2_quantile, sample_standard_normal, spawn, t_cdf,
-                     wishart_factor)
+from oracles import (chi2_quantile, dense_tridiagonal_top,
+                     sample_standard_normal, spawn, t_cdf, wishart_factor)
 
 
 def test_sampling_is_deterministic():
@@ -330,35 +330,13 @@ def test_df_mandel_bits_unchanged():
         assert est.mc_se == float(np.sqrt(top.sum(axis=1).var(ddof=1) / reps))
 
 
-def dense_tridiagonal(d, e):
-    n = d.shape[1]
-    T = np.zeros((len(d), n, n))
-    i = np.arange(n)
-    T[:, i, i] = d
-    T[:, i[1:], i[:-1]] = e
-    T[:, i[:-1], i[1:]] = e
-    return T
-
-
-def dense_top(d, e, r):
-    return np.linalg.eigvalsh(dense_tridiagonal(d, e))[:, ::-1][:, :r]
-
-
-def needs_dstebz():
-    handle = distributions._openblas()
-    if handle is None or handle.dstebz is None:
-        pytest.skip("no bundled OpenBLAS dstebz: the dense solve runs")
-    return handle
-
-
 @pytest.mark.parametrize("dim, dof, r", [
     (1, 1, 1), (2, 5, 1), (5, 5, 5), (8, 30, 3), (24, 24, 2), (36, 1998, 2),
     (36, 17862, 2), (40, 90, 40), (100, 150, 3)])
 def test_tridiagonal_top_matches_dense_eigvalsh(dim, dof, r):
-    needs_dstebz()
     d, e = mandel_spectrum_inline(dim + dof, dim, dof, 200)
     got = distributions._tridiagonal_top(d, e, r)
-    want = dense_top(d, e, r)
+    want = dense_tridiagonal_top(d, e, r)
     assert got.shape == (200, r)
     assert np.all(np.diff(got, axis=1) <= 0)      # descending
     # both solvers are accurate to a few ulps of the spectrum's scale
@@ -368,29 +346,56 @@ def test_tridiagonal_top_matches_dense_eigvalsh(dim, dof, r):
 
 def test_tridiagonal_top_generic_matrices():
     # off-diagonals of both signs and a spectrum around zero
-    needs_dstebz()
     rng = np.random.default_rng(8)
     d, e = rng.standard_normal((100, 30)), rng.standard_normal((100, 29))
     got = distributions._tridiagonal_top(d, e, 4)
-    want = dense_top(d, e, 4)
-    scale = np.abs(np.linalg.eigvalsh(dense_tridiagonal(d, e))).max(axis=1)
+    want = dense_tridiagonal_top(d, e, 4)
+    scale = np.abs(dense_tridiagonal_top(d, e, 30)).max(axis=1)
     assert np.max(np.abs(got - want) / scale[:, None]) <= 1e-12
 
 
 @pytest.mark.parametrize("handle", ["no library", "no dstebz"])
 def test_tridiagonal_top_fallback(monkeypatch, handle):
-    real = needs_dstebz()
+    # the spectrum solve is numpy alone: the same bytes without the library,
+    # or with a library that exports no LAPACK eigensolver
     d, e = mandel_spectrum_inline(4, 36, 500, 300)
     want = distributions._tridiagonal_top(d, e, 2)
     want_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
-    fake = None if handle == "no library" else real._replace(dstebz=None)
+    real = distributions._openblas()
+    fake = (None if handle == "no library" or real is None
+            else real._replace(dsyevr=None, dsbevx=None))
     monkeypatch.setattr(distributions, "_openblas", lambda: fake)
     got = distributions._tridiagonal_top(d, e, 2)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     got_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
-    np.testing.assert_allclose(got_df.per_factor, want_df.per_factor,
-                               rtol=1e-12, atol=0)
-    assert abs(got_df.mc_se / want_df.mc_se - 1) <= 1e-9
+    assert got.tobytes() == want.tobytes()
+    assert got_df.per_factor.tobytes() == want_df.per_factor.tobytes()
+    assert got_df.mc_se == want_df.mc_se
+
+
+def test_tridiagonal_top_bisects_tied_spectra(monkeypatch):
+    # equal blocks split by zero off-diagonals tie eigenvalues, where the
+    # Laguerre iteration converges too slowly and bisection finds them
+    bisected = []
+    bisect = distributions._bisect
+
+    def spy(*args):
+        bisected.append(len(args[3]))
+        return bisect(*args)
+
+    monkeypatch.setattr(distributions, "_bisect", spy)
+    d = np.array([[2.0] * 6, [3.0, 1.0, 3.0, 2.0, 3.0, 1.0]])
+    e = np.array([[1.0, 0.0, 1.0, 0.0, 1.0], [0.0] * 5])
+    got = distributions._tridiagonal_top(d, e, 6)
+    assert bisected
+    np.testing.assert_allclose(got, dense_tridiagonal_top(d, e, 6),
+                               rtol=0, atol=1e-12 * 3)
+
+
+def test_tridiagonal_top_rejects_non_finite_matrices():
+    d, e = mandel_spectrum_inline(3, 6, 40, 20)
+    d[7, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        distributions._tridiagonal_top(d, e, 2)
 
 
 def bartlett_top(seed, dim, dof, reps, r):

@@ -2,7 +2,9 @@
 
 The bootstrap draws and fits each dataset in caller-owned (N, M) buffers
 (``out=``); these properties hold the buffer path to the allocating one, bit
-for bit, at every covariate layout.
+for bit, at every covariate layout.  Mandel's spectrum solve is held to the
+dense eigensolver on tridiagonals of every order, scale and sign pattern,
+split and tied ones included.
 """
 
 import dataclasses
@@ -11,9 +13,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factordf import distributions
 from factordf.fdr import GenerativeTruth, simulate_dataset
 from factordf.inference import DirectionStats, compute_direction_stats
 from factordf.model import DatasetBundle, fit_two_sided
+from oracles import dense_tridiagonal_top
 
 
 def same_bits(a, b) -> bool:
@@ -84,3 +88,56 @@ def test_buffer_path_matches_allocating_path(layout):
         else:
             assert same_bits(a, b), f.name
     assert same_bits(fresh.Y, before)
+
+
+@st.composite
+def tridiagonals(draw):
+    n = draw(st.integers(1, 60))
+    r = draw(st.integers(0, n))
+    reps = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    if draw(st.booleans()):     # few distinct values: split blocks tie
+        d = rng.integers(-2, 3, (reps, n)).astype(float)
+        e = rng.integers(-1, 2, (reps, n - 1)).astype(float)
+    else:
+        d = rng.standard_normal((reps, n)) + draw(st.floats(-3, 3))
+        e = rng.standard_normal((reps, n - 1))
+    e[rng.random(e.shape) < draw(st.floats(0, 1))] = 0.0   # splits
+    return d * scale, e * scale, r
+
+
+def sturm_certified(d, e, top):
+    """Whether every top[:, k - 1] lies within the bisection tolerance of
+    the k-th largest eigenvalue, by Sturm counts at top -+ tol."""
+    D, C = d.T.copy(), np.square(e.T)
+    rad = np.zeros_like(D)
+    rad[:-1] += np.abs(e.T)
+    rad[1:] += np.abs(e.T)
+    tnorm = np.maximum(np.abs((D - rad).min(axis=0)),
+                       np.abs((D + rad).max(axis=0)))
+    tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
+    pivmin = tiny * np.maximum(1.0, C.max(axis=0, initial=0.0))
+    tol = np.maximum(np.maximum(ulp * tnorm, pivmin)[:, None],
+                     2 * ulp * np.abs(top))
+    k = np.arange(1, top.shape[1] + 1)[:, None]
+    above_hi = distributions._count_above(D, C, (top + tol).T, pivmin)
+    above_lo = distributions._count_above(D, C, (top - tol).T, pivmin)
+    return np.all(above_hi <= k - 1) and np.all(above_lo >= k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tridiagonals())
+def test_tridiagonal_top_matches_dense_solve(case):
+    d, e, r = case
+    got = distributions._tridiagonal_top(d, e, r)
+    assert got.shape == (len(d), r)
+    if r == 0:
+        return
+    want = dense_tridiagonal_top(d, e, d.shape[1])
+    # a few safe minima on top: bisection pins a zero spectrum to within
+    # the pivot guard, not to zero
+    bound = 1e-12 * np.abs(want).max(axis=1) + 10 * np.finfo(float).tiny
+    assert np.all(np.abs(got - want[:, :r]) <= bound[:, None])
+    assert np.all(np.diff(got, axis=1) <= 0)     # descending
+    assert sturm_certified(d, e, got)
