@@ -17,15 +17,15 @@ print(f"dataset: N={bundle.N} subjects x M={bundle.M} genes, "
       f"p={bundle.p} row covariates, q={bundle.q} column covariates")
 print(f"planted age-related genes: {truth.signal_mask.sum()}")
 
-coef, resid = fit_two_sided(bundle)
+coef, E_hat = fit_two_sided(bundle)
 print(f"\ncoefficient blocks: B_hat {coef.B_hat.shape}, A_hat {coef.A_hat.shape}")
-print(f"residual matrix norm: {np.linalg.norm(resid.E_hat):.2f}")
+print(f"residual matrix norm: {np.linalg.norm(E_hat):.2f}")
 print("double orthogonality (max |X'E|, max |E Z|):",
-      f"{np.max(np.abs(bundle.X.T @ resid.E_hat)):.2e},",
-      f"{np.max(np.abs(resid.E_hat @ bundle.Z)):.2e}")
+      f"{np.max(np.abs(bundle.X.T @ E_hat)):.2e},",
+      f"{np.max(np.abs(E_hat @ bundle.Z)):.2e}")
 
 k = min(bundle.N - bundle.p, bundle.M - bundle.q)
-scree = variance_explained(resid.E_hat, rows=k)
+scree = variance_explained(E_hat, rows=k)
 print("\nresidual variance explained (first 8 factors):")
 print("factor   var%   resid%")
 for i, v, r in scree.rows()[:8]:

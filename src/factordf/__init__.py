@@ -13,8 +13,7 @@ from .fdr import (BootstrapConfig, FdrReport, GenerativeTruth,
 from .inference import (DirectionStats, TestResult, compute_direction_stats,
                         test_all_responses)
 from .linalg import polar_factors
-from .model import (CoefficientEstimates, DatasetBundle, ResidualMatrix,
-                    fit_two_sided)
+from .model import CoefficientEstimates, DatasetBundle, fit_two_sided
 from .simulation import (GridCell, SignalShape, SimConfig, SimResult,
                          SpikeResult, noise_preset, run_grid, run_replicate,
                          run_sim, run_spike_sim)
@@ -22,7 +21,7 @@ from .simulation import (GridCell, SignalShape, SimConfig, SimResult,
 __all__ = [
     "AsymptoticPrediction", "BootstrapConfig", "CoefficientEstimates",
     "DatasetBundle", "DirectionStats", "DofEstimate", "DofMethod",
-    "FdrReport", "GenerativeTruth", "GridCell", "KsResult", "ResidualMatrix",
+    "FdrReport", "GenerativeTruth", "GridCell", "KsResult",
     "ScreeTable", "SeededGenerator", "SignalShape", "SimConfig", "SimResult",
     "SpikeResult", "TestResult", "asymptotic_predictions",
     "build_generative_truth", "chi2_cdf",

@@ -173,9 +173,21 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
 _CSV_QUOTED = ',"\n'
 
 
+def _fmt(x) -> str:
+    """One printed cell: None empty, a bool true or false, a float %.10g,
+    anything else str()."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.10g}"
+    return str(x)
+
+
 def _csv_fields(values) -> list[str]:
-    """str() of each value, quoted where csv.writer would quote it."""
-    strs = [str(v) for v in values]
+    """``_fmt`` of each value, quoted where csv.writer would quote it."""
+    strs = [_fmt(v) for v in values]
     if not any(c in "".join(strs) for c in _CSV_QUOTED):
         return strs
     return ['"' + s.replace('"', '""') + '"'
@@ -188,7 +200,7 @@ def _write_csv(out, header: list[str], columns: list,
     the bytes csv.writer would write.
 
     A float ndarray column prints as ``float_fmt`` and any other column's
-    values with ``str``; each row is formatted by one %-template.
+    values with ``_fmt``; each row is formatted by one %-template.
     """
     is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f"
                 for c in columns]
@@ -203,8 +215,8 @@ def _write_csv(out, header: list[str], columns: list,
 def _emit_rows(header: list[str], columns: list, fmt: str, out) -> None:
     """Write equal-length columns as an aligned table, CSV or JSON records.
 
-    Table and CSV print a float ndarray column as ``%.10g`` and any other
-    column's values with ``str``; JSON keeps the values' own types.
+    Table and CSV print each value with ``_fmt``; JSON keeps the values'
+    own types.
     """
     if fmt == "csv":
         _write_csv(out, header, columns)
@@ -214,13 +226,11 @@ def _emit_rows(header: list[str], columns: list, fmt: str, out) -> None:
         payload = [dict(zip(header, row)) for row in zip(*values)]
         out.write(json.dumps(payload, indent=2) + "\n")
         return
-    cells = [[f"{v:.10g}" for v in vals]
-             if isinstance(col, np.ndarray) and col.dtype.kind == "f"
-             else [str(v) for v in vals] for col, vals in zip(columns, values)]
     table = []
-    for h, col in zip(header, cells):
-        width = max(map(len, [h, *col]))
-        table.append([v.ljust(width) for v in [h, *col]])
+    for h, vals in zip(header, values):
+        col = [h, *map(_fmt, vals)]
+        width = max(map(len, col))
+        table.append([v.ljust(width) for v in col])
     out.writelines("  ".join(row).rstrip() + "\n" for row in zip(*table))
 
 
@@ -234,18 +244,11 @@ def _open_output(args):
     return sys.stdout, False
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FACTORDF_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _add_common(sp, stochastic: bool) -> None:
     sp.add_argument("--format", choices=FORMATS, default="table")
     sp.add_argument("--output", default=None, help="write data here instead of stdout")
-    sp.add_argument("--threads", type=int, default=_default_threads())
+    sp.add_argument("--threads", type=int, default=None,
+                    help="default: FACTORDF_THREADS, else 1")
     sp.add_argument("--seed", type=int, required=stochastic, default=None,
                     help="random seed" + (" (required)" if stochastic else ""))
 
@@ -271,9 +274,9 @@ def cmd_fit(args, out) -> None:
 
 def cmd_scree(args, out) -> None:
     bundle = ingest(args.y, args.x, args.z, args.add_intercepts)
-    _, resid = fit_two_sided(bundle)
+    _, E_hat = fit_two_sided(bundle)
     k = min(bundle.N - bundle.p, bundle.M - bundle.q)
-    table = variance_explained(resid.E_hat, rows=k)
+    table = variance_explained(E_hat, rows=k)
     header = ["factor", "variance_pct", "residual_pct"]
     columns = [range(1, len(table.variance_pct) + 1), table.variance_pct,
                table.residual_pct]
@@ -421,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--mu", type=float, nargs="*", default=[])
-    sp.add_argument("--shape", choices=[s.value for s in SignalShape],
+    # no custom shape: its loadings cannot be given on the command line
+    sp.add_argument("--shape", choices=[s.value for s in SignalShape
+                                        if s is not SignalShape.CUSTOM],
                     default="basis")
     sp.add_argument("--sigma-sq", type=float, default=1.0)
     sp.add_argument("--r-hat", type=int, default=1)
@@ -473,8 +478,23 @@ def _drop_stdout() -> None:
     os.close(null)
 
 
+def _env_threads() -> int:
+    """The thread count FACTORDF_THREADS sets: 1 when it is unset or empty."""
+    env = os.environ.get("FACTORDF_THREADS", "")
+    try:
+        threads = int(env) if env else 1
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise CodedError("THREADS_RANGE",
+                         f"FACTORDF_THREADS must be an integer >= 1, got {env!r}")
+    return threads
+
+
 def _check_ranges(args) -> None:
     """Reject flag values outside their ranges, before any work is done."""
+    if args.threads is None:
+        args.threads = _env_threads()
     if args.threads < 1:
         raise CodedError("THREADS_RANGE",
                          f"--threads must be >= 1, got {args.threads}")

@@ -15,8 +15,8 @@ draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
 ``map_indexed`` is the thread fan-out those consumers share, and
 ``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits;
-``linalg``'s top-r solvers find that library's eigensolvers through the
-same loader.
+``linalg.top_band_eigenpairs`` finds that library's band eigensolver through
+the same loader.
 """
 
 import os
@@ -121,8 +121,7 @@ class OpenBlas(NamedTuple):
 
     get: Callable               # () -> BLAS thread count
     put: Callable               # (count) -> None
-    dsyevr: Callable | None     # LAPACKE_dsyevr, where the build exports it
-    dsbevx: Callable | None     # LAPACKE_dsbevx, likewise
+    dsbevx: Callable | None     # LAPACKE_dsbevx, where the build exports it
 
 
 @lru_cache(maxsize=1)
@@ -144,14 +143,6 @@ def _openblas():
         get.restype, get.argtypes = ctypes.c_int, []
         put.restype, put.argtypes = None, [ctypes.c_int]
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        evr = getattr(lib, "scipy_LAPACKE_dsyevr64_", None)
-        if evr is not None:
-            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-            # m, w, z, ldz, isuppz
-            evr.restype = i64
-            evr.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                            ctypes.c_char, i64, ptr, i64, f64, f64, i64, i64,
-                            f64, ptr, ptr, ptr, i64, ptr]
         sbx = getattr(lib, "scipy_LAPACKE_dsbevx64_", None)
         if sbx is not None:
             # layout, jobz, range, uplo, n, kd, ab, ldab, q, ldq, vl, vu, il,
@@ -160,7 +151,7 @@ def _openblas():
             sbx.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
                             ctypes.c_char, i64, i64, ptr, i64, ptr, i64, f64,
                             f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
-        return OpenBlas(get, put, evr, sbx)
+        return OpenBlas(get, put, sbx)
     return None
 
 

@@ -32,16 +32,15 @@ class DofEstimate:
     per_factor: np.ndarray
     total: float
     method: DofMethod
-    direction_id: str | None = None
     conjectural: bool = False      # below-transition values are a conjecture
     mc_se: float | None = None     # Monte-Carlo SE of the total (Mandel only)
 
 
-def _estimate(per_factor, method, direction_id=None, conjectural=False,
+def _estimate(per_factor, method, conjectural=False,
               mc_se=None) -> DofEstimate:
     per_factor = np.asarray(per_factor, dtype=np.float64)
     return DofEstimate(per_factor, float(per_factor.sum()), method,
-                       direction_id, conjectural, mc_se)
+                       conjectural, mc_se)
 
 
 def noise_floor(n: int, m: int) -> float:
@@ -122,8 +121,7 @@ def df_signal_total(n: int, m: int, mu, sigma_sq: float, proj_sqs,
     return _estimate(per, DofMethod.THEORETICAL_SIGNAL, conjectural=conj)
 
 
-def df_conservative(n: int, m: int, vhat_proj_sqs,
-                    direction_id: str | None = None) -> DofEstimate:
+def df_conservative(n: int, m: int, vhat_proj_sqs) -> DofEstimate:
     """The proposed estimator: n (vhat_k's)^2 / s's + noise floor per factor.
 
     Depends only on observable quantities; asymptotically an upper bound for
@@ -135,8 +133,7 @@ def df_conservative(n: int, m: int, vhat_proj_sqs,
     if proj.sum() > 1 + 1e-9:
         raise ValueError("projections sum to more than 1")
     proj = np.clip(proj, 0.0, 1.0)
-    return _estimate(n * proj + noise_floor(n, m), DofMethod.PROPOSED,
-                     direction_id)
+    return _estimate(n * proj + noise_floor(n, m), DofMethod.PROPOSED)
 
 
 def df_gollob(n: int, m: int, r_hat: int) -> DofEstimate:

@@ -34,7 +34,6 @@ class BootstrapConfig:
     seed: int = 0
     coef_index: int = 2
     methods: tuple = DEFAULT_METHODS
-    include_baseline: bool = True
     mandel_reps: int = 1000
     threads: int = 1
 
@@ -46,9 +45,11 @@ class BootstrapConfig:
             raise CodedError("ALPHA_RANGE",
                              f"alpha must lie in (0, 1), got {self.alpha:g}")
         if self.n_datasets < 10:
-            raise ValueError("n_datasets must be >= 10")
+            raise CodedError("N_DATASETS_RANGE",
+                             f"n_datasets must be >= 10, got {self.n_datasets}")
         if self.k_factors < 1:
-            raise ValueError("k_factors must be >= 1")
+            raise CodedError("K_FACTORS_RANGE",
+                             f"k_factors must be >= 1, got {self.k_factors}")
 
 
 @dataclass(frozen=True)
@@ -136,13 +137,6 @@ class FdrReport:
     n_nulls: int
 
 
-def _dataset_rates(p_values: np.ndarray, alpha: float,
-                   mask: np.ndarray) -> tuple[float, float, float, int]:
-    n_signals = int(np.count_nonzero(mask))
-    return _declared_rates(p_values < alpha, mask, n_signals,
-                           len(mask) - n_signals)
-
-
 def _declared_rates(declared: np.ndarray, mask: np.ndarray, n_signals: int,
                     n_nulls: int) -> tuple[float, float, float, int]:
     """(fdr, fpr, tpr, discoveries) of one dataset's decisions against the
@@ -164,9 +158,7 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
     mask = truth.nonzero_mask
     n_signals = int(np.count_nonzero(mask))
     n_nulls = len(mask) - n_signals
-    labels = [m.value for m in config.methods]
-    if config.include_baseline:
-        labels.append(BASELINE)
+    labels = [m.value for m in config.methods] + [BASELINE]
 
     # Every dataset shares X, Z and the shape, so the df of the schemes that
     # give all responses one value is computed once here, not per dataset.
@@ -200,10 +192,9 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
             rows.append(_declared_rates(significant(
                 stats, config.coef_index, df_tot, config.alpha), mask,
                 n_signals, n_nulls))
-        if config.include_baseline:
-            rows.append(_declared_rates(significant(
-                without_factors(stats), config.coef_index, np.zeros(bundle.M),
-                config.alpha), mask, n_signals, n_nulls))
+        rows.append(_declared_rates(significant(
+            without_factors(stats), config.coef_index, np.zeros(bundle.M),
+            config.alpha), mask, n_signals, n_nulls))
         return rows
 
     all_rows = map_indexed(one_dataset, config.n_datasets, config.threads)
@@ -238,20 +229,15 @@ def _summarize(all_rows: list, labels: list, alpha: float,
     return FdrReport(rates, D, alpha, int(mask.sum()), int((~mask).sum()))
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.10g}"
-
-
 # Columns of a bootstrap report in CSV and table output, one row per method.
 REPORT_COLUMNS = ("method", "fdr_pct", "fdr_se", "fpr_pct", "fpr_se",
                   "tpr_pct", "tpr_se")
 
 
-def report_columns(report: FdrReport) -> list[list[str]]:
-    """One list per REPORT_COLUMNS entry: the methods' values as the CSV and
-    the table print them."""
+def report_columns(report: FdrReport) -> list[list]:
+    """One list per REPORT_COLUMNS entry: the methods' labels and values."""
     rates = report.rates.values()
-    return [list(report.rates)] + [[_fmt(getattr(r, k)) for r in rates]
+    return [list(report.rates)] + [[getattr(r, k) for r in rates]
                                    for k in REPORT_COLUMNS[1:]]
 
 

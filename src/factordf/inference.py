@@ -21,12 +21,14 @@ from .model import CoefficientEstimates, DatasetBundle, fit_two_sided
 
 @dataclass(frozen=True)
 class TestResult:
-    response_id: str
-    estimate: float
-    std_error: float
-    t_stat: float
-    df_resid: float
-    p_value: float
+    """Every response's test, one column per field (index j is response j)."""
+
+    response_ids: tuple
+    estimate: np.ndarray
+    std_error: np.ndarray
+    t_stat: np.ndarray
+    df_resid: np.ndarray
+    p_value: np.ndarray
     df_method: DofMethod | None
 
 
@@ -72,8 +74,7 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int, *,
         raise CodedError("R_HAT_RANGE",
                          f"r_hat must be in [0, {min(n, m)}), got {r_hat}")
 
-    coef, resid = fit_two_sided(bundle, out=out)
-    E = resid.E_hat
+    coef, E = fit_two_sided(bundle, out=out)
     work = None if out is None else out[1]
     Bt = coef.B_hat.T                       # (p, M)
     P1 = bundle.P1
@@ -202,16 +203,14 @@ def significant(stats: DirectionStats, coef_index: int, df_tot: np.ndarray,
 def test_all_responses(bundle: DatasetBundle, coef_index: int, r_hat: int,
                        method: DofMethod | None = DofMethod.PROPOSED, *,
                        mandel_reps: int = 1000,
-                       seed: int | None = None) -> list[TestResult]:
-    """Full testing pipeline for every response; one TestResult per column.
+                       seed: int | None = None) -> TestResult:
+    """Full testing pipeline for every response, as the columns of one
+    TestResult.
 
     With r_hat = 0 this reduces exactly to the classical multivariate
     regression t test on each projected response.
     """
     stats = compute_direction_stats(bundle, r_hat)
     df_tot = df_totals(stats, method, mandel_reps, seed)
-    est, se, t, df_resid, p = response_tests(stats, coef_index, df_tot)
     ids = bundle.col_ids if bundle.col_ids else tuple(str(j) for j in range(bundle.M))
-    return [TestResult(ids[j], float(est[j]), float(se[j]), float(t[j]),
-                       float(df_resid[j]), float(p[j]), method)
-            for j in range(bundle.M)]
+    return TestResult(ids, *response_tests(stats, coef_index, df_tot), method)

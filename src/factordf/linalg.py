@@ -6,13 +6,12 @@ the one factor kernel: the model's residual factors go through it and its
 Gram-matrix half ``top_eigenpairs``.  Monte-Carlo replicates solve a band
 matrix instead, with ``top_band_eigenpairs``.
 
-Both compute only the top r eigenpairs, in the OpenBLAS numpy bundles, the
-library ``distributions.one_blas_thread`` pins, so a pinned simulation's
-solve runs on one thread too: ``top_eigenpairs`` by a LAPACK ``dsyevr``
-subset solve (MRRR; Dhillon, Parlett & Voemel 2006), ``top_band_eigenpairs``
-by ``dsbevx`` (reduction to tridiagonal form, bisection and inverse
-iteration).  Where that library or its LAPACKE entry point is missing, the
-full ``np.linalg.eigh`` of the dense matrix runs instead.
+``top_eigenpairs`` takes the top r eigenpairs of a full ``np.linalg.eigh``;
+``top_band_eigenpairs`` computes only those, by LAPACKE ``dsbevx`` in the
+OpenBLAS numpy bundles (reduction to tridiagonal form, bisection and inverse
+iteration), the library ``distributions.one_blas_thread`` pins, so a pinned
+simulation's solve runs on one thread too.  Without that library or its
+entry point, the band matrix is expanded and solved by ``top_eigenpairs``.
 """
 
 import numpy as np
@@ -79,39 +78,16 @@ def top_eigenpairs(G: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenvalues (descending, clipped at 0) and eigenvectors of a
     symmetric Gram matrix G, read from its lower triangle; G is not modified.
 
-    Only eigenpairs n - r + 1 ... n are computed, by LAPACKE ``dsyevr`` in
-    numpy's bundled OpenBLAS; without it, by a full ``np.linalg.eigh``.
-    Raises ``LinAlgError`` when the solver fails, and ``ValueError`` when the
-    r-th eigenvalue vanishes next to the first.
+    Computed by a full ``np.linalg.eigh``.  Raises ``LinAlgError`` when the
+    solver fails, and ``ValueError`` when the r-th eigenvalue vanishes next
+    to the first.
     """
     n = len(G)
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}, got {r}")
-    blas = distributions._openblas()
-    if blas is None or blas.dsyevr is None:
-        w, Q = np.linalg.eigh(G)
-        lam, vecs = w[::-1][:r], Q[:, ::-1][:, :r]
-    else:
-        # One buffer: a copy of G for LAPACK to overwrite, then the n
-        # eigenvalue slots, the n x r vectors and the int64 outputs m and
-        # isuppz (2r); int64 and float64 share a size.
-        nn = n * n
-        buf = np.empty(nn + n + n * r + 1 + 2 * r)
-        buf[:nn] = G.ravel()
-        a = buf.ctypes.data
-        m = a + 8 * (nn + n + n * r)
-        info = blas.dsyevr(101, b"V", b"I", b"L", n, a, n, 0.0, 0.0,
-                           n - r + 1, n, 0.0, m, a + 8 * nn, a + 8 * (nn + n),
-                           r, m + 8)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
-        found = int(buf[nn + n + n * r:].view(np.int64)[0])
-        if found != r:
-            raise np.linalg.LinAlgError(f"dsyevr found {found} of {r} eigenpairs")
-        lam = buf[nn:nn + r][::-1]
-        vecs = buf[nn + n:nn + n + n * r].reshape(n, r)[:, ::-1]
-    lam = np.maximum(lam, 0.0)
-    return _checked(lam, vecs, r)
+    w, Q = np.linalg.eigh(G)
+    lam = np.maximum(w[::-1][:r], 0.0)
+    return _checked(lam, Q[:, ::-1][:, :r], r)
 
 
 def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +97,8 @@ def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
     modified.
 
     Only eigenpairs n - r + 1 ... n are computed, by LAPACKE ``dsbevx`` in
-    numpy's bundled OpenBLAS; without it, by a full ``np.linalg.eigh`` of
-    the dense M.  Raises as ``top_eigenpairs`` does.
+    numpy's bundled OpenBLAS; without it, by ``top_eigenpairs`` of the
+    dense M.  Raises as ``top_eigenpairs`` does.
     """
     kd1, n = ab.shape
     if not 1 <= r <= n:
@@ -135,8 +111,7 @@ def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
         j = np.arange(n)
         for t in range(kd1):
             M[j[t:], j[:n - t]] = ab[t, :n - t]
-        w, Q = np.linalg.eigh(M)   # reads the lower triangle
-        return _checked(w[::-1][:r], Q[:, ::-1][:, :r], r)
+        return top_eigenpairs(M, r)    # eigh reads the lower triangle
     # One buffer, column-major like LAPACK: a copy of ab for it to overwrite,
     # the n x n reduction matrix q, the n eigenvalue slots, the r vectors
     # (row i of an (r, n) view is vector i) and the int64 outputs m and

@@ -84,16 +84,9 @@ class CoefficientEstimates:
     B_hat: np.ndarray       # (M, p), full normal-equation solution Y' X (X'X)^-1
 
 
-@dataclass(frozen=True)
-class ResidualMatrix:
-    """Doubly projected residuals (I - H_X) Y (I - H_Z)."""
-
-    E_hat: np.ndarray
-
-
 def fit_two_sided(bundle: DatasetBundle, *,
                   out: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[CoefficientEstimates, ResidualMatrix]:
+                  ) -> tuple[CoefficientEstimates, np.ndarray]:
     """Least squares fit of the two-sided regression part of the model.
 
     Returns the coefficient blocks under the stated identifiability
@@ -129,4 +122,4 @@ def fit_two_sided(bundle: DatasetBundle, *,
         A_hat = np.zeros((bundle.N, 0))
         E_hat = Yx
 
-    return CoefficientEstimates(A_hat, B_hat), ResidualMatrix(E_hat)
+    return CoefficientEstimates(A_hat, B_hat), E_hat

@@ -42,7 +42,7 @@ import numpy as np
 from .distributions import (DOMAIN_SIM, KsResult, chi2_cdf, ks_test,
                             one_blas_thread, stream)
 from .dof import df_noise, df_signal_total, is_above_transition
-from .linalg import RANK_TOL, top_band_eigenpairs
+from .linalg import RANK_TOL, CodedError, top_band_eigenpairs
 
 
 class SignalShape(str, Enum):
@@ -71,7 +71,8 @@ class SimConfig:
         # SignalShape("x") raises ValueError on an unknown shape
         object.__setattr__(self, "shape", SignalShape(self.shape))
         if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
+            raise CodedError("SIZE_RANGE", f"n and m must be >= 1, got "
+                                           f"n={self.n}, m={self.m}")
         if self.r < 0 or len(self.mu) != self.r:
             raise ValueError("mu must have length r")
         if self.r > 1 and any(np.diff(self.mu) >= 0):
@@ -81,9 +82,11 @@ class SimConfig:
         if self.sigma_sq <= 0:
             raise ValueError("sigma_sq must be positive")
         if not 0 <= self.r_hat <= min(self.n, self.m):
-            raise ValueError("r_hat out of range")
+            raise CodedError("R_HAT_RANGE", f"r_hat must be in [0, "
+                             f"{min(self.n, self.m)}], got {self.r_hat}")
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise CodedError("REPLICATES_RANGE",
+                             f"replicates must be >= 1, got {self.replicates}")
         if self.shape is SignalShape.CUSTOM and self.r > 0 \
                 and self.custom_loadings is None:
             raise ValueError("custom shape requires custom_loadings")
@@ -306,7 +309,8 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     times the speed of one at orders min(n, m) = 30-150.
     """
     if config.replicates < 100:
-        raise ValueError("replicates must be >= 100")
+        raise CodedError("REPLICATES_RANGE",
+                         f"replicates must be >= 100, got {config.replicates}")
     with one_blas_thread():
         plan = sampling_plan(config)
         pairs = [run_replicate(config, i, plan)
@@ -397,21 +401,10 @@ def cell_record(cell: GridCell) -> dict:
     }
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, str):
-        return x
-    return f"{x:.10g}"
-
-
-def cell_columns(cells: list[GridCell]) -> list[list[str]]:
-    """One list per CSV_COLUMNS entry: the cells' values as the CSV and the
-    table print them."""
+def cell_columns(cells: list[GridCell]) -> list[list]:
+    """One list per CSV_COLUMNS entry: the cells' values."""
     records = [cell_record(c) for c in cells]
-    return [[_fmt(rec[k]) for rec in records] for k in CSV_COLUMNS]
+    return [[rec[k] for rec in records] for k in CSV_COLUMNS]
 
 
 def grid_to_json(cells: list[GridCell]) -> str:

@@ -168,9 +168,9 @@ def test_criterion_5_exact_identities():
         j = seed % M
         r_hat = 1 + seed % 2
         s = direction_for(bundle, j)
-        _, resid = fit_two_sided(bundle)
-        est = extract_factors(resid.E_hat, r_hat)
-        full = rss(adjusted_residuals(resid.E_hat, est), s)
+        _, E_hat = fit_two_sided(bundle)
+        est = extract_factors(E_hat, r_hat)
+        full = rss(adjusted_residuals(E_hat, est), s)
         reduced, s2 = reduce_to_covariate_free(bundle, s)
         est2 = extract_factors(reduced.Y22, r_hat)
         red = rss(adjusted_residuals(reduced.Y22, est2), s2)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from factordf import distributions
+from factordf import cli, distributions
 from factordf.cli import (EXIT_CLOSED_PIPE, FORMATS, IngestError, _write_csv,
                           ingest, main)
 from factordf.datasets import synthetic_study
@@ -359,7 +359,7 @@ def test_cmd_test_null_level_calibration(tmp_path, capsys):
     from factordf.inference import test_all_responses
     res = test_all_responses(bundle, 2, r_hat=0, method=None)
     alpha = 0.05
-    hits = sum(r.p_value < alpha for r in res)
+    hits = int(np.sum(res.p_value < alpha))
     expected = alpha * bundle.M
     assert abs(hits - expected) <= 3 * np.sqrt(expected)
 
@@ -669,6 +669,69 @@ def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
     code, out, err = run_cli([*args, "--seed", "1", *flags], capsys)
     assert code == 1 and out == ""
     assert err == line + "\n"
+
+
+@pytest.mark.parametrize("command, line", [
+    (["simulate", "--n", "0", "--m", "20"],
+     "error [SIZE_RANGE]: n and m must be >= 1, got n=0, m=20"),
+    (["simulate", "--n", "10", "--m", "20", "--replicates", "5"],
+     "error [REPLICATES_RANGE]: replicates must be >= 100, got 5"),
+    (["simulate", "--n", "10", "--m", "20", "--r-hat", "11"],
+     "error [R_HAT_RANGE]: r_hat must be in [0, 10], got 11"),
+    (["bootstrap", "--n-datasets", "3"],
+     "error [N_DATASETS_RANGE]: n_datasets must be >= 10, got 3"),
+    (["bootstrap", "--k-factors", "0"],
+     "error [K_FACTORS_RANGE]: k_factors must be >= 1, got 0"),
+], ids=["SIZE_RANGE", "REPLICATES_RANGE", "R_HAT_RANGE", "N_DATASETS_RANGE",
+        "K_FACTORS_RANGE"])
+def test_cli_size_argument_fault_codes(fixture_dir, capsys, command, line):
+    name, *flags = command
+    if name == "bootstrap":
+        flags = ["--y", str(fixture_dir / "y.csv"),
+                 "--x", str(fixture_dir / "x.csv"), "--coef-index", "2",
+                 *flags]
+    code, out, err = run_cli([name, *flags, "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_cli_threads_variable_out_of_range(capsys, monkeypatch, value):
+    monkeypatch.setenv("FACTORDF_THREADS", value)
+    code, out, err = run_cli(SIMULATE_ARGS, capsys)
+    assert code == 1 and out == ""
+    assert err == ("error [THREADS_RANGE]: FACTORDF_THREADS must be an "
+                   f"integer >= 1, got {value!r}\n")
+
+
+def test_cli_threads_variable_default_and_override(capsys, monkeypatch):
+    # unset or empty means one thread; --threads overrides the variable
+    seen = []
+    real = cli.run_sim
+
+    def spy(cfg, threads):
+        seen.append(threads)
+        return real(cfg, threads=threads)
+
+    monkeypatch.setattr(cli, "run_sim", spy)
+    for value, flags in ((None, []), ("", []), ("3", []),
+                         ("abc", ["--threads", "2"])):
+        if value is None:
+            monkeypatch.delenv("FACTORDF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FACTORDF_THREADS", value)
+        code, _, err = run_cli([*SIMULATE_ARGS, *flags], capsys)
+        assert code == 0 and err == ""
+    assert seen == [1, 1, 3, 2]
+
+
+def test_cli_simulate_has_no_custom_shape(capsys):
+    # custom loadings cannot be given on the command line
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "10", "--m", "20", "--mu", "3",
+              "--shape", "custom", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
 
 
 def test_cli_solver_failure_code(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from factordf import dof as dof_mod
 from factordf import inference, model
 from factordf.datasets import AGE_COEF_INDEX, synthetic_study
 from factordf.dof import DofMethod
-from factordf.fdr import (BASELINE, BootstrapConfig, _dataset_rates, _summarize,
+from factordf.fdr import (BASELINE, BootstrapConfig, _declared_rates, _summarize,
                           build_generative_truth, evaluate, report_to_json,
                           simulate_dataset)
 from factordf.inference import (compute_direction_stats, df_totals,
@@ -129,6 +129,8 @@ def reference_report(cfg, bundle):
                                    cfg.coef_index, mandel_reps=cfg.mandel_reps,
                                    seed=cfg.seed)
     mask = truth.nonzero_mask
+    n_signals = int(np.count_nonzero(mask))
+    n_nulls = len(mask) - n_signals
     all_rows = []
     for d in range(cfg.n_datasets):
         data = simulate_dataset(truth, cfg.seed, d)
@@ -137,10 +139,11 @@ def reference_report(cfg, bundle):
         for meth in cfg.methods:
             df_tot = df_totals(stats, meth, cfg.mandel_reps, cfg.seed)
             p = response_tests(stats, cfg.coef_index, df_tot)[4]
-            rows.append(_dataset_rates(p, cfg.alpha, mask))
+            rows.append(_declared_rates(p < cfg.alpha, mask, n_signals,
+                                        n_nulls))
         stats0 = compute_direction_stats(data, 0)
         p0 = response_tests(stats0, cfg.coef_index, np.zeros(data.M))[4]
-        rows.append(_dataset_rates(p0, cfg.alpha, mask))
+        rows.append(_declared_rates(p0 < cfg.alpha, mask, n_signals, n_nulls))
         all_rows.append(rows)
     labels = [m.value for m in cfg.methods] + [BASELINE]
     return _summarize(all_rows, labels, cfg.alpha, mask)

@@ -75,13 +75,14 @@ def test_r_hat_zero_matches_classical_regression():
     Y = rng.standard_normal((N, M))
     bundle = DatasetBundle(Y, X=X)
     results = run_all_tests(bundle, coef_index=2, r_hat=0, method=None)
+    assert results.response_ids == tuple(str(j) for j in range(M))
+    assert results.df_method is None
     for j in range(M):
-        got = results[j]
         est, se, t, df = classical_column_test(X, Y[:, j], 2)
-        assert got.estimate == pytest.approx(est, abs=1e-9)
-        assert got.std_error == pytest.approx(se, abs=1e-9)
-        assert got.t_stat == pytest.approx(t, abs=1e-9)
-        assert got.df_resid == pytest.approx(df)
+        assert results.estimate[j] == pytest.approx(est, abs=1e-9)
+        assert results.std_error[j] == pytest.approx(se, abs=1e-9)
+        assert results.t_stat[j] == pytest.approx(t, abs=1e-9)
+        assert results.df_resid[j] == pytest.approx(df)
 
 
 def test_no_factor_df_is_n_minus_p():
@@ -89,8 +90,8 @@ def test_no_factor_df_is_n_minus_p():
     rng = np.random.default_rng(3)
     X = np.column_stack([np.ones(39), rng.standard_normal((39, 2))])
     bundle = DatasetBundle(rng.standard_normal((39, 8)), X=X)
-    res = run_all_tests(bundle, coef_index=1, r_hat=0, method=None)[0]
-    assert res.df_resid == pytest.approx(36.0)
+    res = run_all_tests(bundle, coef_index=1, r_hat=0, method=None)
+    assert res.df_resid[0] == pytest.approx(36.0)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def test_planted_signals_gain_power(contaminated):
                              method=DofMethod.PROPOSED)
     raw = run_all_tests(bundle, AGE_COEF_INDEX, r_hat=0, method=None)
     planted = np.nonzero(truth.signal_mask)[0]
-    bigger = sum(abs(adj[j].t_stat) > abs(raw[j].t_stat) for j in planted)
+    bigger = np.sum(np.abs(adj.t_stat[planted]) > np.abs(raw.t_stat[planted]))
     assert bigger / len(planted) >= 0.70
 
 
@@ -115,21 +116,21 @@ def test_naive_df_resid_dominates_proposed(contaminated):
                                method=DofMethod.NAIVE)
     prop = run_all_tests(bundle, AGE_COEF_INDEX, r_hat=2,
                               method=DofMethod.PROPOSED)
-    for a, b in zip(naive, prop):
-        assert a.df_resid >= b.df_resid - 1e-12
+    assert len(naive.df_resid) == len(prop.df_resid) == bundle.M
+    assert np.all(naive.df_resid >= prop.df_resid - 1e-12)
 
 
 def test_response_scale_equivariance(contaminated):
     bundle, _ = contaminated
     scaled = DatasetBundle(3.0 * bundle.Y, bundle.X, bundle.Z,
                            row_ids=bundle.row_ids, col_ids=bundle.col_ids)
-    a = run_all_tests(bundle, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)[5]
-    b = run_all_tests(scaled, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)[5]
-    assert b.estimate == pytest.approx(3.0 * a.estimate, rel=1e-10)
-    assert b.std_error == pytest.approx(3.0 * a.std_error, rel=1e-10)
-    assert b.t_stat == pytest.approx(a.t_stat, rel=1e-10)
-    assert b.df_resid == pytest.approx(a.df_resid, rel=1e-10)
-    assert b.p_value == pytest.approx(a.p_value, rel=1e-8, abs=1e-12)
+    a = run_all_tests(bundle, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)
+    b = run_all_tests(scaled, AGE_COEF_INDEX, 2, DofMethod.PROPOSED)
+    assert b.estimate[5] == pytest.approx(3.0 * a.estimate[5], rel=1e-10)
+    assert b.std_error[5] == pytest.approx(3.0 * a.std_error[5], rel=1e-10)
+    assert b.t_stat[5] == pytest.approx(a.t_stat[5], rel=1e-10)
+    assert b.df_resid[5] == pytest.approx(a.df_resid[5], rel=1e-10)
+    assert b.p_value[5] == pytest.approx(a.p_value[5], rel=1e-8, abs=1e-12)
 
 
 def test_direction_scale_invariance_in_formulas():

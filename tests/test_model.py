@@ -35,8 +35,8 @@ def test_bundle_validation():
 def test_fit_without_covariates():
     rng = np.random.default_rng(0)
     Y = rng.standard_normal((5, 7))
-    coef, resid = fit_two_sided(DatasetBundle(Y))
-    np.testing.assert_array_equal(resid.E_hat, Y)
+    coef, E_hat = fit_two_sided(DatasetBundle(Y))
+    np.testing.assert_array_equal(E_hat, Y)
     assert coef.B_hat.shape == (7, 0)
     assert coef.A_hat.shape == (5, 0)
 
@@ -46,8 +46,8 @@ def test_fit_noiseless_regression():
     X = np.column_stack([np.ones(6), rng.standard_normal(6)])
     B = rng.standard_normal((9, 2))
     bundle = DatasetBundle(X @ B.T, X=X)
-    coef, resid = fit_two_sided(bundle)
-    assert np.max(np.abs(resid.E_hat)) <= 1e-9
+    coef, E_hat = fit_two_sided(bundle)
+    assert np.max(np.abs(E_hat)) <= 1e-9
     np.testing.assert_allclose(coef.B_hat, B, atol=1e-9)
 
 
@@ -67,15 +67,15 @@ def test_fit_matches_columnwise_normal_equations():
 
 def test_fit_identifiability_convention():
     bundle = make_bundle(seed=9, N=10, M=14, p=2, q=1)
-    coef, resid = fit_two_sided(bundle)
+    coef, E_hat = fit_two_sided(bundle)
     H_X = hat_matrix(bundle.X)
     H_Z = hat_matrix(bundle.Z)
     np.testing.assert_allclose(H_X @ coef.A_hat, 0, atol=1e-9)
     target = H_Z @ bundle.Y.T @ bundle.X @ np.linalg.inv(bundle.X.T @ bundle.X)
     np.testing.assert_allclose(H_Z @ coef.B_hat, target, atol=1e-9)
     # double orthogonality of the residuals
-    assert np.max(np.abs(bundle.X.T @ resid.E_hat)) <= 1e-8
-    assert np.max(np.abs(resid.E_hat @ bundle.Z)) <= 1e-8
+    assert np.max(np.abs(bundle.X.T @ E_hat)) <= 1e-8
+    assert np.max(np.abs(E_hat @ bundle.Z)) <= 1e-8
 
 
 def test_fit_invariant_to_covariate_recombination():
@@ -83,9 +83,9 @@ def test_fit_invariant_to_covariate_recombination():
     rng = np.random.default_rng(99)
     G = rng.standard_normal((2, 2)) + 2 * np.eye(2)
     other = DatasetBundle(bundle.Y, bundle.X @ G, bundle.Z * 3.0)
-    _, r1 = fit_two_sided(bundle)
-    _, r2 = fit_two_sided(other)
-    np.testing.assert_allclose(r1.E_hat, r2.E_hat, atol=1e-8)
+    _, E1 = fit_two_sided(bundle)
+    _, E2 = fit_two_sided(other)
+    np.testing.assert_allclose(E1, E2, atol=1e-8)
     c1, _ = fit_two_sided(bundle)
     c2, _ = fit_two_sided(other)
     s = direction_for(bundle, 0).s
@@ -147,10 +147,10 @@ def test_reduce_rejects_nonorthogonal_direction():
 
 
 def full_pipeline_rss(bundle, j, r_hat):
-    _, resid = fit_two_sided(bundle)
+    _, E_hat = fit_two_sided(bundle)
     s = direction_for(bundle, j)
-    est = extract_factors(resid.E_hat, r_hat)
-    return rss(adjusted_residuals(resid.E_hat, est), s)
+    est = extract_factors(E_hat, r_hat)
+    return rss(adjusted_residuals(E_hat, est), s)
 
 
 def reduced_pipeline_rss(bundle, j, r_hat):
@@ -188,9 +188,9 @@ def test_null_rss_scaled_mean():
     for i in range(reps):
         Y = rng.standard_normal((N, M))
         bundle = DatasetBundle(Y, X=X)
-        _, resid = fit_two_sided(bundle)
+        _, E_hat = fit_two_sided(bundle)
         s = direction_for(bundle, 0)
-        vals[i] = rss(resid.E_hat, s) / s.norm_sq
+        vals[i] = rss(E_hat, s) / s.norm_sq
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - (N - p)) <= 3 * se
 

@@ -4,18 +4,23 @@ The bootstrap draws and fits each dataset in caller-owned (N, M) buffers
 (``out=``); these properties hold the buffer path to the allocating one, bit
 for bit, at every covariate layout.  Mandel's spectrum solve is held to the
 dense eigensolver on tridiagonals of every order, scale and sign pattern,
-split and tied ones included.
+split and tied ones included.  The columnar test result is held to the
+arrays it is made of, and to a permutation of the responses.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factordf import distributions
+from factordf import distributions, inference
+from factordf.dof import DofMethod
 from factordf.fdr import GenerativeTruth, simulate_dataset
-from factordf.inference import DirectionStats, compute_direction_stats
+from factordf.inference import (DirectionStats, compute_direction_stats,
+                                df_totals, response_tests)
+from factordf.linalg import CodedError
 from factordf.model import DatasetBundle, fit_two_sided
 from oracles import dense_tridiagonal_top
 
@@ -67,11 +72,11 @@ def test_buffer_path_matches_allocating_path(layout):
     before = fresh.Y.copy()
 
     fresh.Y.flags.writeable = False     # the caller's Y is never written
-    coef, resid = fit_two_sided(fresh)
+    coef, E_hat = fit_two_sided(fresh)
     E, work = filled((N, M)), filled((N, M))
-    coef_b, resid_b = fit_two_sided(fresh, out=(E, work))
-    assert resid_b.E_hat is E
-    assert same_bits(resid_b.E_hat, resid.E_hat)
+    coef_b, E_hat_b = fit_two_sided(fresh, out=(E, work))
+    assert E_hat_b is E
+    assert same_bits(E_hat_b, E_hat)
     assert same_bits(coef_b.A_hat, coef.A_hat)
     assert same_bits(coef_b.B_hat, coef.B_hat)
 
@@ -141,3 +146,54 @@ def test_tridiagonal_top_matches_dense_solve(case):
     assert np.all(np.abs(got - want[:, :r]) <= bound[:, None])
     assert np.all(np.diff(got, axis=1) <= 0)     # descending
     assert sturm_certified(d, e, got)
+
+
+COLUMNS = ("estimate", "std_error", "t_stat", "df_resid", "p_value")
+
+
+@st.composite
+def response_layouts(draw):
+    p = draw(st.integers(1, 2))
+    q = draw(st.integers(0, 2))
+    N = draw(st.integers(p + 3, 16))
+    M = draw(st.integers(q + 3, 20))
+    r_hat = draw(st.integers(0, min(N - p, M - q, 3) - 1))
+    method = draw(st.sampled_from([DofMethod.PROPOSED, DofMethod.GOLLOB,
+                                   DofMethod.NAIVE])) if r_hat else None
+    coef_index = draw(st.integers(0, p - 1))
+    return N, M, p, q, r_hat, method, coef_index, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(response_layouts())
+def test_columnar_result_is_the_response_arrays(layout):
+    N, M, p, q, r_hat, method, coef_index, seed = layout
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, p))
+    Z = rng.standard_normal((M, q)) if q else None
+    Y = rng.standard_normal((N, M))
+    ids = tuple(f"g{j}" for j in range(M))
+    bundle = DatasetBundle(Y, X, Z, col_ids=ids)
+    stats = compute_direction_stats(bundle, r_hat)
+    try:
+        arrays = response_tests(stats, coef_index, df_totals(stats, method))
+    except CodedError as exc:   # a df scheme may leave no residual df
+        with pytest.raises(CodedError, match=exc.code):
+            inference.test_all_responses(bundle, coef_index, r_hat, method)
+        return
+    res = inference.test_all_responses(bundle, coef_index, r_hat, method)
+    assert res.response_ids == ids and res.df_method is method
+    for name, want in zip(COLUMNS, arrays):
+        assert same_bits(getattr(res, name), want), name
+
+    # permuting the responses (Y's columns, Z's rows, the ids) permutes
+    # every column the same way
+    perm = rng.permutation(M)
+    permuted = DatasetBundle(Y[:, perm], X, None if Z is None else Z[perm],
+                             col_ids=tuple(ids[j] for j in perm))
+    got = inference.test_all_responses(permuted, coef_index, r_hat, method)
+    assert got.response_ids == tuple(ids[j] for j in perm)
+    for name in COLUMNS:
+        np.testing.assert_allclose(getattr(got, name),
+                                   getattr(res, name)[perm], rtol=1e-10,
+                                   atol=0, err_msg=name)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from factordf.dof import df_noise, df_signal_k, noise_floor
+from factordf.cli import _fmt
 from factordf.linalg import top_factors
 from factordf import distributions, simulation
 from oracles import (_rss_after_truncation, _simulate_response,
@@ -308,7 +309,8 @@ def test_noise_cell_record_has_no_shape():
     assert cell_record(noise)["shape"] is None
     assert cell_record(signal)["shape"] == "ones"
     assert '"shape": null' in grid_to_json([noise])
-    columns = dict(zip(CSV_COLUMNS, cell_columns([noise, signal])))
+    columns = {k: [_fmt(v) for v in col] for k, col in
+               zip(CSV_COLUMNS, cell_columns([noise, signal]))}
     assert columns["shape"] == ["", "ones"] and columns["mu"] == ["", "3"]
 
 
