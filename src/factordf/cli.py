@@ -263,8 +263,6 @@ def _add_data_args(sp) -> None:
 
 def cmd_fit(args, out) -> None:
     bundle = ingest(args.y, args.x, args.z, args.add_intercepts)
-    if bundle.X is None:
-        raise ValueError("fit output requires row covariates (--x)")
     stats = compute_direction_stats(bundle, 0)
     header = ["response"] + [f"coef{k}" for k in range(bundle.p)]
     _emit_rows(header, [bundle.col_ids, *stats.estimates], args.format, out)

@@ -13,19 +13,14 @@ solves.
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
-``map_indexed`` is the thread fan-out those consumers share, and
-``one_blas_thread`` keeps numpy's OpenBLAS from changing their bits;
-``linalg.top_band_eigenpairs`` finds that library's band eigensolver through
-the same loader.
+``map_indexed`` is the thread fan-out those consumers share.  Nothing here
+calls a foreign library or sets the BLAS thread count.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -114,82 +109,6 @@ def map_indexed(func, count: int, threads: int) -> list:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return [x for part in pool.map(run_chunk, range(chunks)) for x in part]
-
-
-class OpenBlas(NamedTuple):
-    """Entry points of numpy's bundled OpenBLAS (ILP64, ``64_`` suffix)."""
-
-    get: Callable               # () -> BLAS thread count
-    put: Callable               # (count) -> None
-    dsbevx: Callable | None     # LAPACKE_dsbevx, where the build exports it
-
-
-@lru_cache(maxsize=1)
-def _openblas():
-    """The OpenBLAS that numpy wheels bundle in ``numpy.libs``, as an
-    ``OpenBlas``, or None when there is no such library.  Resolved on first
-    use, not at import."""
-    import ctypes
-    import glob
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
-        try:
-            lib = ctypes.CDLL(path)   # the copy numpy loaded: same handle
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        put.restype, put.argtypes = None, [ctypes.c_int]
-        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        sbx = getattr(lib, "scipy_LAPACKE_dsbevx64_", None)
-        if sbx is not None:
-            # layout, jobz, range, uplo, n, kd, ab, ldab, q, ldq, vl, vu, il,
-            # iu, abstol, m, w, z, ldz, ifail
-            sbx.restype = i64
-            sbx.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                            ctypes.c_char, i64, i64, ptr, i64, ptr, i64, f64,
-                            f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
-        return OpenBlas(get, put, sbx)
-    return None
-
-
-# The BLAS thread count is process-wide, so the pin's bookkeeping is too.
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved = None
-
-
-@contextmanager
-def one_blas_thread():
-    """Run numpy's OpenBLAS on one thread inside the block, then restore the
-    count found on entry.
-
-    A multithreaded BLAS splits its sums differently at different thread
-    counts, which changes the low bits of a Monte-Carlo result; and BLAS
-    threads compete with the pool's own.  Nested and concurrent blocks share
-    one pin, restored when the last one exits.  Without a bundled OpenBLAS
-    the block runs unpinned.
-    """
-    global _blas_depth, _blas_saved
-    handle = _openblas()
-    if handle is None:
-        yield
-        return
-    get, put = handle.get, handle.put
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = get()
-            put(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                put(_blas_saved)
 
 
 def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,

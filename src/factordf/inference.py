@@ -67,7 +67,8 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int, *,
     with the same bytes as without them.
     """
     if bundle.X is None:
-        raise ValueError("testing coefficient components requires X")
+        raise CodedError("X_REQUIRED", "estimating coefficients requires X, "
+                                       "the row covariates (--x)")
     n = bundle.N - bundle.p
     m = bundle.M - bundle.q
     if not 0 <= r_hat < min(n, m):

@@ -8,15 +8,17 @@ matrix instead, with ``top_band_eigenpairs``.
 
 ``top_eigenpairs`` takes the top r eigenpairs of a full ``np.linalg.eigh``;
 ``top_band_eigenpairs`` computes only those, by LAPACKE ``dsbevx`` in the
-OpenBLAS numpy bundles (reduction to tridiagonal form, bisection and inverse
-iteration), the library ``distributions.one_blas_thread`` pins, so a pinned
-simulation's solve runs on one thread too.  Without that library or its
-entry point, the band matrix is expanded and solved by ``top_eigenpairs``.
+OpenBLAS numpy wheels bundle (reduction to tridiagonal form, bisection and
+inverse iteration).  ``_dsbevx`` finds that entry point on first use; it is
+the package's only foreign call, and nothing in the package sets the BLAS
+thread count.  Without that library or its entry point, the band matrix is
+expanded and solved by ``top_eigenpairs``.
 """
 
-import numpy as np
+import os
+from functools import lru_cache
 
-from . import distributions
+import numpy as np
 
 # Relative threshold below which a matrix is treated as rank deficient.
 RANK_TOL = 1e-10
@@ -90,6 +92,32 @@ def top_eigenpairs(G: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return _checked(lam, Q[:, ::-1][:, :r], r)
 
 
+@lru_cache(maxsize=1)
+def _dsbevx():
+    """LAPACKE ``dsbevx`` of the OpenBLAS that numpy wheels bundle in
+    ``numpy.libs`` (ILP64, ``64_`` suffix), as a ctypes function, or None
+    when there is no such library or it lacks that entry point.  Resolved
+    on first call, not at import."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:    # the copy numpy loaded: same handle
+            sbx = ctypes.CDLL(path).scipy_LAPACKE_dsbevx64_
+        except (OSError, AttributeError):
+            continue
+        # layout, jobz, range, uplo, n, kd, ab, ldab, q, ldq, vl, vu, il, iu,
+        # abstol, m, w, z, ldz, ifail
+        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        sbx.restype = i64
+        sbx.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                        ctypes.c_char, i64, i64, ptr, i64, ptr, i64, f64, f64,
+                        i64, i64, f64, ptr, ptr, ptr, i64, ptr]
+        return sbx
+    return None
+
+
 def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """``top_eigenpairs`` of the symmetric band matrix M whose lower band is
     ab, shape (kd + 1, n), in LAPACK's lower band storage: ab[t, j] =
@@ -105,8 +133,8 @@ def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"need 1 <= r <= {n}, got {r}")
     if kd1 > n:     # a band wider than the matrix: drop what lies outside
         ab, kd1 = ab[:n], n
-    blas = distributions._openblas()
-    if blas is None or blas.dsbevx is None:
+    dsbevx = _dsbevx()
+    if dsbevx is None:
         M = np.zeros((n, n))
         j = np.arange(n)
         for t in range(kd1):
@@ -123,9 +151,9 @@ def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
     w = nab + n * n
     z = w + n
     m = z + n * r
-    info = blas.dsbevx(102, b"V", b"I", b"L", n, kd1 - 1, a, kd1, a + 8 * nab,
-                       n, 0.0, 0.0, n - r + 1, n, 0.0, a + 8 * m, a + 8 * w,
-                       a + 8 * z, n, a + 8 * (m + 1))
+    info = dsbevx(102, b"V", b"I", b"L", n, kd1 - 1, a, kd1, a + 8 * nab, n,
+                  0.0, 0.0, n - r + 1, n, 0.0, a + 8 * m, a + 8 * w, a + 8 * z,
+                  n, a + 8 * (m + 1))
     if info != 0:
         raise np.linalg.LinAlgError(f"dsbevx failed with info={info}")
     found = buf.view(np.int64)[m]

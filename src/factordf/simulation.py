@@ -28,9 +28,12 @@ A replicate draws about 2p chi's and (k - 1) p normals for B, and Y1
 (n k normals; without signal, R = ||Y1|| is one more chi), then
 ``linalg.top_band_eigenpairs`` solves M in O(p^2 k) instead of a dense
 O(p^3) solve.  Replicates draw from counter-based streams keyed by (seed,
-replicate index) and run one after another in the calling thread, with BLAS
-pinned to one thread, so results are byte-identical at any ``--threads``.
-The dense n x m pipeline this replaces is kept as a test oracle.
+replicate index) and run one after another in the calling thread, so results
+are byte-identical at any ``--threads``.  The BLAS thread count is not
+pinned: the output bytes were checked equal at 1 and 2 OpenBLAS threads up
+to order p = 1600 and bandwidth k = 2, on 2 cores, where OpenBLAS caps its
+count, so higher counts are untried.  The dense n x m pipeline this
+replaces is kept as a test oracle.
 """
 
 import json
@@ -39,8 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import (DOMAIN_SIM, KsResult, chi2_cdf, ks_test,
-                            one_blas_thread, stream)
+from .distributions import DOMAIN_SIM, KsResult, chi2_cdf, ks_test, stream
 from .dof import df_noise, df_signal_total, is_above_transition
 from .linalg import RANK_TOL, CodedError, top_band_eigenpairs
 
@@ -75,21 +77,29 @@ class SimConfig:
                                            f"n={self.n}, m={self.m}")
         if self.r < 0 or len(self.mu) != self.r:
             raise ValueError("mu must have length r")
+        mu = " ".join(f"{v:g}" for v in self.mu)
         if self.r > 1 and any(np.diff(self.mu) >= 0):
-            raise ValueError("mu must be strictly decreasing")
+            raise CodedError("MU_RANGE",
+                             f"mu must be strictly decreasing, got {mu}")
         if any(v <= 0 for v in self.mu):
-            raise ValueError("mu must be positive")
+            raise CodedError("MU_RANGE", f"mu must be positive, got {mu}")
         if self.sigma_sq <= 0:
-            raise ValueError("sigma_sq must be positive")
+            raise CodedError("SIGMA_SQ_RANGE", f"sigma_sq must be positive, "
+                                               f"got {self.sigma_sq:g}")
         if not 0 <= self.r_hat <= min(self.n, self.m):
             raise CodedError("R_HAT_RANGE", f"r_hat must be in [0, "
                              f"{min(self.n, self.m)}], got {self.r_hat}")
-        if self.replicates < 1:
-            raise CodedError("REPLICATES_RANGE",
-                             f"replicates must be >= 1, got {self.replicates}")
-        if self.shape is SignalShape.CUSTOM and self.r > 0 \
-                and self.custom_loadings is None:
-            raise ValueError("custom shape requires custom_loadings")
+        if self.shape is SignalShape.CUSTOM:
+            if self.r > 0 and self.custom_loadings is None:
+                raise ValueError("custom shape requires custom_loadings")
+        elif self.r > 1:
+            raise CodedError("MU_RANGE", f"shape {self.shape.value} defines "
+                             f"one loading vector, got mu {mu}")
+        elif self.r and self.m < 2 and self.shape in (SignalShape.PERP_ONES,
+                                                      SignalShape.PERP_BASIS):
+            # a loading orthogonal to s = e_1 needs a second coordinate
+            raise CodedError("SIZE_RANGE", f"shape {self.shape.value} needs "
+                                           f"m >= 2, got m={self.m}")
 
 
 def loading_matrix(config: SimConfig) -> np.ndarray:
@@ -102,8 +112,6 @@ def loading_matrix(config: SimConfig) -> np.ndarray:
         if V.shape != (m, r):
             raise ValueError(f"custom_loadings must have shape ({m}, {r})")
         return V
-    if r != 1:
-        raise ValueError("built-in shapes define a single loading vector")
     v = np.zeros(m)
     if config.shape is SignalShape.ONES:
         v[:] = 1.0 / np.sqrt(m)
@@ -296,6 +304,16 @@ def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
     return est.total, alt, est.conjectural
 
 
+# Fewest replicates a run averages, for a standard error and KS p-value.
+MIN_REPLICATES = 100
+
+
+def _check_replicates(config: SimConfig) -> None:
+    if config.replicates < MIN_REPLICATES:
+        raise CodedError("REPLICATES_RANGE", f"replicates must be >= "
+                         f"{MIN_REPLICATES}, got {config.replicates}")
+
+
 def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     """Aggregate the replicates and compare against the theoretical df.
 
@@ -308,35 +326,32 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     from a second thread: timed on 2 cores, two threads ran at 0.45-0.74
     times the speed of one at orders min(n, m) = 30-150.
     """
-    if config.replicates < 100:
-        raise CodedError("REPLICATES_RANGE",
-                         f"replicates must be >= 100, got {config.replicates}")
-    with one_blas_thread():
-        plan = sampling_plan(config)
-        pairs = [run_replicate(config, i, plan)
-                 for i in range(config.replicates)]
-        rss = np.array([p[0] for p in pairs])
-        dfo = np.array([p[1] for p in pairs])
-        mean_df = float(dfo.mean())
-        se_df = float(dfo.std(ddof=1) / np.sqrt(config.replicates))
-        theory, alt, conj = theoretical_df(config)
+    _check_replicates(config)
+    plan = sampling_plan(config)
+    pairs = [run_replicate(config, i, plan)
+             for i in range(config.replicates)]
+    rss = np.array([p[0] for p in pairs])
+    dfo = np.array([p[1] for p in pairs])
+    mean_df = float(dfo.mean())
+    se_df = float(dfo.std(ddof=1) / np.sqrt(config.replicates))
+    theory, alt, conj = theoretical_df(config)
 
-        s = direction_vector(config)
-        chi2_df = config.n - theory
-        ks = None
-        if chi2_df > 0:
-            scaled = rss / (config.sigma_sq * float(s @ s))
-            ks = ks_test(scaled, lambda q: chi2_cdf(q, chi2_df))
+    s = direction_vector(config)
+    chi2_df = config.n - theory
+    ks = None
+    if chi2_df > 0:
+        scaled = rss / (config.sigma_sq * float(s @ s))
+        ks = ks_test(scaled, lambda q: chi2_cdf(q, chi2_df))
 
-        bracketed = None
-        if alt is not None:
-            hit_primary = abs(mean_df - theory) <= 3 * se_df
-            hit_alt = abs(mean_df - alt) <= 3 * se_df
-            bracketed = {(True, True): "both", (True, False): "primary",
-                         (False, True): "alternative", (False, False): "neither"}[
-                             (hit_primary, hit_alt)]
-        return SimResult(mean_df, se_df, theory, ks, config.replicates,
-                         alt, bracketed, conj)
+    bracketed = None
+    if alt is not None:
+        hit_primary = abs(mean_df - theory) <= 3 * se_df
+        hit_alt = abs(mean_df - alt) <= 3 * se_df
+        bracketed = {(True, True): "both", (True, False): "primary",
+                     (False, True): "alternative", (False, False): "neither"}[
+                         (hit_primary, hit_alt)]
+    return SimResult(mean_df, se_df, theory, ks, config.replicates,
+                     alt, bracketed, conj)
 
 
 @dataclass(frozen=True)
@@ -450,13 +465,13 @@ def spike_replicate(config: SimConfig, index: int,
 def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
     """Means over the replicates; they run in the calling thread, and
     ``threads`` is not used, as in ``run_sim``."""
-    with one_blas_thread():
-        plan = sampling_plan(config)
-        pairs = [spike_replicate(config, i, plan)
-                 for i in range(config.replicates)]
-        mu1 = np.array([p[0] for p in pairs])
-        ovl = np.array([p[1] for p in pairs])
-        root = np.sqrt(config.replicates)
-        return SpikeResult(float(mu1.mean()), float(mu1.std(ddof=1) / root),
-                           float(ovl.mean()), float(ovl.std(ddof=1) / root),
-                           config.replicates)
+    _check_replicates(config)
+    plan = sampling_plan(config)
+    pairs = [spike_replicate(config, i, plan)
+             for i in range(config.replicates)]
+    mu1 = np.array([p[0] for p in pairs])
+    ovl = np.array([p[1] for p in pairs])
+    root = np.sqrt(config.replicates)
+    return SpikeResult(float(mu1.mean()), float(mu1.std(ddof=1) / root),
+                       float(ovl.mean()), float(ovl.std(ddof=1) / root),
+                       config.replicates)

@@ -551,13 +551,15 @@ def test_noise_cell_prints_no_shape(capsys, fmt):
 
 
 def test_monte_carlo_output_independent_of_blas_threads(tmp_path):
-    # OpenBLAS splits its sums by thread count; the simulations pin it to
-    # one thread, so the environment's count cannot reach the output
-    if distributions._openblas() is None:
-        pytest.skip("no bundled OpenBLAS found: simulations run unpinned")
+    # OpenBLAS may split a sum by its thread count, which nothing in the
+    # package sets: the environment's count must not reach the output, at
+    # k = 1 and, in "simulate-k2", at bandwidth k = 2 and order 400
     commands = {
         "simulate": ["simulate", "--n", "100", "--m", "2000", "--replicates",
                      "200", "--seed", "3", "--format", "json"],
+        "simulate-k2": ["simulate", "--n", "400", "--m", "2000", "--mu", "3",
+                        "--shape", "ones", "--r-hat", "2", "--replicates",
+                        "100", "--seed", "3", "--format", "json"],
         "ks-table": ["ks-table", "--n-list", "30", "100", "--m-list", "60",
                      "500", "--replicates", "150",
                      "--seed", "4", "--format", "csv"],
@@ -655,8 +657,18 @@ def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
      "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
     (["simulate", "--threads", "0"],
      "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
+    (["simulate", "--mu", "-1"],
+     "error [MU_RANGE]: mu must be positive, got -1"),
+    (["simulate", "--mu", "1", "2"],
+     "error [MU_RANGE]: mu must be strictly decreasing, got 1 2"),
+    (["simulate", "--mu", "3", "2"],
+     "error [MU_RANGE]: shape basis defines one loading vector, got mu 3 2"),
+    (["simulate", "--sigma-sq", "0"],
+     "error [SIGMA_SQ_RANGE]: sigma_sq must be positive, got 0"),
 ], ids=["bootstrap-ALPHA_RANGE", "bootstrap-THREADS_RANGE",
-        "simulate-THREADS_RANGE"])
+        "simulate-THREADS_RANGE", "simulate-MU_RANGE-positive",
+        "simulate-MU_RANGE-decreasing", "simulate-MU_RANGE-shape",
+        "simulate-SIGMA_SQ_RANGE"])
 def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
                                              line):
     name, *flags = command
@@ -676,14 +688,23 @@ def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
      "error [SIZE_RANGE]: n and m must be >= 1, got n=0, m=20"),
     (["simulate", "--n", "10", "--m", "20", "--replicates", "5"],
      "error [REPLICATES_RANGE]: replicates must be >= 100, got 5"),
+    (["simulate", "--n", "10", "--m", "20", "--replicates", "0"],
+     "error [REPLICATES_RANGE]: replicates must be >= 100, got 0"),
+    (["simulate", "--n", "10", "--m", "1", "--mu", "3", "--shape",
+      "perp-basis"],
+     "error [SIZE_RANGE]: shape perp-basis needs m >= 2, got m=1"),
+    (["simulate", "--n", "10", "--m", "1", "--mu", "3", "--shape",
+      "perp-ones"],
+     "error [SIZE_RANGE]: shape perp-ones needs m >= 2, got m=1"),
     (["simulate", "--n", "10", "--m", "20", "--r-hat", "11"],
      "error [R_HAT_RANGE]: r_hat must be in [0, 10], got 11"),
     (["bootstrap", "--n-datasets", "3"],
      "error [N_DATASETS_RANGE]: n_datasets must be >= 10, got 3"),
     (["bootstrap", "--k-factors", "0"],
      "error [K_FACTORS_RANGE]: k_factors must be >= 1, got 0"),
-], ids=["SIZE_RANGE", "REPLICATES_RANGE", "R_HAT_RANGE", "N_DATASETS_RANGE",
-        "K_FACTORS_RANGE"])
+], ids=["SIZE_RANGE", "REPLICATES_RANGE", "REPLICATES_RANGE-0",
+        "SIZE_RANGE-perp-basis", "SIZE_RANGE-perp-ones", "R_HAT_RANGE",
+        "N_DATASETS_RANGE", "K_FACTORS_RANGE"])
 def test_cli_size_argument_fault_codes(fixture_dir, capsys, command, line):
     name, *flags = command
     if name == "bootstrap":
@@ -693,6 +714,18 @@ def test_cli_size_argument_fault_codes(fixture_dir, capsys, command, line):
     code, out, err = run_cli([name, *flags, "--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert err == line + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["fit"], ["test", "--coef-index", "0"],
+    ["bootstrap", "--coef-index", "0", "--n-datasets", "10", "--seed", "1"],
+], ids=["fit", "test", "bootstrap"])
+def test_cli_x_required(fixture_dir, capsys, command):
+    code, out, err = run_cli([*command, "--y", str(fixture_dir / "y.csv")],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == ("error [X_REQUIRED]: estimating coefficients requires X, "
+                   "the row covariates (--x)\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from factordf import distributions, simulation
+from factordf import distributions, linalg
 from factordf.distributions import (SeededGenerator, chi2_cdf, kolmogorov_sf,
                                     ks_test, map_indexed, stream, t_sf,
                                     wishart_top_eigenvalues, worker_count)
@@ -357,14 +357,12 @@ def test_tridiagonal_top_generic_matrices():
 @pytest.mark.parametrize("handle", ["no library", "no dstebz"])
 def test_tridiagonal_top_fallback(monkeypatch, handle):
     # the spectrum solve is numpy alone: the same bytes without the library,
-    # or with a library that exports no LAPACK eigensolver
+    # or with a library that exports no LAPACK eigensolver; the package's one
+    # LAPACK loader then finds nothing either way
     d, e = mandel_spectrum_inline(4, 36, 500, 300)
     want = distributions._tridiagonal_top(d, e, 2)
     want_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
-    real = distributions._openblas()
-    fake = (None if handle == "no library" or real is None
-            else real._replace(dsbevx=None))
-    monkeypatch.setattr(distributions, "_openblas", lambda: fake)
+    monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
     got = distributions._tridiagonal_top(d, e, 2)
     got_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
     assert got.tobytes() == want.tobytes()
@@ -444,71 +442,3 @@ def test_wishart_factor_moments(dim, dof):
     mean = W.mean(axis=0)
     se = np.sqrt(np.where(np.eye(dim) > 0, 2.0, 1.0) * max(dof, 1) / reps)
     assert np.all(np.abs(mean - dof * np.eye(dim)) <= 5 * se)
-
-
-@pytest.fixture
-def openblas():
-    handle = distributions._openblas()
-    if handle is None:
-        pytest.skip("no bundled OpenBLAS found: simulations run unpinned")
-    get, put = handle.get, handle.put
-    before = get()
-    put(2)
-    try:
-        yield get
-    finally:
-        put(before)
-
-
-def test_one_blas_thread_pins_and_restores(openblas, monkeypatch):
-    seen = []
-    original = simulation.run_replicate
-
-    def spy(*args):
-        seen.append(openblas())
-        return original(*args)
-
-    monkeypatch.setattr(simulation, "run_replicate", spy)
-    cfg = simulation.SimConfig(n=20, m=40, r=0, replicates=100, seed=1)
-    for threads in (1, 2):
-        simulation.run_sim(cfg, threads=threads)
-        assert len(seen) == 100 and set(seen) == {1}
-        assert openblas() == 2
-        seen.clear()
-    with distributions.one_blas_thread():
-        with distributions.one_blas_thread():
-            assert openblas() == 1
-        assert openblas() == 1
-    assert openblas() == 2
-
-
-def test_one_blas_thread_from_many_threads(openblas):
-    import sys
-    import threading
-    import time
-    inside, errors = [], []
-    start = threading.Barrier(6)
-
-    def work():
-        try:
-            start.wait(timeout=30)
-            for _ in range(300):
-                with distributions.one_blas_thread():
-                    time.sleep(0)          # let the other blocks overlap
-                    inside.append(openblas())
-        except Exception as exc:     # reported below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work) for _ in range(6)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers) and not errors
-    assert len(inside) == 1800 and set(inside) == {1}
-    assert openblas() == 2

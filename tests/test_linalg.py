@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from factordf import distributions
+from factordf import linalg
 from factordf.linalg import (polar_factors, top_band_eigenpairs,
                              top_eigenpairs, top_factors)
 from oracles import hat_matrix, orthonormal_complement, truncated_svd
@@ -211,7 +211,7 @@ def test_top_eigenpairs_rank_error(solver, monkeypatch):
     # "subset": numpy's bundled OpenBLAS loads (it once held a subset
     # eigensolver); "eigh": it does not.  The solve must not depend on it.
     if solver == "eigh":
-        monkeypatch.setattr(distributions, "_openblas", lambda: None)
+        monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
     v = np.arange(1.0, 6.0)
     with pytest.raises(ValueError, match="rank is below the requested 2"):
         top_eigenpairs(np.outer(v, v), 2)
@@ -221,10 +221,9 @@ def test_top_eigenpairs_rank_error(solver, monkeypatch):
 
 def test_top_eigenpairs_same_bits_from_two_threads():
     G, _ = gram_and_probe(100)
-    with distributions.one_blas_thread():
-        lam, vecs = top_eigenpairs(G, 2)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(lambda _: top_eigenpairs(G, 2), range(40)))
+    lam, vecs = top_eigenpairs(G, 2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda _: top_eigenpairs(G, 2), range(40)))
     for got_lam, got_vecs in results:
         np.testing.assert_array_equal(got_lam, lam)
         np.testing.assert_array_equal(got_vecs, vecs)
@@ -265,7 +264,7 @@ def test_top_band_eigenpairs_match_full_eigh(dim, kd):
 def test_top_band_eigenpairs_fallback_agrees(monkeypatch):
     cases = [(5, 1), (50, 2), (100, 1)]
     solved = [top_band_eigenpairs(band_and_probe(*c)[0], 2) for c in cases]
-    monkeypatch.setattr(distributions, "_openblas", lambda: None)
+    monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
     for c, (lam, vecs) in zip(cases, solved):
         ab, _, y = band_and_probe(*c)
         lam_eigh, vecs_eigh = top_band_eigenpairs(ab, 2)
@@ -277,7 +276,7 @@ def test_top_band_eigenpairs_fallback_agrees(monkeypatch):
 @pytest.mark.parametrize("solver", ["band", "eigh"])
 def test_top_band_eigenpairs_rank_error(solver, monkeypatch):
     if solver == "eigh":
-        monkeypatch.setattr(distributions, "_openblas", lambda: None)
+        monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
     ab = np.zeros((2, 5))
     ab[0, 0] = 4.0              # rank one: M = 4 e_1 e_1'
     with pytest.raises(ValueError, match="rank is below the requested 2"):

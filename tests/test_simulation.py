@@ -6,8 +6,8 @@ from scipy import stats
 
 from factordf.dof import df_noise, df_signal_k, noise_floor
 from factordf.cli import _fmt
+from factordf import linalg, simulation
 from factordf.linalg import top_factors
-from factordf import distributions, simulation
 from oracles import (_rss_after_truncation, _simulate_response,
                      adjusted_residuals, band_reduce, extract_factors, rss)
 from oracles import TestDirection as Direction
@@ -189,16 +189,15 @@ def test_engine_rss_law_matches_dense_oracle(label, k, kw):
 
 @pytest.mark.parametrize("handle", ["no library", "no dsbevx"])
 def test_band_solve_fallback(monkeypatch, handle):
-    # without dsbevx every replicate solves the dense M with eigh instead
-    real = distributions._openblas()
-    if real is None or real.dsbevx is None:
+    # without dsbevx every replicate solves the dense M with eigh instead;
+    # a missing library and a missing entry point both leave no dsbevx
+    if linalg._dsbevx() is None:
         pytest.skip("no bundled OpenBLAS dsbevx: the dense solve runs")
     cells = [law_config(kw, LAW_SEED) for label, _, kw in LAW_CELLS
              if label in ("primal-basis", "dual-dense", "r-hat-2",
                           "m-equals-k")]
     want = [[run_replicate(cfg, i)[0] for i in range(20)] for cfg in cells]
-    fake = None if handle == "no library" else real._replace(dsbevx=None)
-    monkeypatch.setattr(distributions, "_openblas", lambda: fake)
+    monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
     got = [[run_replicate(cfg, i)[0] for i in range(20)] for cfg in cells]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -338,6 +337,18 @@ def test_config_validation():
         SimConfig(n=10, m=10, r=2, mu=(1.0, 2.0), replicates=100, seed=0)
     with pytest.raises(ValueError):
         SimConfig(n=10, m=10, r=0, r_hat=11, replicates=100, seed=0)
+
+
+@pytest.mark.parametrize("runner", [run_sim, run_spike_sim])
+def test_runs_need_min_replicates(runner):
+    # one bound for both runs; a config itself takes any count, so that a
+    # lone replicate can be drawn
+    cfg = SimConfig(n=10, m=20, r=1, mu=(3.0,), replicates=99, seed=0)
+    with pytest.raises(simulation.CodedError) as err:
+        runner(cfg)
+    assert err.value.code == "REPLICATES_RANGE"
+    assert err.value.message.endswith(">= 100, got 99")
+    run_replicate(SimConfig(n=10, m=20, r=1, mu=(3.0,), replicates=1), 0)
 
 
 def test_config_shape_string_is_the_enum():
