@@ -375,15 +375,6 @@ def t_sf(x, df: float):
     return special.stdtr(df, -x)
 
 
-def kolmogorov_sf(y: float, terms: int = 25) -> float:
-    """Asymptotic Kolmogorov tail P(sup|B| > y) = 2 sum_k (-1)^(k-1) exp(-2 k^2 y^2)."""
-    if y <= 0:
-        return 1.0
-    k = np.arange(1, terms + 1)
-    total = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * y) ** 2))
-    return float(min(max(total, 0.0), 1.0))
-
-
 @dataclass(frozen=True)
 class KsResult:
     statistic: float   # sup-norm D
@@ -410,4 +401,4 @@ def ks_test(sample, cdf: Callable) -> KsResult:
     d_plus = np.max(i / n - F)
     d_minus = np.max(F - (i - 1) / n)
     D = float(max(d_plus, d_minus))
-    return KsResult(D, kolmogorov_sf(np.sqrt(n) * D), n)
+    return KsResult(D, float(special.kolmogorov(np.sqrt(n) * D)), n)

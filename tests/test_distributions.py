@@ -8,8 +8,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from factordf import distributions, linalg
-from factordf.distributions import (SeededGenerator, chi2_cdf, kolmogorov_sf,
-                                    ks_test, map_indexed, stream, t_sf,
+from factordf.distributions import (SeededGenerator, chi2_cdf, ks_test,
+                                    map_indexed, stream, t_sf,
                                     wishart_top_eigenvalues, worker_count)
 from factordf.dof import df_mandel
 from oracles import (chi2_quantile, dense_tridiagonal_top,
@@ -200,11 +200,6 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
-def test_kolmogorov_series_matches_scipy():
-    for y in (0.3, 0.8, 1.0, 1.358, 2.0):
-        assert abs(kolmogorov_sf(y) - special.kolmogorov(y)) < 1e-12
-
-
 def test_ks_interleaved_quantiles():
     n = 40
     grid = (np.arange(1, n + 1) - 0.5) / n
@@ -213,7 +208,13 @@ def test_ks_interleaved_quantiles():
 
 
 def test_ks_known_critical_value():
-    assert abs(kolmogorov_sf(1.358) - 0.05) < 1e-3
+    # 100 points all 0.1308 above their quantiles: sqrt(n) D = 1.358, whose
+    # asymptotic p-value is the 5% critical point
+    n = 100
+    grid = (np.arange(1, n + 1) - 0.5) / n
+    res = ks_test(grid, lambda q: np.clip(q + 0.1308, 0, 1))
+    assert np.sqrt(n) * res.statistic == pytest.approx(1.358, abs=1e-12)
+    assert abs(res.p_value - 0.05) < 1e-3
 
 
 def test_ks_uniform_calibration():
