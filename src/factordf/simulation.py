@@ -81,9 +81,9 @@ class SimConfig:
         if self.r > 1 and any(np.diff(self.mu) >= 0):
             raise CodedError("MU_RANGE",
                              f"mu must be strictly decreasing, got {mu}")
-        if any(v <= 0 for v in self.mu):
+        if not all(v > 0 for v in self.mu):     # NaN too
             raise CodedError("MU_RANGE", f"mu must be positive, got {mu}")
-        if self.sigma_sq <= 0:
+        if not self.sigma_sq > 0:
             raise CodedError("SIGMA_SQ_RANGE", f"sigma_sq must be positive, "
                                                f"got {self.sigma_sq:g}")
         if not 0 <= self.r_hat <= min(self.n, self.m):

@@ -665,10 +665,15 @@ def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
      "error [MU_RANGE]: shape basis defines one loading vector, got mu 3 2"),
     (["simulate", "--sigma-sq", "0"],
      "error [SIGMA_SQ_RANGE]: sigma_sq must be positive, got 0"),
+    (["simulate", "--sigma-sq", "nan"],
+     "error [SIGMA_SQ_RANGE]: sigma_sq must be positive, got nan"),
+    (["simulate", "--mu", "nan"],
+     "error [MU_RANGE]: mu must be positive, got nan"),
 ], ids=["bootstrap-ALPHA_RANGE", "bootstrap-THREADS_RANGE",
         "simulate-THREADS_RANGE", "simulate-MU_RANGE-positive",
         "simulate-MU_RANGE-decreasing", "simulate-MU_RANGE-shape",
-        "simulate-SIGMA_SQ_RANGE"])
+        "simulate-SIGMA_SQ_RANGE", "simulate-SIGMA_SQ_RANGE-nan",
+        "simulate-MU_RANGE-nan"])
 def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
                                              line):
     name, *flags = command

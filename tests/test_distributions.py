@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from factordf import distributions, linalg
 from factordf.distributions import (SeededGenerator, chi2_cdf, ks_test,
