@@ -14,7 +14,7 @@ SEED = 7
 
 
 def show(label, cfg):
-    res = run_sim(cfg, threads=4)
+    res = run_sim(cfg)
     line = (f"{label:28s} mean df = {res.mean_df:8.3f} +- {res.se_df:.3f}"
             f"   theory = {res.theoretical_df:8.3f}")
     if res.alt_theoretical_df is not None:

@@ -1,9 +1,9 @@
 """Command-line front door: ingestion, fitting, testing, simulation, bootstrap.
 
 Every command is a pure function of its files, flags, and seed; stochastic
-commands require an explicit --seed and emit byte-identical output at any
---threads setting.  Data go to stdout (or --output); diagnostics and errors
-go to stderr.
+commands require an explicit --seed and emit byte-identical output on every
+run, at any bootstrap --threads setting.  Data go to stdout (or --output);
+diagnostics and errors go to stderr.
 """
 
 import argparse
@@ -19,8 +19,8 @@ from . import __version__
 from .datasets import AGE_COEF_INDEX, synthetic_study
 from .dof import DofMethod, df_mandel
 from .factors import variance_explained
-from .fdr import (REPORT_COLUMNS, BootstrapConfig, evaluate, report_columns,
-                  report_to_json)
+from .fdr import (DEFAULT_METHODS, REPORT_COLUMNS, BootstrapConfig, evaluate,
+                  report_columns, report_to_json)
 from .inference import compute_direction_stats, df_totals, response_tests
 from .linalg import CodedError
 from .model import DatasetBundle, fit_two_sided
@@ -247,8 +247,6 @@ def _open_output(args):
 def _add_common(sp, stochastic: bool) -> None:
     sp.add_argument("--format", choices=FORMATS, default="table")
     sp.add_argument("--output", default=None, help="write data here instead of stdout")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="default: FACTORDF_THREADS, else 1")
     sp.add_argument("--seed", type=int, required=stochastic, default=None,
                     help="random seed" + (" (required)" if stochastic else ""))
 
@@ -323,7 +321,7 @@ def cmd_simulate(args, out) -> None:
                     r_hat=args.r_hat, replicates=args.replicates,
                     seed=args.seed)
     cell = GridCell(args.n, args.m, mu[0] if mu else None, args.shape,
-                    run_sim(cfg, threads=args.threads))
+                    run_sim(cfg))
     _emit_cells([cell], args.format, out)
 
 
@@ -337,16 +335,15 @@ def cmd_kstable(args, out) -> None:
         configs = [SimConfig(n=n, m=m, r=0, r_hat=args.r_hat,
                              replicates=args.replicates, seed=args.seed)
                    for n in args.n_list for m in args.m_list]
-    _emit_cells(run_grid(configs, threads=args.threads), args.format, out)
+    _emit_cells(run_grid(configs), args.format, out)
 
 
 def cmd_bootstrap(args, out) -> None:
-    bundle = ingest(args.y, args.x, args.z, args.add_intercepts)
-    methods = tuple(DofMethod(m) for m in args.methods)
     cfg = BootstrapConfig(k_factors=args.k_factors, alpha=args.alpha,
                           n_datasets=args.n_datasets, seed=args.seed,
-                          coef_index=args.coef_index, methods=methods,
+                          coef_index=args.coef_index, methods=args.methods,
                           mandel_reps=args.mandel_reps, threads=args.threads)
+    bundle = ingest(args.y, args.x, args.z, args.add_intercepts)
     report = evaluate(cfg, bundle)
     if args.format == "json":
         out.write(report_to_json(report))
@@ -450,8 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.001)
     sp.add_argument("--n-datasets", type=int, default=1000)
     sp.add_argument("--methods", nargs="*",
-                    default=["proposed", "gollob", "mandel", "naive"])
+                    choices=[m.value for m in DEFAULT_METHODS],
+                    default=[m.value for m in DEFAULT_METHODS])
     sp.add_argument("--mandel-reps", type=int, default=1000)
+    sp.add_argument("--threads", type=int, default=None,
+                    help="threads the datasets run on; default: "
+                         "FACTORDF_THREADS, else 1")
     _add_common(sp, stochastic=True)
     sp.set_defaults(func=cmd_bootstrap)
 
@@ -491,11 +492,12 @@ def _env_threads() -> int:
 
 def _check_ranges(args) -> None:
     """Reject flag values outside their ranges, before any work is done."""
-    if args.threads is None:
-        args.threads = _env_threads()
-    if args.threads < 1:
-        raise CodedError("THREADS_RANGE",
-                         f"--threads must be >= 1, got {args.threads}")
+    if args.command == "bootstrap":
+        if args.threads is None:
+            args.threads = _env_threads()
+        if args.threads < 1:
+            raise CodedError("THREADS_RANGE",
+                             f"--threads must be >= 1, got {args.threads}")
     if args.command == "test" and not 0 < args.alpha < 1:
         raise CodedError("ALPHA_RANGE",
                          f"alpha must lie in (0, 1), got {args.alpha:g}")

@@ -13,12 +13,10 @@ solves.
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
 parallel consumers get bit-identical results regardless of scheduling.
-``map_indexed`` is the thread fan-out those consumers share.  Nothing here
-calls a foreign library or sets the BLAS thread count.
+Nothing here starts a thread, calls a foreign library or sets the BLAS
+thread count.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,42 +71,6 @@ def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for stream ``index`` of a domain family under ``seed``."""
     sid = ((domain & _MASK32) << 32) | (index & _MASK32)
     return SeededGenerator(seed, sid).generator()
-
-
-def worker_count(threads: int, tasks: int) -> int:
-    """Threads worth starting: no more than requested, than the cores this
-    process may run on, or than there are tasks; at least one."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(threads, cores, tasks))
-
-
-# Pool tasks per worker: each task runs a contiguous chunk of indices, so
-# the pool is entered a few times per worker instead of once per index.
-CHUNKS_PER_WORKER = 4
-
-
-def map_indexed(func, count: int, threads: int) -> list:
-    """``[func(0), ..., func(count - 1)]``, on up to ``threads`` threads.
-
-    Each pool task calls ``func`` on a contiguous chunk of indices in index
-    order.  Results are returned in index order, so the output does not
-    depend on the number of threads when ``func(i)`` draws only from streams
-    keyed by ``i``.
-    """
-    workers = worker_count(threads, count)
-    if workers == 1:
-        return [func(i) for i in range(count)]
-    chunks = min(count, CHUNKS_PER_WORKER * workers)
-    bounds = [count * c // chunks for c in range(chunks + 1)]
-
-    def run_chunk(c):
-        return [func(i) for i in range(bounds[c], bounds[c + 1])]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [x for part in pool.map(run_chunk, range(chunks)) for x in part]
 
 
 def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,

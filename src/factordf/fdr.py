@@ -8,12 +8,13 @@ the discovery rates are averaged against the truth's nonzero set.
 """
 
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DOMAIN_FDR_DATASET, map_indexed, stream
+from .distributions import DOMAIN_FDR_DATASET, stream
 from .dof import DofMethod
 from .inference import (compute_direction_stats, constant_df_total, df_totals,
                         response_tests, significant, without_factors)
@@ -41,6 +42,12 @@ class BootstrapConfig:
         # DofMethod("x") raises ValueError on an unknown method
         object.__setattr__(self, "methods",
                            tuple(DofMethod(m) for m in self.methods))
+        if not set(self.methods) <= set(DEFAULT_METHODS) or \
+                len(set(self.methods)) < len(self.methods):
+            allowed = ", ".join(m.value for m in DEFAULT_METHODS)
+            got = " ".join(m.value for m in self.methods)
+            raise CodedError("METHODS_RANGE", f"methods must be distinct and "
+                             f"among {allowed}; got {got}")
         if not 0 < self.alpha < 1:
             raise CodedError("ALPHA_RANGE",
                              f"alpha must lie in (0, 1), got {self.alpha:g}")
@@ -151,7 +158,13 @@ def _declared_rates(declared: np.ndarray, mask: np.ndarray, n_signals: int,
 
 
 def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
-    """Run the bootstrap and report averaged FDR / FPR / TPR per method."""
+    """Run the bootstrap and report averaged FDR / FPR / TPR per method.
+
+    Datasets run on min(``config.threads``, usable cores, datasets) threads,
+    one dataset per pool task, and on the calling thread when that is one.
+    Dataset d draws only from stream d, so the report is the same at any
+    thread count.
+    """
     truth = build_generative_truth(
         data, config.k_factors, config.alpha, config.coef_index,
         mandel_reps=config.mandel_reps, seed=config.seed)
@@ -197,7 +210,17 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
             config.alpha), mask, n_signals, n_nulls))
         return rows
 
-    all_rows = map_indexed(one_dataset, config.n_datasets, config.threads)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(config.threads, cores, config.n_datasets)
+    if workers <= 1:
+        all_rows = [one_dataset(d) for d in range(config.n_datasets)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            all_rows = list(pool.map(one_dataset, range(config.n_datasets)))
     return _summarize(all_rows, labels, config.alpha, mask)
 
 

@@ -29,7 +29,7 @@ A replicate draws about 2p chi's and (k - 1) p normals for B, and Y1
 ``linalg.top_band_eigenpairs`` solves M in O(p^2 k) instead of a dense
 O(p^3) solve.  Replicates draw from counter-based streams keyed by (seed,
 replicate index) and run one after another in the calling thread, so results
-are byte-identical at any ``--threads``.  The BLAS thread count is not
+are byte-identical on every run.  The BLAS thread count is not
 pinned: the output bytes were checked equal at 1 and 2 OpenBLAS threads up
 to order p = 1600 and bandwidth k = 2, on 2 cores, where OpenBLAS caps its
 count, so higher counts are untried.  The dense n x m pipeline this
@@ -83,8 +83,13 @@ class SimConfig:
                              f"mu must be strictly decreasing, got {mu}")
         if not all(v > 0 for v in self.mu):     # NaN too
             raise CodedError("MU_RANGE", f"mu must be positive, got {mu}")
+        if not np.isfinite(self.mu).all():
+            raise CodedError("MU_RANGE", f"mu must be finite, got {mu}")
         if not self.sigma_sq > 0:
             raise CodedError("SIGMA_SQ_RANGE", f"sigma_sq must be positive, "
+                                               f"got {self.sigma_sq:g}")
+        if not np.isfinite(self.sigma_sq):
+            raise CodedError("SIGMA_SQ_RANGE", f"sigma_sq must be finite, "
                                                f"got {self.sigma_sq:g}")
         if not 0 <= self.r_hat <= min(self.n, self.m):
             raise CodedError("R_HAT_RANGE", f"r_hat must be in [0, "
@@ -280,7 +285,13 @@ class SimResult:
 
 
 def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
-    """(primary prediction, alternative perp-case candidate or None, conjectural)."""
+    """(primary prediction, alternative perp-case candidate or None, conjectural).
+
+    With r_hat = min(n, m) the fit absorbs every direction, so the RSS is 0
+    and the df is n exactly.
+    """
+    if config.r_hat == min(config.n, config.m):
+        return float(config.n), None, False
     if config.r == 0 or config.r_hat == 0:
         base = df_noise(config.n, config.m, config.r_hat).total
         extra = 0.0
@@ -308,10 +319,18 @@ def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
 MIN_REPLICATES = 100
 
 
-def _check_replicates(config: SimConfig) -> None:
+def _run_replicates(config: SimConfig, replicate) -> list[tuple]:
+    """(values, mean, standard error) of each output of ``replicate``
+    (``run_replicate`` or ``spike_replicate``) over every replicate of
+    ``config``, run one after another in the calling thread."""
     if config.replicates < MIN_REPLICATES:
         raise CodedError("REPLICATES_RANGE", f"replicates must be >= "
                          f"{MIN_REPLICATES}, got {config.replicates}")
+    plan = sampling_plan(config)
+    pairs = [replicate(config, i, plan) for i in range(config.replicates)]
+    root = np.sqrt(config.replicates)
+    return [(v, float(v.mean()), float(v.std(ddof=1) / root))
+            for v in map(np.array, zip(*pairs))]
 
 
 def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
@@ -320,20 +339,12 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     The chi-squared goodness-of-fit test compares RSS / (sigma^2 s's) with
     the chi2 distribution on n - df_theory degrees of freedom.
 
-    Replicates run in the calling thread; ``threads`` is accepted so that
-    every command takes the same setting, and is not used.  A replicate is
-    mostly interpreter work under the GIL plus a band solve that gains little
-    from a second thread: timed on 2 cores, two threads ran at 0.45-0.74
-    times the speed of one at orders min(n, m) = 30-150.
+    ``threads`` is not used: replicates run in the calling thread.  A
+    replicate is mostly interpreter work under the GIL plus a band solve that
+    gains little from a second thread: timed on 2 cores, two threads ran at
+    0.45-0.74 times the speed of one at orders min(n, m) = 30-150.
     """
-    _check_replicates(config)
-    plan = sampling_plan(config)
-    pairs = [run_replicate(config, i, plan)
-             for i in range(config.replicates)]
-    rss = np.array([p[0] for p in pairs])
-    dfo = np.array([p[1] for p in pairs])
-    mean_df = float(dfo.mean())
-    se_df = float(dfo.std(ddof=1) / np.sqrt(config.replicates))
+    (rss, _, _), (_, mean_df, se_df) = _run_replicates(config, run_replicate)
     theory, alt, conj = theoretical_df(config)
 
     s = direction_vector(config)
@@ -463,15 +474,7 @@ def spike_replicate(config: SimConfig, index: int,
 
 
 def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
-    """Means over the replicates; they run in the calling thread, and
-    ``threads`` is not used, as in ``run_sim``."""
-    _check_replicates(config)
-    plan = sampling_plan(config)
-    pairs = [spike_replicate(config, i, plan)
-             for i in range(config.replicates)]
-    mu1 = np.array([p[0] for p in pairs])
-    ovl = np.array([p[1] for p in pairs])
-    root = np.sqrt(config.replicates)
-    return SpikeResult(float(mu1.mean()), float(mu1.std(ddof=1) / root),
-                       float(ovl.mean()), float(ovl.std(ddof=1) / root),
-                       config.replicates)
+    """Means over the replicates; ``threads`` is not used, as in ``run_sim``."""
+    (_, mu1, se_mu1), (_, ovl, se_ovl) = _run_replicates(config,
+                                                         spike_replicate)
+    return SpikeResult(mu1, se_mu1, ovl, se_ovl, config.replicates)

@@ -465,14 +465,6 @@ def test_cmd_bootstrap_table_aligns_the_csv(fixture_dir, capsys):
     assert len(starts) == len(rows[0])   # one aligned column per field
 
 
-def test_cmd_simulate_threads_identical(capsys):
-    base = ["simulate", "--n", "15", "--m", "60", "--r-hat", "1",
-            "--replicates", "200", "--seed", "9", "--format", "csv"]
-    _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
-    _, out8, _ = run_cli(base + ["--threads", "8"], capsys)
-    assert out1 == out8
-
-
 def test_ingest_study_scale_is_fast(tmp_path):
     import time
     out = tmp_path / "big"
@@ -634,11 +626,7 @@ def test_cli_model_fault_codes(tmp_path, capsys, y_rows, flags, line):
      "error [SEED_REQUIRED]: --method mandel requires --seed"),
     (["--alpha", "2"], "error [ALPHA_RANGE]: alpha must lie in (0, 1), got 2"),
     (["--alpha", "0"], "error [ALPHA_RANGE]: alpha must lie in (0, 1), got 0"),
-    (["--threads", "0"], "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
-    (["--threads", "-3"],
-     "error [THREADS_RANGE]: --threads must be >= 1, got -3"),
-], ids=["MANDEL_REPS_RANGE", "SEED_REQUIRED", "ALPHA_RANGE-2", "ALPHA_RANGE-0",
-        "THREADS_RANGE-0", "THREADS_RANGE-neg"])
+], ids=["MANDEL_REPS_RANGE", "SEED_REQUIRED", "ALPHA_RANGE-2", "ALPHA_RANGE-0"])
 def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
     y, x = tmp_path / "y.csv", tmp_path / "x.csv"
     write_csv(y, SIX_Y)
@@ -655,8 +643,11 @@ def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
      "error [ALPHA_RANGE]: alpha must lie in (0, 1), got 2"),
     (["bootstrap", "--threads", "0"],
      "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
-    (["simulate", "--threads", "0"],
-     "error [THREADS_RANGE]: --threads must be >= 1, got 0"),
+    (["bootstrap", "--threads", "-3"],
+     "error [THREADS_RANGE]: --threads must be >= 1, got -3"),
+    (["bootstrap", "--methods", "naive", "naive"],
+     "error [METHODS_RANGE]: methods must be distinct and among proposed, "
+     "gollob, mandel, naive; got naive naive"),
     (["simulate", "--mu", "-1"],
      "error [MU_RANGE]: mu must be positive, got -1"),
     (["simulate", "--mu", "1", "2"],
@@ -669,11 +660,17 @@ def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
      "error [SIGMA_SQ_RANGE]: sigma_sq must be positive, got nan"),
     (["simulate", "--mu", "nan"],
      "error [MU_RANGE]: mu must be positive, got nan"),
+    (["simulate", "--mu", "inf"],
+     "error [MU_RANGE]: mu must be finite, got inf"),
+    (["simulate", "--sigma-sq", "inf"],
+     "error [SIGMA_SQ_RANGE]: sigma_sq must be finite, got inf"),
 ], ids=["bootstrap-ALPHA_RANGE", "bootstrap-THREADS_RANGE",
-        "simulate-THREADS_RANGE", "simulate-MU_RANGE-positive",
+        "bootstrap-THREADS_RANGE-neg", "bootstrap-METHODS_RANGE-repeated",
+        "simulate-MU_RANGE-positive",
         "simulate-MU_RANGE-decreasing", "simulate-MU_RANGE-shape",
         "simulate-SIGMA_SQ_RANGE", "simulate-SIGMA_SQ_RANGE-nan",
-        "simulate-MU_RANGE-nan"])
+        "simulate-MU_RANGE-nan", "simulate-MU_RANGE-inf",
+        "simulate-SIGMA_SQ_RANGE-inf"])
 def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
                                              line):
     name, *flags = command
@@ -733,34 +730,75 @@ def test_cli_x_required(fixture_dir, capsys, command):
                    "the row covariates (--x)\n")
 
 
+def bootstrap_args(fixture_dir):
+    return ["bootstrap", "--y", str(fixture_dir / "y.csv"),
+            "--x", str(fixture_dir / "x.csv"), "--coef-index", "2",
+            "--n-datasets", "10", "--methods", "naive", "--seed", "1",
+            "--format", "csv"]
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
-def test_cli_threads_variable_out_of_range(capsys, monkeypatch, value):
+def test_cli_threads_variable_out_of_range(fixture_dir, capsys, monkeypatch,
+                                           value):
     monkeypatch.setenv("FACTORDF_THREADS", value)
-    code, out, err = run_cli(SIMULATE_ARGS, capsys)
+    code, out, err = run_cli(bootstrap_args(fixture_dir), capsys)
     assert code == 1 and out == ""
     assert err == ("error [THREADS_RANGE]: FACTORDF_THREADS must be an "
                    f"integer >= 1, got {value!r}\n")
+    # no other command reads the variable
+    assert run_cli(SIMULATE_ARGS, capsys)[0] == 0
 
 
-def test_cli_threads_variable_default_and_override(capsys, monkeypatch):
+def test_cli_threads_variable_default_and_override(fixture_dir, capsys,
+                                                   monkeypatch):
     # unset or empty means one thread; --threads overrides the variable
     seen = []
-    real = cli.run_sim
+    real = cli.evaluate
 
-    def spy(cfg, threads):
-        seen.append(threads)
-        return real(cfg, threads=threads)
+    def spy(cfg, data):
+        seen.append(cfg.threads)
+        return real(cfg, data)
 
-    monkeypatch.setattr(cli, "run_sim", spy)
+    monkeypatch.setattr(cli, "evaluate", spy)
     for value, flags in ((None, []), ("", []), ("3", []),
                          ("abc", ["--threads", "2"])):
         if value is None:
             monkeypatch.delenv("FACTORDF_THREADS", raising=False)
         else:
             monkeypatch.setenv("FACTORDF_THREADS", value)
-        code, _, err = run_cli([*SIMULATE_ARGS, *flags], capsys)
+        code, _, err = run_cli([*bootstrap_args(fixture_dir), *flags], capsys)
         assert code == 0 and err == ""
     assert seen == [1, 1, 3, 2]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--y", "y.csv"], ["scree", "--y", "y.csv"],
+    ["test", "--y", "y.csv", "--coef-index", "0"],
+    ["simulate", "--n", "10", "--m", "20", "--seed", "1"],
+    ["ks-table", "--seed", "1"],
+    ["generate", "--out-dir", "out", "--seed", "1"],
+], ids=["fit", "scree", "test", "simulate", "ks-table", "generate"])
+def test_cli_threads_only_on_bootstrap(capsys, command):
+    # the other commands run on the calling thread and take no --threads
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--threads", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == ("factordf: error: unrecognized "
+                                    "arguments: --threads 2")
+
+
+@pytest.mark.parametrize("method", ["theoretical-noise", "bogus"])
+def test_cli_bootstrap_methods_are_choices(capsys, method):
+    # only the four adjusting methods; argparse rejects any other name
+    with pytest.raises(SystemExit) as exc:
+        main(["bootstrap", "--y", "y.csv", "--coef-index", "2", "--seed", "1",
+              "--methods", "naive", method])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"factordf bootstrap: error: argument --methods: invalid choice: "
+        f"'{method}' (choose from 'proposed', 'gollob', 'mandel', 'naive')")
 
 
 def test_cli_simulate_has_no_custom_shape(capsys):

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,8 +8,7 @@ from scipy import integrate, stats
 
 from factordf import distributions, linalg
 from factordf.distributions import (SeededGenerator, chi2_cdf, ks_test,
-                                    map_indexed, stream, t_sf,
-                                    wishart_top_eigenvalues, worker_count)
+                                    stream, t_sf, wishart_top_eigenvalues)
 from factordf.dof import df_mandel
 from oracles import (chi2_quantile, dense_tridiagonal_top,
                      sample_standard_normal, spawn, t_cdf, wishart_factor)
@@ -241,55 +239,6 @@ def test_ks_rejects_bad_inputs():
         ks_test([0.5] * 5, lambda q: q)
     with pytest.raises(ValueError):
         ks_test(np.linspace(0, 1, 20), lambda q: q * 2.0)
-
-
-def test_worker_count_arithmetic(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    assert worker_count(8, 100) == 4      # capped by usable cores
-    assert worker_count(2, 100) == 2      # capped by the request
-    assert worker_count(8, 3) == 3        # capped by the task count
-    assert worker_count(1, 100) == 1
-    assert worker_count(0, 100) == 1      # at least one
-    assert worker_count(8, 0) == 1
-
-
-def test_map_indexed_order_and_pool_size(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    sizes = []
-
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(distributions, "ThreadPoolExecutor", Recording)
-    assert map_indexed(lambda i: i * i, 7, threads=64) == [i * i for i in range(7)]
-    assert sizes == [2]
-    assert map_indexed(lambda i: -i, 3, threads=1) == [0, -1, -2]
-    assert sizes == [2]                   # one worker runs in the caller
-
-
-def test_map_indexed_runs_contiguous_chunks(monkeypatch):
-    import threading
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    per_thread = {}
-
-    def record(i):
-        per_thread.setdefault(threading.get_ident(), []).append(i)
-        return 3 * i
-
-    assert map_indexed(record, 50, threads=2) == [3 * i for i in range(50)]
-    seqs = list(per_thread.values())
-    assert sorted(i for seq in seqs for i in seq) == list(range(50))
-    # each task runs a contiguous chunk in index order, 4 chunks per worker:
-    # the threads' sequences break into at most 8 ascending runs
-    runs = sum(1 + sum(b != a + 1 for a, b in zip(seq, seq[1:]))
-               for seq in seqs)
-    assert runs <= 2 * distributions.CHUNKS_PER_WORKER
-    assert map_indexed(lambda i: i, 3, threads=2) == [0, 1, 2]
 
 
 def mandel_factor_inline(seed, dim, dof, mc_reps):

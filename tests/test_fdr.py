@@ -1,4 +1,6 @@
+import concurrent.futures
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -117,6 +119,41 @@ def test_evaluate_deterministic_across_threads(small_report):
     assert threaded == report
 
 
+@pytest.mark.parametrize("cores, threads, n_datasets, pool", [
+    (4, 8, 12, 4),          # capped by usable cores
+    (4, 2, 12, 2),          # capped by the request
+    (16, 64, 10, 10),       # capped by the dataset count
+    (None, 8, 10, 3),       # no sched_getaffinity: os.cpu_count() cores
+    (4, 1, 10, None),       # one worker runs in the caller, with no pool
+    (1, 8, 10, None),
+    (4, 0, 10, None),       # below one thread: still the caller's
+], ids=["cores", "request", "datasets", "cpu-count", "one-thread", "one-core",
+        "zero-threads"])
+def test_evaluate_pool_size(small_report, monkeypatch, cores, threads,
+                            n_datasets, pool):
+    _, _, bundle = small_report
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    cfg = dict(k_factors=2, alpha=0.001, n_datasets=n_datasets, seed=77,
+               coef_index=AGE_COEF_INDEX, methods=(DofMethod.NAIVE,))
+    report = evaluate(BootstrapConfig(**cfg, threads=threads), bundle)
+    assert sizes == ([] if pool is None else [pool])
+    # one dataset per task, results in dataset order: the serial report
+    assert report == evaluate(BootstrapConfig(**cfg), bundle)
+
+
 ALL_METHODS = (DofMethod.PROPOSED, DofMethod.GOLLOB, DofMethod.MANDEL,
                DofMethod.NAIVE)
 
@@ -214,3 +251,16 @@ def test_config_methods_by_name():
     assert all(isinstance(m, DofMethod) for m in cfg.methods)
     with pytest.raises(ValueError, match="not a valid DofMethod"):
         BootstrapConfig(methods=("bonferroni",))
+
+
+@pytest.mark.parametrize("methods, got", [
+    (("proposed", "theoretical-noise"), "proposed theoretical-noise"),
+    (("theoretical-signal",), "theoretical-signal"),
+    (("naive", "gollob", "naive"), "naive gollob naive"),
+], ids=["theoretical-noise", "theoretical-signal", "repeated"])
+def test_config_methods_adjusting_and_distinct(methods, got):
+    with pytest.raises(ValueError) as err:
+        BootstrapConfig(methods=methods)
+    assert str(err.value) == ("METHODS_RANGE: methods must be distinct and "
+                              "among proposed, gollob, mandel, naive; got "
+                              + got)

@@ -291,6 +291,18 @@ def test_unmodeled_signal_theory():
     assert abs(res.mean_df - th) <= 4 * res.se_df
 
 
+@pytest.mark.parametrize("mu", [(), (3.0,)], ids=["noise", "signal"])
+def test_full_rank_fit_theory_is_exact(mu):
+    # r_hat = min(n, m) absorbs every direction: RSS 0 and df n exactly,
+    # so no chi-squared law is left to test
+    cfg = SimConfig(n=10, m=1, r=len(mu), mu=mu, r_hat=1, replicates=100,
+                    seed=1)
+    assert theoretical_df(cfg) == (10.0, None, False)
+    res = run_sim(cfg)
+    assert res.theoretical_df == 10.0 and res.ks is None
+    assert res.mean_df == pytest.approx(10.0, abs=1e-12)
+
+
 def test_spike_sim_tracks_predictions():
     cfg = SimConfig(n=60, m=60, r=1, mu=(3.0,), shape=SignalShape.BASIS,
                     replicates=600, seed=21)
