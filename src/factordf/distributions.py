@@ -7,8 +7,10 @@ bidiagonal (Laguerre) model in O(dim) draws and solves every draw's
 tridiagonal at once, in numpy, by a Laguerre iteration whose every value a
 Sturm count certifies (``_tridiagonal_top``).  The simulations draw their
 Wishart part as the lower-banded factor that generalises that model
-(``simulation.draw``), whose band matrix ``linalg.top_band_eigenpairs``
-solves.
+(``simulation.draw``).  Where that band is tridiagonal, the same solve finds
+its top eigenvalues and ``_tridiagonal_weights`` the squared first
+coordinates of their eigenvectors (Golub 1973); wider bands go to
+``linalg.top_band_eigenpairs``.
 
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --
@@ -155,14 +157,10 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
     D = np.ascontiguousarray(d.T, dtype=np.float64)
     C = np.array(e.T, dtype=np.float64, order="C")
     np.multiply(C, C, out=C)                      # squared off-diagonals
-    gl, gu = np.full(reps, np.inf), np.full(reps, -np.inf)
-    left = np.zeros(reps)                         # Gershgorin: d_i -+ radius
-    for i, Di in enumerate(D):
-        right = np.sqrt(C[i]) if i < n - 1 else np.zeros(reps)
-        rad = left + right
-        np.minimum(gl, Di - rad, out=gl)
-        np.maximum(gu, Di + rad, out=gu)
-        left = right
+    rad = np.zeros_like(D)                        # Gershgorin: d_i -+ radius
+    rad[1:] = np.sqrt(C)
+    rad[:-1] += rad[1:]                           # |e_{i-1}| + |e_i|
+    gl, gu = (D - rad).min(axis=0), (D + rad).max(axis=0)
     tnorm = np.maximum(np.abs(gl), np.abs(gu))
     pivmin = _SAFMIN * np.maximum(1.0, C.max(axis=0, initial=0.0))
     gl -= _FUDGE * (tnorm * _ULP * n + 2 * pivmin)
@@ -245,6 +243,50 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
         top[draw, k] = _bisect(D[:, draw], C[:, draw], pivmin[draw], k + 1,
                                gl[draw], gu[draw], atol[draw])
     return np.sort(top, axis=1)[:, ::-1]
+
+
+# A weight is trusted when f_1(lambda) lies within this many ulp ||T|| g_1
+# of 0 (``_tridiagonal_weights``).  On about 20,000 simulation draws of
+# orders 3 to 1,600 the largest |f_1| seen was 0.73 of that unit.
+_ROOT_SLACK = 64.0
+
+
+# Zero pivots and the infinities they spread are caught by the guard.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _tridiagonal_weights(d: np.ndarray, e: np.ndarray,
+                         lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared first coordinates z^2 (reps, r) of the unit eigenvectors of
+    the tridiagonals of ``_tridiagonal_top`` at their eigenvalues lam
+    (reps, r), and which of them to trust (reps, r).
+
+    f_1(x), the top pivot of the bottom-up LDL' factorisation of T - x I,
+    is 1 / [(T - x I)^-1]_11 = 1 / sum_j z_j^2 / (lambda_j - x), so at an
+    eigenvalue z^2 = -1 / f_1'(x) (Golub 1973).  One sweep carries
+    f_n = d_n - x, f_i = d_i - x - e_i^2 / f_{i+1} and g = -f', g_n = 1,
+    g_i = 1 + (e_i^2 / f_{i+1}) g_{i+1} / f_{i+1} >= 1, so z^2 = 1 / g_1 lies
+    in (0, 1].  A value is trusted when the sweep is finite and f_1(lam)
+    vanishes to rounding, |f_1| <= ``_ROOT_SLACK`` ulp ||T|| g_1 with
+    ||T|| <= max |d_i| + 2 max |e_i|: where an off-diagonal is zero and lam
+    belongs to the block below it alone, f_1 is the upper block's, which does
+    not vanish there, and 1 / g_1 is not z^2.
+    """
+    D = np.ascontiguousarray(d.T, dtype=np.float64)      # (n, reps) rows
+    C = np.array(e.T, dtype=np.float64, order="C")
+    np.multiply(C, C, out=C)
+    x = np.ascontiguousarray(lam.T)                       # (r, reps)
+    f = D[-1] - x
+    g = np.ones_like(f)
+    t = np.empty_like(f)
+    for Di, Ci in zip(D[-2::-1], C[::-1]):
+        np.divide(Ci, f, out=t)             # t = e_i^2 / f_{i+1}
+        g *= t
+        g /= f
+        g += 1.0
+        np.subtract(Di, x, out=f)
+        f -= t
+    norm = np.abs(D).max(axis=0) + 2 * np.sqrt(C.max(axis=0, initial=0.0))
+    ok = np.isfinite(g) & (np.abs(f) <= _ROOT_SLACK * _ULP * norm * g)
+    return (1.0 / g).T, ok.T
 
 
 def _tolerance(atol, x):

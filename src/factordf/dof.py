@@ -167,9 +167,7 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     """
     if r_hat > min(n, m):
         raise ValueError("r_hat must not exceed min(n, m)")
-    if mc_reps < 100:
-        raise CodedError("MANDEL_REPS_RANGE",
-                         f"mc_reps must be >= 100, got {mc_reps}")
+    _check_mandel_reps(mc_reps)
     if seed is None:
         raise CodedError("SEED_REQUIRED", "df_mandel requires an explicit seed")
     dim, dof = min(n, m), max(n, m)
@@ -179,6 +177,13 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     # SE of the per-draw totals: the top eigenvalues are correlated
     se = float(np.sqrt(top.sum(axis=1).var(ddof=1) / mc_reps))
     return _estimate(per, DofMethod.MANDEL, mc_se=se)
+
+
+def _check_mandel_reps(mc_reps: int) -> None:
+    """``MANDEL_REPS_RANGE`` for fewer than 100 Mandel draws."""
+    if mc_reps < 100:
+        raise CodedError("MANDEL_REPS_RANGE",
+                         f"mc_reps must be >= 100, got {mc_reps}")
 
 
 def df_naive(r_hat: int) -> DofEstimate:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DOMAIN_FDR_DATASET, stream
-from .dof import DofMethod
+from .dof import DofMethod, _check_mandel_reps
 from .inference import (compute_direction_stats, constant_df_total, df_totals,
                         response_tests, significant, without_factors)
 from .linalg import CodedError
@@ -42,12 +42,17 @@ class BootstrapConfig:
         # DofMethod("x") raises ValueError on an unknown method
         object.__setattr__(self, "methods",
                            tuple(DofMethod(m) for m in self.methods))
+        allowed = ", ".join(m.value for m in DEFAULT_METHODS)
+        if not self.methods:
+            raise CodedError("METHODS_RANGE", f"methods must name at least "
+                             f"one of {allowed}")
         if not set(self.methods) <= set(DEFAULT_METHODS) or \
                 len(set(self.methods)) < len(self.methods):
-            allowed = ", ".join(m.value for m in DEFAULT_METHODS)
             got = " ".join(m.value for m in self.methods)
             raise CodedError("METHODS_RANGE", f"methods must be distinct and "
                              f"among {allowed}; got {got}")
+        if DofMethod.MANDEL in self.methods:
+            _check_mandel_reps(self.mandel_reps)
         if not 0 < self.alpha < 1:
             raise CodedError("ALPHA_RANGE",
                              f"alpha must lie in (0, 1), got {self.alpha:g}")

@@ -3,8 +3,10 @@
 Every routine here is a pure function of its input bytes, so downstream
 estimates are reproducible across runs and thread counts.  ``top_factors`` is
 the one factor kernel: the model's residual factors go through it and its
-Gram-matrix half ``top_eigenpairs``.  Monte-Carlo replicates solve a band
-matrix instead, with ``top_band_eigenpairs``.
+Gram-matrix half ``top_eigenpairs``.  Monte-Carlo replicates of bandwidth
+k >= 2 solve a band matrix instead, with ``top_band_eigenpairs``; tridiagonal
+(k = 1) ones are solved in numpy (``simulation.solve``), which comes here
+only for a draw its check does not trust.
 
 ``top_eigenpairs`` takes the top r eigenpairs of a full ``np.linalg.eigh``;
 ``top_band_eigenpairs`` computes only those, by LAPACKE ``dsbevx`` in the
@@ -165,8 +167,8 @@ def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
 def _checked(lam: np.ndarray, vecs: np.ndarray,
              r: int) -> tuple[np.ndarray, np.ndarray]:
     """(lam, vecs), or ValueError when the r-th eigenvalue vanishes next to
-    the first (so eigenvalues that pass are positive)."""
-    if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
+    the first in any row of lam (so eigenvalues that pass are positive)."""
+    if np.any(lam[..., -1] <= 1e-12 * np.maximum(lam[..., 0], 1e-300)):
         raise CodedError("FACTOR_RANK",
                          f"matrix rank is below the requested {r} factors")
     return lam, vecs

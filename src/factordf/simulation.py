@@ -25,26 +25,33 @@ draws them in reduced form instead of the n x m matrix:
   against R a.
 
 A replicate draws about 2p chi's and (k - 1) p normals for B, and Y1
-(n k normals; without signal, R = ||Y1|| is one more chi), then
-``linalg.top_band_eigenpairs`` solves M in O(p^2 k) instead of a dense
-O(p^3) solve.  Replicates draw from counter-based streams keyed by (seed,
-replicate index) and run one after another in the calling thread, so results
-are byte-identical on every run.  The BLAS thread count is not
-pinned: the output bytes were checked equal at 1 and 2 OpenBLAS threads up
-to order p = 1600 and bandwidth k = 2, on 2 cores, where OpenBLAS caps its
-count, so higher counts are untried.  The dense n x m pipeline this
-replaces is kept as a test oracle.
+(n k normals; without signal, R = ||Y1|| is one more chi): ``run_replicate``
+is that draw.  Replicates draw from counter-based streams keyed by (seed,
+replicate index), one after another in the calling thread, and are solved a
+chunk at a time (``solve``).  With k = 1, M is tridiagonal and the chunk is
+solved in one numpy pass, O(p r_hat) a replicate: each top eigenvalue by
+the Sturm-certified Laguerre iteration of ``distributions._tridiagonal_top``
+and its eigenvector's first coordinate z by one bottom-up pivot sweep,
+z^2 = -1 / f_1'(lambda) (Golub 1973), with no LAPACK call.  A replicate whose
+sweep its check does not trust, and every replicate with k >= 2, goes to
+``linalg.top_band_eigenpairs`` (O(p^2 k)).  A replicate's result does not
+depend on the rest of its chunk, so results are byte-identical on every run.
+The BLAS thread count is not pinned: the output bytes were checked equal at
+1 and 2 OpenBLAS threads up to order p = 1600 and bandwidth k = 2, on 2
+cores, where OpenBLAS caps its count, so higher counts are untried.  The
+dense n x m pipeline this replaces is kept as a test oracle.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .distributions import DOMAIN_SIM, KsResult, chi2_cdf, ks_test, stream
+from .distributions import (DOMAIN_SIM, KsResult, _tridiagonal_top,
+                            _tridiagonal_weights, chi2_cdf, ks_test, stream)
 from .dof import df_noise, df_signal_total, is_above_transition
-from .linalg import RANK_TOL, CodedError, top_band_eigenpairs
+from .linalg import RANK_TOL, CodedError, _checked, top_band_eigenpairs
 
 
 class SignalShape(str, Enum):
@@ -230,46 +237,62 @@ def draw(plan: SamplingPlan, rng: np.random.Generator):
 
 
 def band(F: np.ndarray, p: int) -> np.ndarray:
-    """Lower band ab[t, i] = M[i + t, i] of M = F F', (k + 1, p), from F in
-    ``draw``'s band storage: M[i + t, i] = sum over s = t..k of
-    F[s, i + s] F[s - t, i + s]."""
-    k = len(F) - 1
-    ab = F[k, k:k + p] * F[::-1, k:k + p]
+    """Lower band ab[..., t, i] = M[i + t, i] of M = F F', (..., k + 1, p),
+    from F in ``draw``'s band storage or a stack of them (..., k + 1, p + k):
+    M[i + t, i] = sum over s = t..k of F[s, i + s] F[s - t, i + s]."""
+    k = F.shape[-2] - 1
+    ab = F[..., k:k + 1, k:k + p] * F[..., ::-1, k:k + p]
     for s in range(k):
-        ab[:s + 1] += F[s, s:s + p] * F[s::-1, s:s + p]
+        ab[..., :s + 1, :] += F[..., s:s + 1, s:s + p] * F[..., s::-1, s:s + p]
     return ab
 
 
-def solve(plan: SamplingPlan, R: np.ndarray, F: np.ndarray) -> float:
-    """s' E_hat' E_hat s for the rank-r_hat truncation: ||Ys||^2 - ||left' Ys||^2.
+def solve(plan: SamplingPlan, draws: list) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``plan.r_hat`` (>= 1) eigenpairs of each draw's M: eigenvalues
+    lam (reps, r_hat), descending, and weights (reps, len(R), r_hat), the
+    first len(R) coordinates of their unit eigenvectors, whose signs are
+    arbitrary.  ``draws`` is a list of ``draw`` results (R, F).
 
-    In M's coordinates Ys / sigma is [R a; 0], so left' Ys / sigma is the top
-    eigenvectors' first rows against R a.
+    With k = 1, M is tridiagonal and every draw is solved in one numpy
+    pass: ``_tridiagonal_top`` finds the eigenvalues, each certified by a
+    Sturm count, and ``_tridiagonal_weights`` the eigenvectors' squared
+    first coordinates z^2, so the weights are |z|.  A draw whose sweep the
+    guard does not trust, and every draw with k >= 2, is solved by
+    ``top_band_eigenpairs``.  Raises ``FACTOR_RANK`` as that does.
     """
-    # .dot: on arrays this small it costs half of what @ does
-    Ra = R.dot(plan.direction)
-    rss = float(Ra.dot(Ra))
-    if plan.r_hat > 0:
-        _, vecs = top_band_eigenpairs(band(F, plan.dim), plan.r_hat)
-        coef = Ra.dot(vecs[:len(Ra)])
-        rss -= float(coef.dot(coef))
-    return plan.sigma_sq * rss
+    r, p = plan.r_hat, plan.dim
+    ab = band(np.array([F for _, F in draws]), p)
+    rows = len(draws[0][0])
+    if ab.shape[1] == 2:
+        d, e = ab[:, 0], ab[:, 1, :p - 1]
+        lam = _tridiagonal_top(d, e, r)
+        z_sq, trusted = _tridiagonal_weights(d, e, lam)
+        weights = np.sqrt(z_sq)[:, None, :]
+        redo = np.flatnonzero(~trusted.all(axis=1))
+    else:
+        lam = np.empty((len(draws), r))
+        weights = np.empty((len(draws), rows, r))
+        redo = range(len(draws))
+    for i in redo:
+        lam[i], vecs = top_band_eigenpairs(ab[i], r)
+        weights[i] = vecs[:rows]
+    return _checked(lam, weights, r)
 
 
 def run_replicate(config: SimConfig, index: int,
-                  plan: SamplingPlan | None = None) -> tuple[float, float]:
-    """One draw of (RSS(s), df_obs) with df_obs = n - RSS / (sigma^2 s's).
+                  plan: SamplingPlan | None = None) -> tuple:
+    """Replicate ``index``'s draw (R, F) (see ``draw``) from its own stream.
 
-    ``plan`` is ``sampling_plan(config)``, passed in to skip recomputing it.
+    Runs call it once per replicate, through this module's global, and
+    solve the draws a chunk at a time; ``solve(plan, [run_replicate(config,
+    index)])`` solves one alone.  ``plan`` is ``sampling_plan(config)``,
+    passed in to skip recomputing it.
     """
     if not 0 <= index < config.replicates:
         raise ValueError("replicate index out of range")
     if plan is None:
         plan = sampling_plan(config)
-    rng = stream(config.seed, DOMAIN_SIM, index)
-    rss = solve(plan, *draw(plan, rng))
-    df_obs = config.n - rss / (config.sigma_sq * plan.s_sq)
-    return rss, df_obs
+    return draw(plan, stream(config.seed, DOMAIN_SIM, index))
 
 
 @dataclass(frozen=True)
@@ -317,20 +340,48 @@ def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
 
 # Fewest replicates a run averages, for a standard error and KS p-value.
 MIN_REPLICATES = 100
+# Band entries, (k + 1) p per replicate, that one chunk of replicates holds
+# and solves together: 2 MB of float64, which holds every replicate of a
+# 2,000-replicate cell at order p = 65 and bounds memory at any count.
+CHUNK_ENTRIES = 1 << 18
 
 
-def _run_replicates(config: SimConfig, replicate) -> list[tuple]:
-    """(values, mean, standard error) of each output of ``replicate``
-    (``run_replicate`` or ``spike_replicate``) over every replicate of
-    ``config``, run one after another in the calling thread."""
+def _run_replicates(config: SimConfig, plan: SamplingPlan,
+                    measure) -> list[tuple]:
+    """(values, mean, standard error) of each output of ``measure(plan,
+    draws)`` over every replicate of ``config``.  The replicates are drawn
+    one after another in the calling thread by ``run_replicate`` and
+    measured a chunk of ``CHUNK_ENTRIES`` band entries at a time."""
     if config.replicates < MIN_REPLICATES:
         raise CodedError("REPLICATES_RANGE", f"replicates must be >= "
                          f"{MIN_REPLICATES}, got {config.replicates}")
-    plan = sampling_plan(config)
-    pairs = [replicate(config, i, plan) for i in range(config.replicates)]
+    size = max(1, CHUNK_ENTRIES // ((len(plan.direction) + 1) * plan.dim))
+    parts = [measure(plan, [run_replicate(config, i, plan) for i in
+                            range(start, min(start + size, config.replicates))])
+             for start in range(0, config.replicates, size)]
     root = np.sqrt(config.replicates)
     return [(v, float(v.mean()), float(v.std(ddof=1) / root))
-            for v in map(np.array, zip(*pairs))]
+            for v in map(np.concatenate, zip(*parts))]
+
+
+def _rss_and_df(plan: SamplingPlan, draws: list) -> tuple:
+    """Each draw's s' E_hat' E_hat s for the rank-r_hat truncation,
+    ||Ys||^2 - ||left' Ys||^2, and its df_obs = n - RSS / (sigma^2 s's).
+
+    In M's coordinates Ys / sigma is [R a; 0], so left' Ys / sigma is the top
+    eigenvectors' first rows against R a.  With r_hat = p the fit spans all
+    of M's coordinates and the RSS is 0.
+    """
+    if plan.r_hat == plan.dim:
+        rss = np.zeros(len(draws))
+    else:
+        Ra = np.array([R for R, _ in draws]).dot(plan.direction)
+        rss = (Ra * Ra).sum(axis=1)
+        if plan.r_hat > 0:
+            coef = (Ra[:, :, None] * solve(plan, draws)[1]).sum(axis=1)
+            rss -= (coef * coef).sum(axis=1)
+        rss *= plan.sigma_sq
+    return rss, plan.n - rss / (plan.sigma_sq * plan.s_sq)
 
 
 def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
@@ -344,7 +395,8 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     gains little from a second thread: timed on 2 cores, two threads ran at
     0.45-0.74 times the speed of one at orders min(n, m) = 30-150.
     """
-    (rss, _, _), (_, mean_df, se_df) = _run_replicates(config, run_replicate)
+    (rss, _, _), (_, mean_df, se_df) = _run_replicates(
+        config, sampling_plan(config), _rss_and_df)
     theory, alt, conj = theoretical_df(config)
 
     s = direction_vector(config)
@@ -448,33 +500,23 @@ class SpikeResult:
     replicates_used: int
 
 
-def spike_solve(plan: SamplingPlan, R: np.ndarray,
-                F: np.ndarray) -> tuple[float, float]:
-    """(lambda_1, (vhat_1' v_1)^2) from one draw.
+def _spike(plan: SamplingPlan, draws: list) -> tuple:
+    """Each draw's (mu_hat_1, (vhat_1' v_1)^2), mu_hat_1 = sigma^2 lambda_1 / n.
 
     vhat_1' v_1 = left_1' Y v_1 / sing_1, and Y v_1 / sigma = Y1 (W1'v_1) is
     [R W1'v_1; 0] in M's coordinates.
     """
-    lam, vecs = top_band_eigenpairs(band(F, plan.dim), 1)
-    Rv = R.dot(plan.loading)
-    overlap = float(vecs[:len(Rv), 0].dot(Rv))
-    return plan.sigma_sq * float(lam[0]), overlap ** 2 / float(lam[0])
-
-
-def spike_replicate(config: SimConfig, index: int,
-                    plan: SamplingPlan | None = None) -> tuple[float, float]:
-    """(mu_hat_1, (vhat_1' v_1)^2) for one replicate of a one-factor model."""
-    if config.r != 1:
-        raise ValueError("spike diagnostics require exactly one true factor")
-    if plan is None:
-        plan = sampling_plan(config)
-    rng = stream(config.seed, DOMAIN_SIM, index)
-    lam, overlap_sq = spike_solve(plan, *draw(plan, rng))
-    return lam / config.n, overlap_sq
+    lam, weights = solve(plan, draws)
+    Rv = np.array([R for R, _ in draws]).dot(plan.loading)
+    overlap = (Rv * weights[:, :, 0]).sum(axis=1)
+    return plan.sigma_sq * lam[:, 0] / plan.n, overlap ** 2 / lam[:, 0]
 
 
 def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
-    """Means over the replicates; ``threads`` is not used, as in ``run_sim``."""
-    (_, mu1, se_mu1), (_, ovl, se_ovl) = _run_replicates(config,
-                                                         spike_replicate)
+    """Means over the replicates of a one-factor model; ``threads`` is not
+    used, as in ``run_sim``."""
+    if config.r != 1:
+        raise ValueError("spike diagnostics require exactly one true factor")
+    plan = replace(sampling_plan(config), r_hat=1)
+    (_, mu1, se_mu1), (_, ovl, se_ovl) = _run_replicates(config, plan, _spike)
     return SpikeResult(mu1, se_mu1, ovl, se_ovl, config.replicates)

@@ -685,6 +685,21 @@ def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
     assert err == line + "\n"
 
 
+@pytest.mark.parametrize("flags, line", [
+    (["--methods"], "error [METHODS_RANGE]: methods must name at least one "
+                    "of proposed, gollob, mandel, naive"),
+    (["--mandel-reps", "5"],
+     "error [MANDEL_REPS_RANGE]: mc_reps must be >= 100, got 5"),
+], ids=["METHODS_RANGE-empty", "MANDEL_REPS_RANGE"])
+def test_cli_bootstrap_faults_before_ingest(tmp_path, capsys, flags, line):
+    # the response file does not exist: the fault is found before any work
+    code, out, err = run_cli(["bootstrap", "--y", str(tmp_path / "none.csv"),
+                              "--coef-index", "2", "--n-datasets", "10",
+                              "--seed", "1", *flags], capsys)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
+
+
 @pytest.mark.parametrize("command, line", [
     (["simulate", "--n", "0", "--m", "20"],
      "error [SIZE_RANGE]: n and m must be >= 1, got n=0, m=20"),

@@ -4,7 +4,8 @@ The bootstrap draws and fits each dataset in caller-owned (N, M) buffers
 (``out=``); these properties hold the buffer path to the allocating one, bit
 for bit, at every covariate layout.  Mandel's spectrum solve is held to the
 dense eigensolver on tridiagonals of every order, scale and sign pattern,
-split and tied ones included.  The columnar test result is held to the
+split and tied ones included, and the Monte-Carlo engine's batched band
+solve to LAPACK's per-draw one on noise and basis cells.  The columnar test result is held to the
 arrays it is made of, and to a permutation of the responses.
 """
 
@@ -15,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factordf import distributions, inference
+from factordf import distributions, inference, simulation
 from factordf.dof import DofMethod
 from factordf.fdr import GenerativeTruth, simulate_dataset
 from factordf.inference import (DirectionStats, compute_direction_stats,
                                 df_totals, response_tests)
-from factordf.linalg import CodedError
+from factordf.linalg import CodedError, top_band_eigenpairs
 from factordf.model import DatasetBundle, fit_two_sided
 from oracles import dense_tridiagonal_top
 
@@ -146,6 +147,41 @@ def test_tridiagonal_top_matches_dense_solve(case):
     assert np.all(np.abs(got - want[:, :r]) <= bound[:, None])
     assert np.all(np.diff(got, axis=1) <= 0)     # descending
     assert sturm_certified(d, e, got)
+
+
+@st.composite
+def band_cells(draw):
+    """A noise or basis cell (M tridiagonal) with r_hat up to 3, sizes down
+    to n = 1 and m = 1, on either side of n = m."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    mu = (draw(st.floats(0.5, 25.0)),) if draw(st.booleans()) else ()
+    return simulation.SimConfig(
+        n=n, m=m, r=len(mu), mu=mu, r_hat=draw(st.integers(1, min(n, m, 3))),
+        sigma_sq=draw(st.sampled_from([1.0, 2.5])), replicates=6,
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(band_cells())
+def test_batched_band_solve_matches_per_draw_solve(cfg):
+    plan = simulation.sampling_plan(cfg)
+    draws = [simulation.run_replicate(cfg, i, plan)
+             for i in range(cfg.replicates)]
+    lam, weights = simulation.solve(plan, draws)
+    rss = simulation._rss_and_df(plan, draws)[0]
+    for i, (R, F) in enumerate(draws):
+        want, vecs = top_band_eigenpairs(simulation.band(F, plan.dim),
+                                         cfg.r_hat)
+        np.testing.assert_allclose(lam[i], want, rtol=1e-10, atol=0)
+        # entries of unit vectors, up to sign: relative to the vector's norm
+        np.testing.assert_allclose(np.abs(weights[i]), np.abs(vecs[:len(R)]),
+                                   rtol=0, atol=1e-10)
+        Ra = R.dot(plan.direction)
+        coef = Ra.dot(vecs[:len(Ra)])
+        # relative to sigma^2 ||Ra||^2, the term the fitted part is taken from
+        scale = cfg.sigma_sq * Ra.dot(Ra)
+        assert abs(rss[i] - scale + cfg.sigma_sq * coef.dot(coef)) \
+            <= 1e-10 * scale
 
 
 COLUMNS = ("estimate", "std_error", "t_stat", "df_resid", "p_value")

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from factordf.simulation import (CSV_COLUMNS, SignalShape,
                                  direction_vector, grid_to_json,
                                  loading_matrix, run_grid, run_replicate,
                                  run_sim, run_spike_sim, sampling_plan, solve,
-                                 spike_solve, noise_preset, theoretical_df)
+                                 noise_preset, theoretical_df)
 
 
 def noise_cfg(**kw):
@@ -38,12 +39,16 @@ def test_shapes_are_unit_vectors():
     assert perp[0] == 0.0 and perp[1] == 1.0
 
 
+def rss_of(plan, draws):
+    """The RSS run_sim takes from each of ``draws``."""
+    return simulation._rss_and_df(plan, draws)[0]
+
+
 def test_replicate_deterministic():
     cfg = noise_cfg()
-    a = run_replicate(cfg, 7)
-    b = run_replicate(cfg, 7)
-    assert a == b
-    assert run_replicate(cfg, 8) != a
+    (R, F), (R2, F2) = run_replicate(cfg, 7), run_replicate(cfg, 7)
+    assert R.tobytes() == R2.tobytes() and F.tobytes() == F2.tobytes()
+    assert run_replicate(cfg, 8)[1].tobytes() != F.tobytes()
 
 
 def custom_cell(n, m, **kw):
@@ -61,7 +66,7 @@ def assert_solve_matches_dense(cfg, indices=range(4)):
     s = direction_vector(cfg)
     for i in indices:
         Y = _simulate_response(cfg, i)
-        got = solve(plan, *band_reduce(plan, Y))
+        got = rss_of(plan, [band_reduce(plan, Y)])[0]
         want = _rss_after_truncation(Y, s, cfg.r_hat)
         assert got == pytest.approx(want, rel=1e-8)
         if cfg.r_hat > 0:   # and the explicit truncation pipeline
@@ -118,8 +123,9 @@ def test_spike_solve_matches_dense():
             Y = _simulate_response(cfg, i)
             left, sing = top_factors(Y, 1)
             vhat = Y.T @ left[:, 0] / sing[0]
-            lam, overlap_sq = spike_solve(plan, *band_reduce(plan, Y))
-            assert lam == pytest.approx(sing[0] ** 2, rel=1e-10)
+            [mu1], [overlap_sq] = simulation._spike(
+                replace(plan, r_hat=1), [band_reduce(plan, Y)])
+            assert mu1 * n == pytest.approx(sing[0] ** 2, rel=1e-10)
             assert overlap_sq == pytest.approx((vhat @ v) ** 2, rel=1e-8)
 
 
@@ -179,7 +185,8 @@ def test_engine_rss_law_matches_dense_oracle(label, k, kw):
     plan = sampling_plan(cfg)
     assert plan.basis.shape[1] == k
     assert plan.dim == min(cfg.n, cfg.m)
-    engine = [run_replicate(cfg, i, plan)[0] for i in range(LAW_REPS)]
+    engine = rss_of(plan, [run_replicate(cfg, i, plan)
+                           for i in range(LAW_REPS)])
     ref_cfg = law_config(kw, ORACLE_SEED)
     s = direction_vector(ref_cfg)
     dense = [_rss_after_truncation(_simulate_response(ref_cfg, i), s,
@@ -196,10 +203,72 @@ def test_band_solve_fallback(monkeypatch, handle):
     cells = [law_config(kw, LAW_SEED) for label, _, kw in LAW_CELLS
              if label in ("primal-basis", "dual-dense", "r-hat-2",
                           "m-equals-k")]
-    want = [[run_replicate(cfg, i)[0] for i in range(20)] for cfg in cells]
+    def rss(cfg):
+        plan = sampling_plan(cfg)
+        return rss_of(plan, [run_replicate(cfg, i, plan) for i in range(20)])
+
+    want = [rss(cfg) for cfg in cells]
     monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
-    got = [[run_replicate(cfg, i)[0] for i in range(20)] for cfg in cells]
+    got = [rss(cfg) for cfg in cells]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+# k = 1 noise and basis cells, a k = 2 cell and two fitted factors
+CHUNK_CELLS = [noise_cfg(replicates=100),
+               SimConfig(n=30, m=12, r=1, mu=(2.0,), replicates=100, seed=3),
+               SimConfig(n=20, m=60, r=1, mu=(3.0,), shape=SignalShape.ONES,
+                         replicates=100, seed=4),
+               noise_cfg(r_hat=2, replicates=100)]
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_chunking_does_not_change_bytes(monkeypatch, per_chunk):
+    # a replicate's solve depends on its own draw alone, whatever else its
+    # chunk holds
+    def rss(cfg, plan):
+        (values, _, _), _ = simulation._run_replicates(
+            cfg, plan, simulation._rss_and_df)
+        return values.tobytes()
+
+    for cfg in CHUNK_CELLS:
+        plan = sampling_plan(cfg)
+        want = rss(cfg, plan)
+        monkeypatch.setattr(simulation, "CHUNK_ENTRIES",
+                            per_chunk * (len(plan.direction) + 1) * plan.dim)
+        assert rss(cfg, plan) == want
+        monkeypatch.undo()
+
+
+def test_split_tridiagonal_goes_to_lapack(monkeypatch):
+    # M[2, 1] = 0 splits M into two blocks, and M's top eigenvalue is the
+    # lower block's: its eigenvector has first coordinate 0, but the pivot
+    # sweep at that eigenvalue sees only the upper block
+    cfg = SimConfig(n=4, m=10, r=0, replicates=100, seed=0)
+    plan = sampling_plan(cfg)
+    F = np.zeros((2, 5))
+    F[0, :4] = [1.0, 0.5, 0.0, 0.5]
+    F[1, 1:] = [1.0, 1.0, 3.0, 3.0]
+    ab = simulation.band(F, plan.dim)
+    assert ab[1, 1] == 0.0
+    d, e = ab[None, 0], ab[None, 1, :3]
+    lam = simulation._tridiagonal_top(d, e, 1)
+    assert not simulation._tridiagonal_weights(d, e, lam)[1].any()
+    calls = []
+    real = simulation.top_band_eigenpairs
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "top_band_eigenpairs", spy)
+    got_lam, got_w = solve(plan, [(F[:1, :1], F)])
+    want_lam, vecs = linalg.top_band_eigenpairs(ab, 1)
+    assert len(calls) == 1
+    assert got_lam[0] == pytest.approx(want_lam, rel=1e-12)
+    assert np.abs(got_w[0]) == pytest.approx(np.abs(vecs[:1]), abs=1e-12)
+    assert abs(got_w[0, 0, 0]) < 1e-12
+    # so the fitted factor leaves all of s's energy: RSS = ||R a||^2
+    assert rss_of(plan, [(F[:1, :1], F)])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_null_df_mean_is_zero():
@@ -231,7 +300,7 @@ def test_thread_count_does_not_change_bytes():
 
 
 @pytest.mark.parametrize("entry,spike", [("run_replicate", False),
-                                         ("spike_replicate", True)])
+                                         ("run_replicate", True)])
 def test_replicates_run_in_the_calling_thread(monkeypatch, entry, spike):
     # every replicate goes through the module global, on this thread, at
     # any thread count
@@ -301,6 +370,14 @@ def test_full_rank_fit_theory_is_exact(mu):
     res = run_sim(cfg)
     assert res.theoretical_df == 10.0 and res.ks is None
     assert res.mean_df == pytest.approx(10.0, abs=1e-12)
+
+
+def test_full_rank_fit_rss_is_exactly_zero(monkeypatch):
+    # with r_hat = min(n, m) the fit spans all of M's coordinates: no solve
+    # runs and the RSS is 0, not rounding
+    monkeypatch.setattr(simulation, "solve", None)
+    res = run_sim(SimConfig(n=2, m=2, r=0, r_hat=2, replicates=100, seed=1))
+    assert (res.mean_df, res.se_df, res.theoretical_df) == (2.0, 0.0, 2.0)
 
 
 def test_spike_sim_tracks_predictions():
