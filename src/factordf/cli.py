@@ -138,6 +138,12 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
     _check_ids(col_ids, y_path)
     _check_ids(row_ids, y_path)
     Y = _parse_block(y_path, body, len(col_ids))
+    # Y's sum of squares bounds every residual sum of squares, Gram-matrix
+    # entry and squared singular value formed from Y
+    with np.errstate(over="ignore"):
+        if not np.isfinite(Y.ravel() @ Y.ravel()):
+            raise IngestError("OVERFLOW", f"{y_path}: the sum of squared "
+                                          "values exceeds the float64 range")
 
     X = None
     if x_path is not None:

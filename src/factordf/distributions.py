@@ -9,8 +9,8 @@ Sturm count certifies (``_tridiagonal_top``).  The simulations draw their
 Wishart part as the lower-banded factor that generalises that model
 (``simulation.draw``).  Where that band is tridiagonal, the same solve finds
 its top eigenvalues and ``_tridiagonal_weights`` the squared first
-coordinates of their eigenvectors (Golub 1973); wider bands go to
-``linalg.top_band_eigenpairs``.
+coordinates of their eigenvectors (Golub 1973); wider bands go to LAPACK
+``dsbevx`` (``linalg.top_band_eigenpairs``).
 
 Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
 draw is a pure function of its seed, its domain tag, and its index --

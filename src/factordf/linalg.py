@@ -9,16 +9,11 @@ k >= 2 solve a band matrix instead, with ``top_band_eigenpairs``; tridiagonal
 only for a draw its check does not trust.
 
 ``top_eigenpairs`` takes the top r eigenpairs of a full ``np.linalg.eigh``;
-``top_band_eigenpairs`` computes only those, by LAPACKE ``dsbevx`` in the
-OpenBLAS numpy wheels bundle (reduction to tridiagonal form, bisection and
-inverse iteration).  ``_dsbevx`` finds that entry point on first use; it is
-the package's only foreign call, and nothing in the package sets the BLAS
-thread count.  Without that library or its entry point, the band matrix is
-expanded and solved by ``top_eigenpairs``.
+``top_band_eigenpairs`` computes only those, by LAPACK ``dsbevx`` through
+``scipy.linalg.lapack`` (reduction to tridiagonal form, bisection and inverse
+iteration), the one path for every band solve.  Nothing in the package sets
+the BLAS thread count.
 """
-
-import os
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,74 +89,29 @@ def top_eigenpairs(G: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return _checked(lam, Q[:, ::-1][:, :r], r)
 
 
-@lru_cache(maxsize=1)
-def _dsbevx():
-    """LAPACKE ``dsbevx`` of the OpenBLAS that numpy wheels bundle in
-    ``numpy.libs`` (ILP64, ``64_`` suffix), as a ctypes function, or None
-    when there is no such library or it lacks that entry point.  Resolved
-    on first call, not at import."""
-    import ctypes
-    import glob
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
-        try:    # the copy numpy loaded: same handle
-            sbx = ctypes.CDLL(path).scipy_LAPACKE_dsbevx64_
-        except (OSError, AttributeError):
-            continue
-        # layout, jobz, range, uplo, n, kd, ab, ldab, q, ldq, vl, vu, il, iu,
-        # abstol, m, w, z, ldz, ifail
-        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        sbx.restype = i64
-        sbx.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                        ctypes.c_char, i64, i64, ptr, i64, ptr, i64, f64, f64,
-                        i64, i64, f64, ptr, ptr, ptr, i64, ptr]
-        return sbx
-    return None
-
-
 def top_band_eigenpairs(ab: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """``top_eigenpairs`` of the symmetric band matrix M whose lower band is
     ab, shape (kd + 1, n), in LAPACK's lower band storage: ab[t, j] =
     M[j + t, j], entries past the matrix's last row ignored; ab is not
     modified.
 
-    Only eigenpairs n - r + 1 ... n are computed, by LAPACKE ``dsbevx`` in
-    numpy's bundled OpenBLAS; without it, by ``top_eigenpairs`` of the
-    dense M.  Raises as ``top_eigenpairs`` does.
+    Only eigenpairs n - r + 1 ... n are computed, by LAPACK ``dsbevx``
+    through ``scipy.linalg.lapack`` (absolute tolerance 0).  Raises as
+    ``top_eigenpairs`` does.
     """
-    kd1, n = ab.shape
+    from scipy.linalg import lapack     # loaded on first use, not at import
+    n = ab.shape[1]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}, got {r}")
-    if kd1 > n:     # a band wider than the matrix: drop what lies outside
-        ab, kd1 = ab[:n], n
-    dsbevx = _dsbevx()
-    if dsbevx is None:
-        M = np.zeros((n, n))
-        j = np.arange(n)
-        for t in range(kd1):
-            M[j[t:], j[:n - t]] = ab[t, :n - t]
-        return top_eigenpairs(M, r)    # eigh reads the lower triangle
-    # One buffer, column-major like LAPACK: a copy of ab for it to overwrite,
-    # the n x n reduction matrix q, the n eigenvalue slots, the r vectors
-    # (row i of an (r, n) view is vector i) and the int64 outputs m and
-    # ifail (n); int64 and float64 share a size.
-    nab = n * kd1
-    buf = np.empty(nab + n * n + n + n * r + 1 + n)
-    buf[:nab].reshape(n, kd1)[...] = ab.T
-    a = buf.ctypes.data
-    w = nab + n * n
-    z = w + n
-    m = z + n * r
-    info = dsbevx(102, b"V", b"I", b"L", n, kd1 - 1, a, kd1, a + 8 * nab, n,
-                  0.0, 0.0, n - r + 1, n, 0.0, a + 8 * m, a + 8 * w, a + 8 * z,
-                  n, a + 8 * (m + 1))
+    # ab[:n] drops the rows of a band wider than the matrix
+    w, z, found, _, info = lapack.dsbevx(ab[:n], 0.0, 0.0, n - r + 1, n,
+                                         range=2, lower=1, mmax=r,
+                                         overwrite_ab=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsbevx failed with info={info}")
-    found = buf.view(np.int64)[m]
     if found != r:
         raise np.linalg.LinAlgError(f"dsbevx found {found} of {r} eigenpairs")
-    return _checked(buf[w:w + r][::-1], buf[z:m].reshape(r, n)[::-1].T, r)
+    return _checked(w[:r][::-1], z[:, ::-1], r)
 
 
 def _checked(lam: np.ndarray, vecs: np.ndarray,

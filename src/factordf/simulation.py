@@ -34,8 +34,9 @@ the Sturm-certified Laguerre iteration of ``distributions._tridiagonal_top``
 and its eigenvector's first coordinate z by one bottom-up pivot sweep,
 z^2 = -1 / f_1'(lambda) (Golub 1973), with no LAPACK call.  A replicate whose
 sweep its check does not trust, and every replicate with k >= 2, goes to
-``linalg.top_band_eigenpairs`` (O(p^2 k)).  A replicate's result does not
-depend on the rest of its chunk, so results are byte-identical on every run.
+LAPACK ``dsbevx`` (``linalg.top_band_eigenpairs``, O(p^2 k)).  A replicate's
+result does not depend on the rest of its chunk, so results are
+byte-identical on every run.
 The BLAS thread count is not pinned: the output bytes were checked equal at
 1 and 2 OpenBLAS threads up to order p = 1600 and bandwidth k = 2, on 2
 cores, where OpenBLAS caps its count, so higher counts are untried.  The

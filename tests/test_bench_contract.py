@@ -12,7 +12,7 @@ loaded here read-only.
 import importlib.util
 import os
 
-from factordf import linalg, simulation
+from factordf import simulation
 from factordf.simulation import SignalShape, SimConfig, grid_to_json, run_grid
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -66,16 +66,12 @@ def test_traced_grid_keeps_the_replicate_spans():
 
 def test_mc_grid_cells_make_no_lapack_call(monkeypatch):
     # every mc-grid cell has bandwidth k = 1: its replicates are solved in
-    # numpy, without top_band_eigenpairs or its ctypes binding
+    # numpy, without top_band_eigenpairs
     workloads = bench_module("workloads")
     calls = []
 
-    def no_ctypes():
-        raise AssertionError("the dsbevx binding was looked up")
-
     monkeypatch.setattr(simulation, "top_band_eigenpairs",
                         lambda *args: calls.append(args))
-    monkeypatch.setattr(linalg, "_dsbevx", no_ctypes)
     for kw in workloads.MC_CELLS.values():
         cfg = SimConfig(r_hat=1, replicates=100, seed=3, **kw)
         assert simulation.sampling_plan(cfg).basis.shape[1] == 1

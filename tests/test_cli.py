@@ -619,6 +619,26 @@ def test_cli_model_fault_codes(tmp_path, capsys, y_rows, flags, line):
     assert err == line + "\n"
 
 
+# every response scaled by 1e160: their squares overflow float64
+SIX_Y_HUGE = [SIX_Y[0]] + [[r[0]] + [f"{float(v) * 1e160!r}" for v in r[1:]]
+                           for r in SIX_Y[1:]]
+
+
+@pytest.mark.filterwarnings("error")    # a numpy RuntimeWarning fails it
+@pytest.mark.parametrize("command", [
+    ["test", "--coef-index", "1", "--r-hat", "1", "--method", "naive"],
+    ["test", "--coef-index", "1", "--method", "none"],
+    ["fit"], ["scree"]], ids=["test", "test-none", "fit", "scree"])
+def test_cli_overflowing_y_is_coded(tmp_path, capsys, command):
+    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_csv(y, SIX_Y_HUGE)
+    write_csv(x, SIX_X)
+    code, out, err = run_cli([*command, "--y", str(y), "--x", str(x)], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error [OVERFLOW]: {y}: the sum of squared values "
+                   "exceeds the float64 range\n")
+
+
 @pytest.mark.parametrize("flags, line", [
     (["--method", "mandel", "--mandel-reps", "5", "--seed", "1"],
      "error [MANDEL_REPS_RANGE]: mc_reps must be >= 100, got 5"),

@@ -306,13 +306,21 @@ def test_tridiagonal_top_generic_matrices():
 
 @pytest.mark.parametrize("handle", ["no library", "no dstebz"])
 def test_tridiagonal_top_fallback(monkeypatch, handle):
-    # the spectrum solve is numpy alone: the same bytes without the library,
-    # or with a library that exports no LAPACK eigensolver; the package's one
-    # LAPACK loader then finds nothing either way
+    # the spectrum solve is numpy alone: the same bytes without scipy's LAPACK
+    # module, or with one that exports no LAPACK eigensolver; the package's
+    # one LAPACK call would then fail either way
+    import scipy.linalg
+    from scipy.linalg import lapack
     d, e = mandel_spectrum_inline(4, 36, 500, 300)
     want = distributions._tridiagonal_top(d, e, 2)
     want_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
-    monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
+    if handle == "no library":
+        monkeypatch.setattr(scipy.linalg, "lapack", None)
+    else:
+        for name in ("dstebz", "dstein", "dsbevx"):
+            monkeypatch.delattr(lapack, name)
+    with pytest.raises((AttributeError, TypeError)):
+        linalg.top_band_eigenpairs(np.ones((2, 4)), 1)
     got = distributions._tridiagonal_top(d, e, 2)
     got_df = df_mandel(36, 500, 2, mc_reps=300, seed=4)
     assert got.tobytes() == want.tobytes()

@@ -194,25 +194,6 @@ def test_engine_rss_law_matches_dense_oracle(label, k, kw):
     assert stats.ks_2samp(engine, dense).pvalue > 0.01
 
 
-@pytest.mark.parametrize("handle", ["no library", "no dsbevx"])
-def test_band_solve_fallback(monkeypatch, handle):
-    # without dsbevx every replicate solves the dense M with eigh instead;
-    # a missing library and a missing entry point both leave no dsbevx
-    if linalg._dsbevx() is None:
-        pytest.skip("no bundled OpenBLAS dsbevx: the dense solve runs")
-    cells = [law_config(kw, LAW_SEED) for label, _, kw in LAW_CELLS
-             if label in ("primal-basis", "dual-dense", "r-hat-2",
-                          "m-equals-k")]
-    def rss(cfg):
-        plan = sampling_plan(cfg)
-        return rss_of(plan, [run_replicate(cfg, i, plan) for i in range(20)])
-
-    want = [rss(cfg) for cfg in cells]
-    monkeypatch.setattr(linalg, "_dsbevx", lambda: None)
-    got = [rss(cfg) for cfg in cells]
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
-
-
 # k = 1 noise and basis cells, a k = 2 cell and two fitted factors
 CHUNK_CELLS = [noise_cfg(replicates=100),
                SimConfig(n=30, m=12, r=1, mu=(2.0,), replicates=100, seed=3),
