@@ -35,10 +35,6 @@ FORMATS = ("table", "csv", "json")
 EXIT_CLOSED_PIPE = 141
 
 
-class IngestError(CodedError):
-    """Input-file validation or file I/O failure with a stable error code."""
-
-
 # Text that np.loadtxt would read otherwise than csv.reader and float() do:
 # quotes, bare CRs, and the separators \x1c-\x1f, which loadtxt strips from a
 # number as whitespace and float() rejects.
@@ -59,9 +55,9 @@ def _read_csv(path: str) -> tuple[list[str], list[str], np.ndarray | list]:
         with open(path, newline="") as fh:
             text = fh.read()
     except OSError as exc:
-        raise IngestError("IO_ERROR", f"cannot read {path}: {exc}") from exc
+        raise CodedError("IO_ERROR", f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise IngestError(
+        raise CodedError(
             "PARSE_ERROR", f"{path}: byte 0x{exc.object[exc.start]:02x} at "
                            f"position {exc.start} is not valid {exc.encoding}") from None
     lf = text.replace("\r\n", "\n") if "\r" in text else text
@@ -82,7 +78,7 @@ def _read_csv(path: str) -> tuple[list[str], list[str], np.ndarray | list]:
                 return header, [p[0] for p in parts], block
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if len(rows) < 2:
-        raise IngestError("PARSE_ERROR", f"{path}: need a header row and data")
+        raise CodedError("PARSE_ERROR", f"{path}: need a header row and data")
     return rows[0], [r[0] if r else "" for r in rows[1:]], rows[1:]
 
 
@@ -94,7 +90,7 @@ def _parse_block(path: str, body: np.ndarray | list, width: int) -> np.ndarray:
         out = np.empty((len(body), width))
         for i, row in enumerate(body):
             if len(row) != width + 1:
-                raise IngestError(
+                raise CodedError(
                     "DIM_MISMATCH",
                     f"{path}: row {i + 2} has {len(row)} fields, expected {width + 1}")
             try:
@@ -104,14 +100,14 @@ def _parse_block(path: str, body: np.ndarray | list, width: int) -> np.ndarray:
                     try:
                         float(cell)
                     except ValueError:
-                        raise IngestError(
+                        raise CodedError(
                             "PARSE_ERROR",
                             f"{path}: unparseable number {cell!r} at row {i + 2}") from None
                 raise
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
-        raise IngestError("PARSE_ERROR",
-                          f"{path}: non-finite value at row {np.argmin(finite) + 2}")
+        raise CodedError("PARSE_ERROR",
+                         f"{path}: non-finite value at row {np.argmin(finite) + 2}")
     return out
 
 
@@ -119,7 +115,7 @@ def _check_ids(ids: list[str], path: str) -> None:
     seen = set()
     for x in ids:
         if x in seen:
-            raise IngestError("DUP_ID", f"{path}: duplicated id {x!r}")
+            raise CodedError("DUP_ID", f"{path}: duplicated id {x!r}")
         seen.add(x)
 
 
@@ -134,23 +130,28 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
     header, row_ids, body = _read_csv(y_path)
     col_ids = header[1:]
     if not col_ids:
-        raise IngestError("DIM_MISMATCH", f"{y_path}: no response columns")
+        raise CodedError("DIM_MISMATCH", f"{y_path}: no response columns")
     _check_ids(col_ids, y_path)
     _check_ids(row_ids, y_path)
     Y = _parse_block(y_path, body, len(col_ids))
     # Y's sum of squares bounds every residual sum of squares, Gram-matrix
-    # entry and squared singular value formed from Y
+    # entry and squared singular value formed from Y: none may overflow, and
+    # a nonzero Y's may not underflow to zero
     with np.errstate(over="ignore"):
-        if not np.isfinite(Y.ravel() @ Y.ravel()):
-            raise IngestError("OVERFLOW", f"{y_path}: the sum of squared "
-                                          "values exceeds the float64 range")
+        sum_sq = Y.ravel() @ Y.ravel()
+    if not np.isfinite(sum_sq):
+        raise CodedError("OVERFLOW", f"{y_path}: the sum of squared values "
+                                     "exceeds the float64 range")
+    if sum_sq < np.finfo(np.float64).tiny and Y.any():
+        raise CodedError("UNDERFLOW", f"{y_path}: the sum of squared values "
+                                      "falls below the float64 range")
 
     X = None
     if x_path is not None:
         xh, x_ids, xb = _read_csv(x_path)
         if x_ids != row_ids:
-            raise IngestError("ID_MISMATCH",
-                              f"{x_path}: row ids do not match {y_path}")
+            raise CodedError("ID_MISMATCH",
+                             f"{x_path}: row ids do not match {y_path}")
         X = _parse_block(x_path, xb, len(xh) - 1)
         if add_intercepts:
             X = np.column_stack([np.ones(X.shape[0]), X])
@@ -159,19 +160,14 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
     if z_path is not None:
         zh, z_ids, zb = _read_csv(z_path)
         if z_ids != col_ids:
-            raise IngestError("ID_MISMATCH",
-                              f"{z_path}: row ids do not match {y_path} columns")
+            raise CodedError("ID_MISMATCH",
+                             f"{z_path}: row ids do not match {y_path} columns")
         Z = _parse_block(z_path, zb, len(zh) - 1)
         if add_intercepts:
             Z = np.column_stack([np.ones(Z.shape[0]), Z])
 
-    try:
-        return DatasetBundle(Y, X, Z, row_ids=tuple(row_ids),
-                             col_ids=tuple(col_ids))
-    except ValueError as exc:
-        msg = str(exc)
-        code = "RANK_DEFICIENT" if "rank" in msg else "DIM_MISMATCH"
-        raise IngestError(code, msg) from exc
+    return DatasetBundle(Y, X, Z, row_ids=tuple(row_ids),
+                         col_ids=tuple(col_ids))
 
 
 # csv.writer (default dialect, "\n" line ends) quotes a field holding any of
@@ -245,8 +241,8 @@ def _open_output(args):
         try:
             return open(args.output, "w"), True
         except OSError as exc:
-            raise IngestError("IO_ERROR",
-                              f"cannot write {args.output}: {exc}") from exc
+            raise CodedError("IO_ERROR",
+                             f"cannot write {args.output}: {exc}") from exc
     return sys.stdout, False
 
 
@@ -380,8 +376,8 @@ def cmd_generate(args, out) -> None:
                        "seed": args.seed}, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
-        raise IngestError("IO_ERROR",
-                          f"cannot write {args.out_dir}: {exc}") from exc
+        raise CodedError("IO_ERROR",
+                         f"cannot write {args.out_dir}: {exc}") from exc
     print(f"wrote y.csv, x.csv, z.csv, truth.json to {args.out_dir}",
           file=sys.stderr)
 

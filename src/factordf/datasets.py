@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DOMAIN_GENERATE, stream
-from .linalg import polar_factors
+from .linalg import CodedError, polar_factors
 from .model import DatasetBundle
 
 N_SUBJECTS = 39
@@ -58,11 +58,25 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
     carry no factor loading at all.  Age effects (bounded by ``age_effect``,
     alternating signs) are planted preferentially in factor-exposed genes --
     the latent variation is what masks them from an unadjusted analysis.
+    Fewer than 3 responses is a ``SIZE_RANGE``, and a ``signal_fraction``
+    outside [0, 1], or one that plants more signals than there are exposed
+    genes, a ``SIGNAL_FRACTION_RANGE`` ``CodedError``.
     """
+    N, M = N_SUBJECTS, m_responses
+    if M < 3:   # Z's two columns need more rows than that
+        raise CodedError("SIZE_RANGE", f"m_responses must be >= 3, got {M}")
+    if not 0 <= signal_fraction <= 1:
+        raise CodedError("SIGNAL_FRACTION_RANGE", f"signal_fraction must lie "
+                         f"in [0, 1], got {signal_fraction:g}")
+    n_sig = int(round(signal_fraction * M))
+    n_off = int(round(unexposed_fraction * M)) if unexposed_fraction > 0 else 0
+    if n_off < M and n_sig > M - n_off:
+        raise CodedError("SIGNAL_FRACTION_RANGE", f"signal_fraction "
+                         f"{signal_fraction:g} plants {n_sig} signals, more "
+                         f"than the {M - n_off} exposed genes")
     rng = stream(seed, DOMAIN_GENERATE)
     X = subject_covariates()
-    Z = gene_covariates(m_responses)
-    N, M = N_SUBJECTS, m_responses
+    Z = gene_covariates(M)
     p = X.shape[1]
 
     beta = np.zeros((M, p))
@@ -76,7 +90,6 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
     U, _ = np.linalg.qr(G)
     loadings = rng.standard_normal((M, 2))
     if unexposed_fraction > 0:
-        n_off = int(round(unexposed_fraction * M))
         off = rng.choice(M, size=n_off, replace=False)
         loadings[off] = 0.0
     exposure = np.sum(loadings**2, axis=1)
@@ -87,7 +100,6 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
     d = np.sqrt(factor_to_noise * N / 2.0)
     factor_term = (U * d) @ loadings.T
 
-    n_sig = int(round(signal_fraction * M))
     if n_sig > 0:
         weights = exposure / exposure.sum() if exposure.sum() > 0 else None
         sig_idx = rng.choice(M, size=n_sig, replace=False, p=weights)

@@ -94,15 +94,9 @@ def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,
     i = np.arange(dim)
     diag_sq = rng.chisquare(dof - i, size=(reps, dim))            # B_ii^2
     sub_sq = rng.chisquare(dim - 1 - i[:-1], size=(reps, dim - 1))  # B_i+1,i^2
-    # column-major, so that the solve's (n, reps) view of d is no copy; the
-    # chi-square arrays go before the solve starts
-    e = np.multiply(diag_sq[:, :-1], sub_sq, order="F")
-    np.sqrt(e, out=e)                       # T_i+1,i = B_ii B_i+1,i
-    d = np.asfortranarray(diag_sq)
-    del diag_sq
-    d[:, 1:] += sub_sq                      # T_ii = B_ii^2 + B_i,i-1^2
-    del sub_sq
-    return _tridiagonal_top(d, e, r)
+    e = np.sqrt(diag_sq[:, :-1] * sub_sq)         # T_i+1,i = B_ii B_i+1,i
+    diag_sq[:, 1:] += sub_sq                      # T_ii = B_ii^2 + B_i,i-1^2
+    return _tridiagonal_top(diag_sq, e, r)
 
 
 # LAPACK's relative machine precision and safe minimum (dlamch "P", "S"),
@@ -128,17 +122,17 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
     tridiagonal matrices with diagonals d (reps, n) and off-diagonals
     e (reps, n - 1).
 
-    All draws are solved together, each numpy call acting on every draw
-    still iterating.  For k = 1 ... r, lambda_k comes from a Laguerre
-    iteration on det(T - x I) (Li & Zeng 1994) deflated by the lambda_j,
-    j < k, already found: lambda_1 starts at the Gershgorin upper bound,
-    from which the iteration falls monotonically to it, and lambda_k just
-    above lambda_{k-1}, as soon as that has converged.  A draw whose
-    iterate leaves its bracket (the Gershgorin lower bound up to the
-    start), or which has not converged after ``_MAX_LAGUERRE`` steps, is
-    left to bisection.  A step that is not finite means x sits on a zero
-    pivot, mostly on an eigenvalue; x then stands for the certificate to
-    judge.
+    All draws are solved together, column c of every working array being
+    draw c throughout; a draw that has found its r values stands still.  For
+    k = 1 ... r, lambda_k comes from a Laguerre iteration on det(T - x I)
+    (Li & Zeng 1994) deflated by the lambda_j, j < k, already found:
+    lambda_1 starts at the Gershgorin upper bound, from which the iteration
+    falls monotonically to it, and lambda_k just above lambda_{k-1}, as soon
+    as that has converged.  A draw whose iterate leaves its bracket (the
+    Gershgorin lower bound up to the start), or which has not converged
+    after ``_MAX_LAGUERRE`` steps, is left to bisection.  A step that is not
+    finite means x sits on a zero pivot, mostly on an eigenvalue; x then
+    stands for the certificate to judge.
 
     Every value is then certified by Sturm counts at lambda_k -+ tol, with
     the tolerance of LAPACK's bisection, tol = max(ulp ||T||, pivmin,
@@ -152,11 +146,7 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
     top = np.full((reps, r), np.nan)
     if r == 0:
         return top
-    # (n, reps) layout, row i of every draw one contiguous array: a copy,
-    # or for a column-major d a view
-    D = np.ascontiguousarray(d.T, dtype=np.float64)
-    C = np.array(e.T, dtype=np.float64, order="C")
-    np.multiply(C, C, out=C)                      # squared off-diagonals
+    D, C = _rows(d, e)
     rad = np.zeros_like(D)                        # Gershgorin: d_i -+ radius
     rad[1:] = np.sqrt(C)
     rad[:-1] += rad[1:]                           # |e_{i-1}| + |e_i|
@@ -167,17 +157,15 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
     gu += _FUDGE * (tnorm * _ULP * n + pivmin)
     atol = np.maximum(_ULP * tnorm, pivmin)
 
-    # Column c of the working arrays iterates for lambda_{k[c] + 1} of draw
-    # act[c], and goes on to the next eigenvalue as soon as one converges.
-    act, k = np.arange(reps), np.zeros(reps, dtype=np.int64)
-    x = gu.copy()
-    lo, hi, tol0 = gl, x, atol             # per column: bracket, tolerance
-    prev, steps = x - gl, np.zeros(reps, dtype=np.int64)
-    live, Da, Ca = np.ones(reps, dtype=bool), D, C
+    # Draw c iterates for lambda_{k[c] + 1} below hi[c] and goes on to the
+    # next eigenvalue as soon as one converges; live masks the unfinished.
+    k, steps = np.zeros(reps, dtype=np.int64), np.zeros(reps, dtype=np.int64)
+    x = hi = gu.copy()
+    prev, live = x - gl, np.ones(reps, dtype=bool)
     while True:
-        G, H = _laguerre_sums(Da, Ca, x)
+        G, H = _laguerre_sums(D, C, x)
         if r > 1:                  # deflate by the lambda_j, j < k, found
-            w = x[:, None] - top[act, :r - 1]
+            w = x[:, None] - top[:, :r - 1]
             np.divide(1.0, w, out=w)
             w[np.arange(r - 1) >= k[:, None]] = 0.0
             G -= w.sum(axis=1)
@@ -196,41 +184,27 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray, r: int) -> np.ndarray:
         step = np.divide(deg, H, out=H)
         step[~np.isfinite(step)] = 0.0          # x on a zero pivot
         xn = x - step
-        tol = _tolerance(tol0, xn)
+        tol = _tolerance(atol, xn)
         np.abs(step, out=step)
         converged = (step <= tol) | (
             step * (step / prev) ** 3 <= _PREDICTED * tol)
         steps += 1
-        stray = ~((xn >= lo) & (xn <= hi)) | (
+        stray = ~((xn >= gl) & (xn <= hi)) | (
             ~converged & (steps >= _MAX_LAGUERRE))
         done = live & (stray | converged)
         xn[stray] = np.nan
-        top[act[done], k[done]] = xn[done]
-        # a column that converged restarts just above the value it found
+        top[done, k[done]] = xn[done]
+        # a draw that converged restarts just above the value it found
         k += done
         live &= k < r
         if not live.any():
             break
         start = done & live
         x = np.where(live, xn, x)
-        x[start] += _RESTART * tnorm[act[start]]
+        x[start] += _RESTART * tnorm[start]
         hi = np.where(start, x, hi)
-        prev = np.where(start, x - lo, np.where(live, step, prev))
+        prev = np.where(start, x - gl, np.where(live, step, prev))
         steps[start] = 0
-        # Finished columns stand still until seven in eight have finished;
-        # the live ones then move to new arrays, padded to a power of two
-        # by repeats of the last (whose results are its own): small arrays
-        # in a few sizes that recur from call to call.  Packing at half,
-        # into arrays of hundreds of columns, left the heap grown by ~2 MB
-        # after about half of the bootstrap runs.
-        if 8 * np.count_nonzero(live) <= len(live):
-            keep = np.flatnonzero(live)
-            width = 1 << (len(keep) - 1).bit_length()
-            keep = keep[np.minimum(np.arange(width), len(keep) - 1)]
-            act, k, x, lo, hi, tol0, prev, steps, live = (
-                act[keep], k[keep], x[keep], lo[keep], hi[keep], tol0[keep],
-                prev[keep], steps[keep], live[keep])
-            Da, Ca = Da[:, keep], Ca[:, keep]
 
     # one count over every (draw, k) at lambda_k + tol and lambda_k - tol
     lam = top.T                                   # (r, reps)
@@ -270,9 +244,7 @@ def _tridiagonal_weights(d: np.ndarray, e: np.ndarray,
     belongs to the block below it alone, f_1 is the upper block's, which does
     not vanish there, and 1 / g_1 is not z^2.
     """
-    D = np.ascontiguousarray(d.T, dtype=np.float64)      # (n, reps) rows
-    C = np.array(e.T, dtype=np.float64, order="C")
-    np.multiply(C, C, out=C)
+    D, C = _rows(d, e)
     x = np.ascontiguousarray(lam.T)                       # (r, reps)
     f = D[-1] - x
     g = np.ones_like(f)
@@ -287,6 +259,16 @@ def _tridiagonal_weights(d: np.ndarray, e: np.ndarray,
     norm = np.abs(D).max(axis=0) + 2 * np.sqrt(C.max(axis=0, initial=0.0))
     ok = np.isfinite(g) & (np.abs(f) <= _ROOT_SLACK * _ULP * norm * g)
     return (1.0 / g).T, ok.T
+
+
+def _rows(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, reps) rows D of the diagonals d (reps, n) and C of the
+    squared off-diagonals e (reps, n - 1): row i of every draw one
+    contiguous array."""
+    D = np.ascontiguousarray(d.T, dtype=np.float64)
+    C = np.array(e.T, dtype=np.float64, order="C")
+    np.multiply(C, C, out=C)
+    return D, C
 
 
 def _tolerance(atol, x):

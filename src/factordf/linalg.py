@@ -34,9 +34,11 @@ class CodedError(ValueError):
 def _as_matrix(A, name: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
+        raise CodedError("DIM_MISMATCH",
+                         f"{name} must be 2-dimensional, got shape {A.shape}")
     if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and column")
+        raise CodedError("DIM_MISMATCH",
+                         f"{name} must have at least one row and column")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A

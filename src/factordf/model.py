@@ -13,24 +13,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_matrix, polar_factors
+from .linalg import CodedError, _as_matrix, polar_factors
 
 
 def _factor_covariate(C, n_rows: int, name: str):
-    """(C, Q, R) with C = Q R its polar factors, or (None, None, None)."""
+    """(C, Q, R) with C = Q R its polar factors, or (None, None, None).
+
+    A C of the wrong shape is a ``DIM_MISMATCH`` and one without full column
+    rank a ``RANK_DEFICIENT`` ``CodedError``.
+    """
     if C is None:
         return None, None, None
     C = _as_matrix(C, name)
-    if C.shape[1] == 0:
-        return None, None, None
     if C.shape[0] != n_rows:
-        raise ValueError(f"{name} has {C.shape[0]} rows, expected {n_rows}")
+        raise CodedError("DIM_MISMATCH",
+                         f"{name} has {C.shape[0]} rows, expected {n_rows}")
     if C.shape[1] >= n_rows:
-        raise ValueError(f"{name} must have fewer columns than rows")
+        raise CodedError("DIM_MISMATCH",
+                         f"{name} must have fewer columns than rows")
     try:
         Q, R = polar_factors(C)
     except ValueError:
-        raise ValueError(f"{name} is rank deficient") from None
+        raise CodedError("RANK_DEFICIENT",
+                         f"{name} is rank deficient") from None
     return C, Q, R
 
 

@@ -316,18 +316,14 @@ def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
     """
     if config.r_hat == min(config.n, config.m):
         return float(config.n), None, False
-    if config.r == 0 or config.r_hat == 0:
-        base = df_noise(config.n, config.m, config.r_hat).total
-        extra = 0.0
-        if config.r > 0:   # unmodeled signal along s inflates the RSS
-            V = loading_matrix(config)
-            s = direction_vector(config)
-            proj = (V.T @ s) ** 2 / float(s @ s)
-            extra = -config.n * float((np.asarray(config.mu) / config.sigma_sq) @ proj)
-        return base + extra, None, False
+    if config.r == 0:
+        return df_noise(config.n, config.m, config.r_hat).total, None, False
     V = loading_matrix(config)
     s = direction_vector(config)
     proj = (V.T @ s) ** 2 / float(s @ s)
+    if config.r_hat == 0:   # unmodeled signal along s inflates the RSS
+        extra = -config.n * float((np.asarray(config.mu) / config.sigma_sq) @ proj)
+        return df_noise(config.n, config.m, 0).total + extra, None, False
     est = df_signal_total(config.n, config.m, config.mu, config.sigma_sq,
                           proj, config.r_hat)
     alt = None
@@ -396,15 +392,15 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     gains little from a second thread: timed on 2 cores, two threads ran at
     0.45-0.74 times the speed of one at orders min(n, m) = 30-150.
     """
-    (rss, _, _), (_, mean_df, se_df) = _run_replicates(
-        config, sampling_plan(config), _rss_and_df)
+    plan = sampling_plan(config)
+    (rss, _, _), (_, mean_df, se_df) = _run_replicates(config, plan,
+                                                       _rss_and_df)
     theory, alt, conj = theoretical_df(config)
 
-    s = direction_vector(config)
     chi2_df = config.n - theory
     ks = None
     if chi2_df > 0:
-        scaled = rss / (config.sigma_sq * float(s @ s))
+        scaled = rss / (config.sigma_sq * plan.s_sq)
         ks = ks_test(scaled, lambda q: chi2_cdf(q, chi2_df))
 
     bracketed = None

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from factordf import cli, distributions
-from factordf.cli import (EXIT_CLOSED_PIPE, FORMATS, IngestError, _write_csv,
-                          ingest, main)
+from factordf.cli import EXIT_CLOSED_PIPE, FORMATS, _write_csv, ingest, main
 from factordf.datasets import synthetic_study
 from factordf.dof import df_mandel
+from factordf.linalg import CodedError
 
 
 def write_csv(path, rows):
@@ -54,7 +54,7 @@ def test_ingest_dim_mismatch(tmp_path, toy_files):
     y, x, z = toy_files
     bad = tmp_path / "bad.csv"
     write_csv(bad, [["id", "g1", "g2"], ["s1", "1", "2"], ["s2", "3"]])
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(str(bad))
     assert err.value.code == "DIM_MISMATCH"
 
@@ -62,7 +62,7 @@ def test_ingest_dim_mismatch(tmp_path, toy_files):
 def test_ingest_duplicate_ids(tmp_path):
     bad = tmp_path / "dup.csv"
     write_csv(bad, [["id", "g1", "g1"], ["s1", "1", "2"], ["s2", "3", "4"]])
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(str(bad))
     assert err.value.code == "DUP_ID"
 
@@ -71,7 +71,7 @@ def test_ingest_id_mismatch(tmp_path, toy_files):
     y, x, z = toy_files
     bad_x = tmp_path / "bad_x.csv"
     write_csv(bad_x, [["id", "v"], ["sA", "1"], ["s2", "2"], ["s3", "3"]])
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(y, str(bad_x))
     assert err.value.code == "ID_MISMATCH"
 
@@ -79,7 +79,7 @@ def test_ingest_id_mismatch(tmp_path, toy_files):
 def test_ingest_parse_error(tmp_path):
     bad = tmp_path / "nan.csv"
     write_csv(bad, [["id", "g1"], ["s1", "abc"], ["s2", "1"]])
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(str(bad))
     assert err.value.code == "PARSE_ERROR"
 
@@ -121,7 +121,7 @@ def test_ingest_fault_messages(tmp_path, which, fault, code, message):
     width = len(TOY_ROWS[which][0])
     expected = f"{code}: {paths[which]}: " + message.format(fields=width + 1,
                                                             width=width)
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(paths["y"], paths["x"], paths["z"])
     assert err.value.code == code
     assert str(err.value) == expected
@@ -191,7 +191,7 @@ def test_reader_blank_or_id_only_row_is_dim_mismatch(tmp_path, text, message):
     y.write_bytes(text.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # nothing but the error reaches stderr
-        with pytest.raises(IngestError) as err:
+        with pytest.raises(CodedError) as err:
             ingest(str(y))
     assert str(err.value) == f"DIM_MISMATCH: {y}: {message}"
 
@@ -215,7 +215,7 @@ def test_ingest_reports_row_faults_before_non_finite(tmp_path, which, fault):
     expected = (f"DIM_MISMATCH: {paths[which]}: row 3 has {width - 1} fields, "
                 f"expected {width}" if fault == "short" else
                 f"PARSE_ERROR: {paths[which]}: unparseable number 'abc' at row 3")
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(paths["y"], paths["x"], paths["z"])
     assert str(err.value) == expected
 
@@ -240,7 +240,7 @@ def test_ingest_rank_deficient(tmp_path, toy_files):
     bad_x = tmp_path / "rank.csv"
     write_csv(bad_x, [["id", "a", "b"], ["s1", "1", "2"], ["s2", "1", "2"],
                       ["s3", "1", "2"]])
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(y, str(bad_x))
     assert err.value.code == "RANK_DEFICIENT"
 
@@ -518,7 +518,7 @@ def test_non_utf8_position_is_absolute(tmp_path):
     y = tmp_path / "y.csv"
     body = b"id,g1,g2\n" + b"".join(b"s%d,1,2\n" % i for i in range(2000))
     y.write_bytes(body + b"s\xfe,1,2\n")
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(CodedError) as err:
         ingest(str(y))
     assert str(err.value) == (f"PARSE_ERROR: {y}: byte 0xfe at position "
                               f"{len(body) + 1} is not valid utf-8")
@@ -622,21 +622,89 @@ def test_cli_model_fault_codes(tmp_path, capsys, y_rows, flags, line):
 # every response scaled by 1e160: their squares overflow float64
 SIX_Y_HUGE = [SIX_Y[0]] + [[r[0]] + [f"{float(v) * 1e160!r}" for v in r[1:]]
                            for r in SIX_Y[1:]]
-
-
-@pytest.mark.filterwarnings("error")    # a numpy RuntimeWarning fails it
-@pytest.mark.parametrize("command", [
+# every response scaled by 1e-170: their squares underflow to zero
+SIX_Y_TINY = [SIX_Y[0]] + [[r[0]] + [f"{float(v) * 1e-170!r}" for v in r[1:]]
+                           for r in SIX_Y[1:]]
+# the commands that read Y, each of which a Y out of range used to derail
+Y_COMMANDS = pytest.mark.parametrize("command", [
     ["test", "--coef-index", "1", "--r-hat", "1", "--method", "naive"],
     ["test", "--coef-index", "1", "--method", "none"],
     ["fit"], ["scree"]], ids=["test", "test-none", "fit", "scree"])
-def test_cli_overflowing_y_is_coded(tmp_path, capsys, command):
+
+
+def run_on_six(tmp_path, capsys, command, y_rows, x_rows=SIX_X):
+    """Run a command that fails on six subjects' files; (Y's path, stderr)."""
     y, x = tmp_path / "y.csv", tmp_path / "x.csv"
-    write_csv(y, SIX_Y_HUGE)
-    write_csv(x, SIX_X)
+    write_csv(y, y_rows)
+    write_csv(x, x_rows)
     code, out, err = run_cli([*command, "--y", str(y), "--x", str(x)], capsys)
     assert code == 1 and out == ""
+    return y, err
+
+
+@pytest.mark.filterwarnings("error")    # a numpy RuntimeWarning fails it
+@Y_COMMANDS
+def test_cli_overflowing_y_is_coded(tmp_path, capsys, command):
+    y, err = run_on_six(tmp_path, capsys, command, SIX_Y_HUGE)
     assert err == (f"error [OVERFLOW]: {y}: the sum of squared values "
                    "exceeds the float64 range\n")
+
+
+@pytest.mark.filterwarnings("error")
+@Y_COMMANDS
+def test_cli_underflowing_y_is_coded(tmp_path, capsys, command):
+    # before, test --method none printed t = inf for every response, and
+    # test --r-hat 1 a FACTOR_RANK
+    y, err = run_on_six(tmp_path, capsys, command, SIX_Y_TINY)
+    assert err == (f"error [UNDERFLOW]: {y}: the sum of squared values "
+                   "falls below the float64 range\n")
+
+
+@pytest.mark.parametrize("width, message", [
+    (6, "X must have fewer columns than rows"),
+    (0, "X must have at least one row and column"),
+], ids=["as-wide-as-tall", "no-columns"])
+def test_cli_x_shape_is_dim_mismatch(tmp_path, capsys, width, message):
+    x_rows = [["id", *(f"c{j}" for j in range(width))]] + [
+        [f"s{i + 1}", *("1" if i == j else "0" for j in range(width))]
+        for i in range(6)]
+    _, err = run_on_six(tmp_path, capsys, ["fit"], SIX_Y, x_rows)
+    assert err == f"error [DIM_MISMATCH]: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, line", [
+    (["--m", "0"], "error [SIZE_RANGE]: m_responses must be >= 3, got 0"),
+    (["--m", "1"], "error [SIZE_RANGE]: m_responses must be >= 3, got 1"),
+    (["--m", "2"], "error [SIZE_RANGE]: m_responses must be >= 3, got 2"),
+    (["--signal-fraction", "2"], "error [SIGNAL_FRACTION_RANGE]: "
+     "signal_fraction must lie in [0, 1], got 2"),
+    (["--signal-fraction", "-1"], "error [SIGNAL_FRACTION_RANGE]: "
+     "signal_fraction must lie in [0, 1], got -1"),
+    (["--signal-fraction", "nan"], "error [SIGNAL_FRACTION_RANGE]: "
+     "signal_fraction must lie in [0, 1], got nan"),
+    (["--signal-fraction", "1"], "error [SIGNAL_FRACTION_RANGE]: "
+     "signal_fraction 1 plants 50 signals, more than the 42 exposed genes"),
+], ids=["SIZE_RANGE-0", "SIZE_RANGE-1", "SIZE_RANGE-2",
+        "SIGNAL_FRACTION_RANGE-2", "SIGNAL_FRACTION_RANGE-neg",
+        "SIGNAL_FRACTION_RANGE-nan", "SIGNAL_FRACTION_RANGE-1"])
+def test_cli_generate_range_fault_codes(tmp_path, capsys, flags, line):
+    out_dir = tmp_path / "fixture"
+    code, out, err = run_cli(["generate", "--out-dir", str(out_dir),
+                              "--m", "50", "--seed", "1", *flags], capsys)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
+    assert not out_dir.exists()
+
+
+def test_generate_smallest_sizes_and_fractions(tmp_path, capsys):
+    # m = 3, no signal, and 42 signals in the 42 exposed of 50 genes are
+    # in range
+    for flags in (["--m", "3"], ["--signal-fraction", "0"],
+                  ["--signal-fraction", "0.84"]):
+        code, _, _ = run_cli(["generate", "--out-dir", str(tmp_path),
+                              "--m", "50", "--seed", "1", *flags], capsys)
+        assert code == 0
 
 
 @pytest.mark.parametrize("flags, line", [

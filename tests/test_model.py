@@ -4,6 +4,7 @@ import pytest
 import factordf.linalg
 import factordf.model
 from factordf.inference import compute_direction_stats
+from factordf.linalg import CodedError
 from factordf.model import DatasetBundle, fit_two_sided
 from oracles import (adjusted_residuals, extract_factors, hat_matrix,
                      reduce_to_covariate_free, rss)
@@ -26,10 +27,14 @@ def test_bundle_validation():
         DatasetBundle(np.ones((4, 3)), X=np.ones((5, 1)))
     with pytest.raises(ValueError):
         DatasetBundle(np.ones((4, 3)), X=np.ones((4, 4)))   # p must be < N
-    with pytest.raises(ValueError, match="^Z is rank deficient$"):
+    with pytest.raises(CodedError) as err:
         DatasetBundle(np.ones((4, 6)), Z=np.ones((6, 2)))
-    with pytest.raises(ValueError, match="^X is rank deficient$"):
+    assert err.value.code == "RANK_DEFICIENT"
+    assert err.value.message == "Z is rank deficient"
+    with pytest.raises(CodedError) as err:
         DatasetBundle(np.ones((4, 3)), X=np.ones((4, 2)))
+    assert err.value.code == "RANK_DEFICIENT"
+    assert err.value.message == "X is rank deficient"
 
 
 def test_fit_without_covariates():

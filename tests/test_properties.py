@@ -4,8 +4,9 @@ The bootstrap draws and fits each dataset in caller-owned (N, M) buffers
 (``out=``); these properties hold the buffer path to the allocating one, bit
 for bit, at every covariate layout.  Mandel's spectrum solve is held to the
 dense eigensolver on tridiagonals of every order, scale and sign pattern,
-split and tied ones included, and the Monte-Carlo engine's batched band
-solve to LAPACK's per-draw one on noise and basis cells.  The columnar test result is held to the
+split and tied ones included, each draw's values in a batch to those of
+that draw solved alone, and the Monte-Carlo engine's batched band solve to
+LAPACK's per-draw one on noise and basis cells.  The columnar test result is held to the
 arrays it is made of, and to a permutation of the responses.
 """
 
@@ -147,6 +148,45 @@ def test_tridiagonal_top_matches_dense_solve(case):
     assert np.all(np.abs(got - want[:, :r]) <= bound[:, None])
     assert np.all(np.diff(got, axis=1) <= 0)     # descending
     assert sturm_certified(d, e, got)
+
+
+@st.composite
+def mixed_batches(draw):
+    """A batch of 1-40 tridiagonals of one order n <= 30, each drawn as one
+    of three kinds: Mandel's Laguerre model (a Wishart spectrum), a generic
+    matrix, or one of few distinct entries, whose split blocks tie and go to
+    bisection; some off-diagonals are zero."""
+    n = draw(st.integers(1, 30))
+    r = draw(st.integers(0, min(n, 3)))
+    reps = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, e = np.empty((reps, n)), np.empty((reps, n - 1))
+    for i, kind in enumerate(rng.integers(0, 3, reps)):
+        if kind == 0:
+            dof = n + rng.integers(0, 40)
+            diag_sq = rng.chisquare(dof - np.arange(n))
+            sub_sq = rng.chisquare(np.arange(n - 1, 0, -1))
+            d[i] = diag_sq + np.pad(sub_sq, (1, 0))
+            e[i] = np.sqrt(diag_sq[:-1] * sub_sq)
+        elif kind == 1:
+            d[i], e[i] = rng.standard_normal(n), rng.standard_normal(n - 1)
+        else:
+            d[i], e[i] = rng.integers(-2, 3, n), rng.integers(-1, 2, n - 1)
+    e[rng.random(e.shape) < draw(st.floats(0, 0.5))] = 0.0   # splits
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    return d * scale, e * scale, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_batches())
+def test_tridiagonal_top_row_is_its_draw_alone(case):
+    # a draw's values depend on its own matrix alone, not on the batch it is
+    # solved in nor on how long the other draws iterate
+    d, e, r = case
+    got = distributions._tridiagonal_top(d, e, r)
+    for i in range(len(d)):
+        alone = distributions._tridiagonal_top(d[i:i + 1], e[i:i + 1], r)
+        assert got[i].tobytes() == alone[0].tobytes()
 
 
 @st.composite
