@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .distributions import KsResult, SeededGenerator, chi2_cdf, ks_test
+from .distributions import KsResult, chi2_cdf, ks_test
 from .dof import (AsymptoticPrediction, DofEstimate, DofMethod,
                   asymptotic_predictions, df_conservative, df_gollob,
                   df_mandel, df_naive, df_noise, df_signal_k, df_signal_total,
@@ -22,7 +22,7 @@ __all__ = [
     "AsymptoticPrediction", "BootstrapConfig", "CoefficientEstimates",
     "DatasetBundle", "DirectionStats", "DofEstimate", "DofMethod",
     "FdrReport", "GenerativeTruth", "GridCell", "KsResult",
-    "ScreeTable", "SeededGenerator", "SignalShape", "SimConfig", "SimResult",
+    "ScreeTable", "SignalShape", "SimConfig", "SimResult",
     "SpikeResult", "TestResult", "asymptotic_predictions",
     "build_generative_truth", "chi2_cdf",
     "compute_direction_stats", "df_conservative", "df_gollob", "df_mandel",

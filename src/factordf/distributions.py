@@ -12,9 +12,11 @@ its top eigenvalues and ``_tridiagonal_weights`` the squared first
 coordinates of their eigenvectors (Golub 1973); wider bands go to LAPACK
 ``dsbevx`` (``linalg.top_band_eigenpairs``).
 
-Random streams are counter-based (Philox keyed by ``(seed, stream)``), so a
-draw is a pure function of its seed, its domain tag, and its index --
-parallel consumers get bit-identical results regardless of scheduling.
+Random streams are counter-based: Philox keyed by the seed and by (domain
+tag, index) (``_key``), so a draw is a pure function of its seed, its
+domain tag, and its index -- parallel consumers get bit-identical results
+regardless of scheduling.  ``stream`` builds a new generator for a stream;
+``_rekey`` sets an existing one to a stream's start, with the same bits.
 Nothing here starts a thread, calls a foreign library or sets the BLAS
 thread count.
 """
@@ -38,16 +40,10 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class SeededGenerator:
-    """Value-like handle for one reproducible random stream."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = (self.seed & _MASK64, self.stream_id & _MASK64)
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+def _key(seed: int, domain: int, index: int) -> tuple[int, int]:
+    """Philox key of stream ``index`` of a domain family under ``seed``: the
+    seed, masked to 64 bits, and (domain, index), masked to 32 bits each."""
+    return seed & _MASK64, ((domain & _MASK32) << 32) | (index & _MASK32)
 
 
 class _PhiloxKey(ISeedSequence):
@@ -70,9 +66,24 @@ class _PhiloxKey(ISeedSequence):
 
 
 def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """Generator for stream ``index`` of a domain family under ``seed``."""
-    sid = ((domain & _MASK32) << 32) | (index & _MASK32)
-    return SeededGenerator(seed, sid).generator()
+    """A new generator for stream ``index`` of a domain family under
+    ``seed``."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(
+        _key(seed, domain, index))))
+
+
+def _rekey(rng: np.random.Generator, seed: int, domain: int,
+           index: int) -> np.random.Generator:
+    """``rng``, a Philox generator, set to what ``stream(seed, domain,
+    index)`` would build: that key at counter 0, with no buffered words.
+    A Philox stream is its key and counter (Salmon et al. 2011), so the
+    draws are the same bits, without the cost of building a generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _key(seed, domain, index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0}
+    return rng
 
 
 def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,

@@ -148,6 +148,11 @@ def df_gollob(n: int, m: int, r_hat: int) -> DofEstimate:
     return _estimate(((n - k + 1) + (m - k + 1) - 1) / m, DofMethod.GOLLOB)
 
 
+# Most Mandel draws sampled and solved at once: their tridiagonals and the
+# solve's working arrays take about 2 KB a draw at dim 36, r_hat 2.
+_MANDEL_CHUNK = 1 << 16
+
+
 def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
               seed: int | None = None) -> DofEstimate:
     """Mandel's allocation: E[lambda_k] / m, estimated by Monte Carlo.
@@ -160,7 +165,10 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     matrix is formed, and all draws' tridiagonals are solved together by a
     deflated Laguerre iteration whose every value a Sturm count certifies
     to LAPACK's bisection tolerance (bisection finds any it cannot).
-    Results are deterministic for a fixed seed.  ``mc_se`` is the
+    Results are deterministic for a fixed seed.  The draws come in chunks
+    of at most ``_MANDEL_CHUNK``, chunk c from ``stream(seed, DOMAIN_MANDEL,
+    c)``, so memory holds one chunk's tridiagonals and every draw's top
+    eigenvalues, 8 r_hat bytes a draw.  ``mc_se`` is the
     Monte-Carlo standard error of the total.  Fewer than 100 draws is a
     ``MANDEL_REPS_RANGE`` and a missing seed a ``SEED_REQUIRED``
     ``CodedError``.
@@ -171,8 +179,10 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     if seed is None:
         raise CodedError("SEED_REQUIRED", "df_mandel requires an explicit seed")
     dim, dof = min(n, m), max(n, m)
-    top = wishart_top_eigenvalues(stream(seed, DOMAIN_MANDEL), dim, dof,
-                                  mc_reps, r_hat) / m
+    top = np.concatenate([
+        wishart_top_eigenvalues(stream(seed, DOMAIN_MANDEL, c), dim, dof,
+                                min(_MANDEL_CHUNK, mc_reps - start), r_hat)
+        for c, start in enumerate(range(0, mc_reps, _MANDEL_CHUNK))]) / m
     per = top.mean(axis=0)
     # SE of the per-draw totals: the top eigenvalues are correlated
     se = float(np.sqrt(top.sum(axis=1).var(ddof=1) / mc_reps))

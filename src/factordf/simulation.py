@@ -26,8 +26,10 @@ draws them in reduced form instead of the n x m matrix:
 
 A replicate draws about 2p chi's and (k - 1) p normals for B, and Y1
 (n k normals; without signal, R = ||Y1|| is one more chi): ``run_replicate``
-is that draw.  Replicates draw from counter-based streams keyed by (seed,
-replicate index), one after another in the calling thread, and are solved a
+is that draw.  Replicate i draws from the counter-based stream keyed by
+(seed, ``DOMAIN_SIM``, i), which ``run_replicate`` sets its thread's one
+Philox generator to instead of building a new one, with the same bits.
+Replicates are drawn one after another in the calling thread and solved a
 chunk at a time (``solve``).  With k = 1, M is tridiagonal and the chunk is
 solved in one numpy pass, O(p r_hat) a replicate: each top eigenvalue by
 the Sturm-certified Laguerre iteration of ``distributions._tridiagonal_top``
@@ -44,12 +46,13 @@ dense n x m pipeline this replaces is kept as a test oracle.
 """
 
 import json
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .distributions import (DOMAIN_SIM, KsResult, _tridiagonal_top,
+from .distributions import (DOMAIN_SIM, KsResult, _rekey, _tridiagonal_top,
                             _tridiagonal_weights, chi2_cdf, ks_test, stream)
 from .dof import df_noise, df_signal_total, is_above_transition
 from .linalg import RANK_TOL, CodedError, _checked, top_band_eigenpairs
@@ -165,7 +168,7 @@ class SamplingPlan:
     columns: int            # B's nonzero columns, min(n, m - k)
     chi_dof: np.ndarray     # dofs of the chi entries: R's when r = 0,
                             # B's diagonal's, B's k-th subdiagonal's
-    chi_at: tuple           # their places in F's band storage
+    chi_at: np.ndarray      # their flat places in F's band storage
     sigma_sq: float
     s_sq: float             # s's
     r_hat: int
@@ -190,7 +193,8 @@ def sampling_plan(config: SimConfig) -> SamplingPlan:
     # B's column c is F's column k + c: its diagonal chi_{m-k-c} lands at
     # F[k, k + c], its subdiagonal chi_{n-k-c} at F[0, k + c].  Without
     # signal (r = 0, so k = 1) Y1 is noise alone and R = ||Y1|| ~ chi_n,
-    # drawn with them at F[0, 0].
+    # drawn with them at F[0, 0].  F[t, j] is F's flat place t width + j.
+    width = min(n, m) + k
     diag = np.arange(min(n, m - k))
     below = diag[:max(0, n - k)]
     rho = [n] if r == 0 else []
@@ -201,9 +205,8 @@ def sampling_plan(config: SimConfig) -> SamplingPlan:
         dim=min(n, m), columns=len(diag),
         chi_dof=np.concatenate([rho, m - k - diag,
                                 n - k - below]).astype(np.float64),
-        chi_at=(np.repeat([0, k, 0], [len(rho), len(diag), len(below)]),
-                np.concatenate([[0] * len(rho), k + diag,
-                                k + below]).astype(np.intp)),
+        chi_at=np.concatenate([[0] * len(rho), k * width + k + diag,
+                               k + below]).astype(np.intp),
         sigma_sq=float(config.sigma_sq), s_sq=float(s @ s),
         r_hat=config.r_hat)
 
@@ -220,17 +223,22 @@ def draw(plan: SamplingPlan, rng: np.random.Generator):
     """
     n, k = plan.n, len(plan.direction)
     F = np.zeros((k + 1, plan.dim + k))
-    F[plan.chi_at] = np.sqrt(rng.chisquare(plan.chi_dof))
+    chi = rng.chisquare(plan.chi_dof)
+    F.put(plan.chi_at, np.sqrt(chi, out=chi))
     r = len(plan.signal)
     if r == 0:
         R = F[:1, :1]
     else:
         Y1 = rng.standard_normal((n, k))
         Y1[:r] += plan.signal
-        R = np.sqrt(Y1.T.dot(Y1)) if k == 1 else np.linalg.qr(Y1, mode="r")
-        for t in range(k):      # R's t-th superdiagonal
-            d = R.diagonal(t)
-            F[t, t:t + len(d)] = d
+        if k == 1:
+            R = np.sqrt(Y1.T.dot(Y1))
+            F[0, 0] = R[0, 0]
+        else:
+            R = np.linalg.qr(Y1, mode="r")
+            for t in range(k):      # R's t-th superdiagonal
+                d = R.diagonal(t)
+                F[t, t:t + len(d)] = d
     if k > 1:
         c = plan.columns
         F[1:k, k:k + c] = rng.standard_normal((k - 1, c))
@@ -280,20 +288,34 @@ def solve(plan: SamplingPlan, draws: list) -> tuple[np.ndarray, np.ndarray]:
     return _checked(lam, weights, r)
 
 
+class _Generators(threading.local):
+    """One Philox generator per thread, re-keyed by every replicate it draws:
+    re-keying one takes about a quarter of the time building one does."""
+
+    def __init__(self):
+        self.rng = stream(0, DOMAIN_SIM)
+
+
+_generators = _Generators()
+
+
 def run_replicate(config: SimConfig, index: int,
                   plan: SamplingPlan | None = None) -> tuple:
-    """Replicate ``index``'s draw (R, F) (see ``draw``) from its own stream.
+    """Replicate ``index``'s draw (R, F) (see ``draw``) from its own stream,
+    ``stream(config.seed, DOMAIN_SIM, index)``.
 
     Runs call it once per replicate, through this module's global, and
     solve the draws a chunk at a time; ``solve(plan, [run_replicate(config,
     index)])`` solves one alone.  ``plan`` is ``sampling_plan(config)``,
-    passed in to skip recomputing it.
+    passed in to skip recomputing it.  The draw comes from the calling
+    thread's one generator, re-keyed to that stream (the same bits as a new
+    one), which no caller sees.
     """
     if not 0 <= index < config.replicates:
         raise ValueError("replicate index out of range")
     if plan is None:
         plan = sampling_plan(config)
-    return draw(plan, stream(config.seed, DOMAIN_SIM, index))
+    return draw(plan, _rekey(_generators.rng, config.seed, DOMAIN_SIM, index))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from factordf.distributions import (DOMAIN_MANDEL, DOMAIN_SIM,
-                                    SeededGenerator, stream)
+from factordf.distributions import DOMAIN_MANDEL, DOMAIN_SIM, stream
 from factordf.dof import DofEstimate, DofMethod, _estimate
 from factordf.linalg import _as_matrix, polar_factors, top_factors
 from factordf.model import DatasetBundle
@@ -486,6 +485,21 @@ def df_mandel_bartlett(n: int, m: int, r_hat: int, mc_reps: int = 1000,
 
 
 # Stream helpers src/ has no use for.
+
+@dataclass(frozen=True)
+class SeededGenerator:
+    """Value-like handle for one reproducible random stream: Philox keyed by
+    ``(seed, stream_id)``, each masked to 64 bits, through numpy's keyed
+    constructor."""
+
+    seed: int
+    stream_id: int = 0
+
+    def generator(self) -> np.random.Generator:
+        key = np.array((self.seed & 0xFFFFFFFFFFFFFFFF,
+                        self.stream_id & 0xFFFFFFFFFFFFFFFF), np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
 
 def sample_standard_normal(gen: SeededGenerator, count: int) -> np.ndarray:
     """``count`` i.i.d. N(0,1) draws from the stream ``gen`` identifies."""

@@ -7,10 +7,10 @@ import pytest
 from scipy import integrate, stats
 
 from factordf import distributions, linalg
-from factordf.distributions import (SeededGenerator, chi2_cdf, ks_test,
-                                    stream, t_sf, wishart_top_eigenvalues)
+from factordf.distributions import (chi2_cdf, ks_test, stream, t_sf,
+                                    wishart_top_eigenvalues)
 from factordf.dof import df_mandel
-from oracles import (chi2_quantile, dense_tridiagonal_top,
+from oracles import (SeededGenerator, chi2_quantile, dense_tridiagonal_top,
                      sample_standard_normal, spawn, t_cdf, wishart_factor)
 
 
@@ -89,6 +89,22 @@ def test_seeds_past_2_63_keep_their_bits():
             a & 0xFFFFFFFFFFFFFFFF
         assert not np.array_equal(stream(a, 1, 0).standard_normal(4),
                                   stream(b, 1, 0).standard_normal(4))
+
+
+@pytest.mark.parametrize("seed,domain,index", STREAM_TRIPLES)
+def test_rekeyed_generator_draws_a_new_streams_bits(seed, domain, index):
+    # a generator part-way through a Philox block, with half a 64-bit word
+    # buffered, forgets both when re-keyed
+    rng = stream(3, 1, 2)
+    rng.standard_normal(3)
+    rng.integers(0, 2**32, size=1, dtype=np.uint32)
+    distributions._rekey(rng, seed, domain, index)
+    want = stream(seed, domain, index)
+    np.testing.assert_array_equal(
+        rng.integers(0, 2**32, size=3, dtype=np.uint32),
+        want.integers(0, 2**32, size=3, dtype=np.uint32))
+    np.testing.assert_array_equal(rng.bit_generator.random_raw(9),
+                                  want.bit_generator.random_raw(9))
 
 
 def test_streams_do_not_share_bit_generators():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from factordf.distributions import stream
+from factordf import dof
+from factordf.distributions import (DOMAIN_MANDEL, stream,
+                                    wishart_top_eigenvalues)
 from factordf.dof import (asymptotic_predictions, df_conservative, df_gollob,
                           df_mandel, df_naive, df_noise, df_signal_k,
                           df_signal_total, is_above_transition, noise_floor,
@@ -244,6 +246,19 @@ def test_mandel_deterministic_and_guarded():
         df_mandel(4, 6, 2, mc_reps=50, seed=5)
     with pytest.raises(ValueError):
         df_mandel(4, 6, 2, mc_reps=300, seed=None)
+
+
+def test_mandel_draws_in_chunks_of_their_own_streams(monkeypatch):
+    # chunk c comes from stream c; the mean and SE span every chunk's draws
+    monkeypatch.setattr(dof, "_MANDEL_CHUNK", 100)
+    n, m, r_hat, seed, reps = 6, 9, 2, 5, 250
+    est = df_mandel(n, m, r_hat, mc_reps=reps, seed=seed)
+    chunks = [wishart_top_eigenvalues(stream(seed, DOMAIN_MANDEL, c), n, m,
+                                      size, r_hat)
+              for c, size in enumerate((100, 100, 50))]
+    top = np.concatenate(chunks) / m
+    assert est.per_factor.tobytes() == top.mean(axis=0).tobytes()
+    assert est.mc_se == float(np.sqrt(top.sum(axis=1).var(ddof=1) / reps))
 
 
 def test_naive():

@@ -6,8 +6,10 @@ for bit, at every covariate layout.  Mandel's spectrum solve is held to the
 dense eigensolver on tridiagonals of every order, scale and sign pattern,
 split and tied ones included, each draw's values in a batch to those of
 that draw solved alone, and the Monte-Carlo engine's batched band solve to
-LAPACK's per-draw one on noise and basis cells.  The columnar test result is held to the
-arrays it is made of, and to a permutation of the responses.
+LAPACK's per-draw one on noise and basis cells, and each replicate drawn
+from its thread's re-keyed generator to the draw from a new generator for
+its stream.  The columnar test result is held to the arrays it is made of,
+and to a permutation of the responses.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factordf import distributions, inference, simulation
+from factordf.distributions import DOMAIN_SIM, stream
 from factordf.dof import DofMethod
 from factordf.fdr import GenerativeTruth, simulate_dataset
 from factordf.inference import (DirectionStats, compute_direction_stats,
@@ -222,6 +225,34 @@ def test_batched_band_solve_matches_per_draw_solve(cfg):
         scale = cfg.sigma_sq * Ra.dot(Ra)
         assert abs(rss[i] - scale + cfg.sigma_sq * coef.dot(coef)) \
             <= 1e-10 * scale
+
+
+@st.composite
+def replicate_cells(draw):
+    """A noise cell (r = 0, k = 1), a basis cell (r = 1, k = 1) or a ones
+    cell (r = 1, k = 2 from m = 2), on seeds at and past the edges of a
+    64-bit word among others."""
+    shape = draw(st.sampled_from(["noise", "basis", "ones"]))
+    mu = () if shape == "noise" else (draw(st.floats(0.5, 25.0)),)
+    return simulation.SimConfig(
+        n=draw(st.integers(1, 30)), m=draw(st.integers(2, 30)), r=len(mu),
+        mu=mu, shape="basis" if shape == "noise" else shape, replicates=8,
+        seed=draw(st.sampled_from([-1, 2**63, 2**64 - 1])
+                  | st.integers(-2**65, 2**65)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(replicate_cells(), replicate_cells(),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7)),
+                min_size=1, max_size=12))
+def test_rekeyed_replicate_is_its_new_stream_draw(a, b, calls):
+    # calls for two cells interleave on one thread's generator
+    cells = [(cfg, simulation.sampling_plan(cfg)) for cfg in (a, b)]
+    for which, i in calls:
+        cfg, plan = cells[which]
+        R, F = simulation.run_replicate(cfg, i, plan)
+        want_R, want_F = simulation.draw(plan, stream(cfg.seed, DOMAIN_SIM, i))
+        assert same_bits(R, want_R) and same_bits(F, want_F)
 
 
 COLUMNS = ("estimate", "std_error", "t_stat", "df_resid", "p_value")

@@ -1,4 +1,6 @@
+import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -297,6 +299,67 @@ def test_replicates_run_in_the_calling_thread(monkeypatch, entry, spike):
                     r_hat=1, replicates=100, seed=4)
     (run_spike_sim if spike else run_sim)(cfg, threads=8)
     assert seen == [threading.get_ident()] * cfg.replicates
+
+
+def run_threads(work, count):
+    """Start ``count`` threads running ``work(j)`` together, with a short
+    switch interval; join each with a timeout."""
+    barrier = threading.Barrier(count, timeout=60)
+    threads = [threading.Thread(target=lambda j=j: (barrier.wait(), work(j)))
+               for j in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_threads_drawing_at_once_match_serial_draws():
+    # each thread re-keys its own generator: more threads than cores, each
+    # on its own cell, draw the bytes one thread draws serially
+    cells = [noise_cfg(replicates=150), noise_cfg(replicates=150, seed=2**63),
+             SimConfig(n=20, m=60, r=1, mu=(3.0,), shape=SignalShape.ONES,
+                       replicates=150, seed=4),
+             SimConfig(n=30, m=10, r=1, mu=(2.0,), replicates=150, seed=-1)]
+
+    def draws(cfg):
+        return [b"".join(a.tobytes() for a in run_replicate(cfg, i))
+                for i in range(cfg.replicates)]
+
+    want = [draws(cfg) for cfg in cells]
+    got = [None] * len(cells)
+
+    def work(j):
+        got[j] = draws(cells[j])
+
+    run_threads(work, len(cells))
+    assert got == want
+
+
+def test_run_sim_builds_at_most_one_generator_per_thread(monkeypatch):
+    # replicates re-key their thread's generator instead of building one
+    built = []
+    real = np.random.Philox
+
+    def spy(*args, **kw):
+        built.append(threading.get_ident())
+        return real(*args, **kw)
+
+    monkeypatch.setattr(np.random, "Philox", spy)
+    cfg = noise_cfg(replicates=300)
+    results = [run_sim(cfg), None, None]
+
+    def work(j):
+        results[j + 1] = run_sim(replace(cfg, seed=cfg.seed + j))
+
+    run_threads(work, 2)
+    assert results[1] == results[0] and results[2] is not None
+    assert max(Counter(built).values(), default=0) <= 1
 
 
 def test_single_cell_grid_equals_run_sim():
