@@ -146,28 +146,26 @@ def ingest(y_path: str, x_path: str | None = None, z_path: str | None = None,
         raise CodedError("UNDERFLOW", f"{y_path}: the sum of squared values "
                                       "falls below the float64 range")
 
-    X = None
-    if x_path is not None:
-        xh, x_ids, xb = _read_csv(x_path)
-        if x_ids != row_ids:
-            raise CodedError("ID_MISMATCH",
-                             f"{x_path}: row ids do not match {y_path}")
-        X = _parse_block(x_path, xb, len(xh) - 1)
-        if add_intercepts:
-            X = np.column_stack([np.ones(X.shape[0]), X])
-
-    Z = None
-    if z_path is not None:
-        zh, z_ids, zb = _read_csv(z_path)
-        if z_ids != col_ids:
-            raise CodedError("ID_MISMATCH",
-                             f"{z_path}: row ids do not match {y_path} columns")
-        Z = _parse_block(z_path, zb, len(zh) - 1)
-        if add_intercepts:
-            Z = np.column_stack([np.ones(Z.shape[0]), Z])
-
+    X = None if x_path is None else _read_covariates(
+        x_path, row_ids, y_path, add_intercepts)
+    Z = None if z_path is None else _read_covariates(
+        z_path, col_ids, f"{y_path} columns", add_intercepts)
     return DatasetBundle(Y, X, Z, row_ids=tuple(row_ids),
                          col_ids=tuple(col_ids))
+
+
+def _read_covariates(path: str, ids: list[str], owner: str,
+                     add_intercept: bool) -> np.ndarray:
+    """The covariate block of one X or Z file, whose row ids must be ``ids``
+    (those of ``owner``), with an intercept column first if asked."""
+    header, row_ids, body = _read_csv(path)
+    if row_ids != ids:
+        raise CodedError("ID_MISMATCH",
+                         f"{path}: row ids do not match {owner}")
+    block = _parse_block(path, body, len(header) - 1)
+    if add_intercept:
+        block = np.column_stack([np.ones(block.shape[0]), block])
+    return block
 
 
 # csv.writer (default dialect, "\n" line ends) quotes a field holding any of
@@ -494,6 +492,16 @@ def _env_threads() -> int:
 
 def _check_ranges(args) -> None:
     """Reject flag values outside their ranges, before any work is done."""
+    # the library keys on the seed's 64-bit word, so wider seeds would alias
+    if args.seed is not None and not -2**63 <= args.seed < 2**64:
+        raise CodedError("SEED_RANGE",
+                         f"--seed must lie in [-2^63, 2^64), got {args.seed}")
+    if args.command == "ks-table" and args.preset is None:
+        for flag, sizes in (("--n-list", args.n_list),
+                            ("--m-list", args.m_list)):
+            if not sizes:
+                raise CodedError("SIZE_RANGE",
+                                 f"{flag} must name at least one size")
     if args.command == "bootstrap":
         if args.threads is None:
             args.threads = _env_threads()

@@ -18,6 +18,7 @@ from .model import DatasetBundle
 N_SUBJECTS = 39
 AGE_LEVELS = (1.0, 6.0, 16.0, 24.0)
 AGE_COEF_INDEX = 2   # column order: intercept, sex, age
+_UNEXPOSED = 0.15   # share of the genes with no factor loading
 
 
 def subject_covariates() -> np.ndarray:
@@ -48,13 +49,12 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
                     signal_fraction: float = 0.03,
                     age_effect: tuple[float, float] = (0.055, 0.10),
                     factor_to_noise: float = 2.0,
-                    unexposed_fraction: float = 0.15,
                     noise_sd_range: tuple[float, float] = (0.8, 1.25),
                     ) -> tuple[DatasetBundle, SyntheticTruth]:
     """Generate one aging-study-shaped dataset plus its planted truth.
 
     ``factor_to_noise`` sets the mean per-gene ratio of latent-factor variance
-    to noise variance among exposed genes; ``unexposed_fraction`` of the genes
+    to noise variance among exposed genes; 15% of the genes (``_UNEXPOSED``)
     carry no factor loading at all.  Age effects (bounded by ``age_effect``,
     alternating signs) are planted preferentially in factor-exposed genes --
     the latent variation is what masks them from an unadjusted analysis.
@@ -69,8 +69,8 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
         raise CodedError("SIGNAL_FRACTION_RANGE", f"signal_fraction must lie "
                          f"in [0, 1], got {signal_fraction:g}")
     n_sig = int(round(signal_fraction * M))
-    n_off = int(round(unexposed_fraction * M)) if unexposed_fraction > 0 else 0
-    if n_off < M and n_sig > M - n_off:
+    n_off = int(round(_UNEXPOSED * M))
+    if n_sig > M - n_off:
         raise CodedError("SIGNAL_FRACTION_RANGE", f"signal_fraction "
                          f"{signal_fraction:g} plants {n_sig} signals, more "
                          f"than the {M - n_off} exposed genes")
@@ -89,9 +89,8 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
     G = G - Q @ (Q.T @ G)
     U, _ = np.linalg.qr(G)
     loadings = rng.standard_normal((M, 2))
-    if unexposed_fraction > 0:
-        off = rng.choice(M, size=n_off, replace=False)
-        loadings[off] = 0.0
+    # n_off genes carry no loading; a zero-size choice (M = 3) draws nothing
+    loadings[rng.choice(M, size=n_off, replace=False)] = 0.0
     exposure = np.sum(loadings**2, axis=1)
     P, _ = polar_factors(Z)
     loadings = loadings - P @ (P.T @ loadings)

@@ -15,8 +15,8 @@ coordinates of their eigenvectors (Golub 1973); wider bands go to LAPACK
 Random streams are counter-based: Philox keyed by the seed and by (domain
 tag, index) (``_key``), so a draw is a pure function of its seed, its
 domain tag, and its index -- parallel consumers get bit-identical results
-regardless of scheduling.  ``stream`` builds a new generator for a stream;
-``_rekey`` sets an existing one to a stream's start, with the same bits.
+regardless of scheduling.  ``_rekey`` sets a Philox generator to a stream's
+start; ``stream`` builds a new generator and re-keys it.
 Nothing here starts a thread, calls a foreign library or sets the BLAS
 thread count.
 """
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 # scipy.special, not scipy.stats: the CDFs below are the ufuncs scipy.stats
 # wraps, bit for bit, and importing scipy.stats doubles the CLI's start-up.
 from scipy import special
@@ -46,44 +45,26 @@ def _key(seed: int, domain: int, index: int) -> tuple[int, int]:
     return seed & _MASK64, ((domain & _MASK32) << 32) | (index & _MASK32)
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its key as is.
-
-    ``Philox(key=k)`` also builds a ``SeedSequence()`` from OS entropy that
-    it never uses; seeded with this instead, a new Philox starts with key
-    ``k`` and counter 0, the same bits, without that cost.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("Philox's key is two 64-bit words")
-        return np.array(self.key, dtype=np.uint64)
-
-
-def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """A new generator for stream ``index`` of a domain family under
-    ``seed``."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(
-        _key(seed, domain, index))))
-
-
 def _rekey(rng: np.random.Generator, seed: int, domain: int,
            index: int) -> np.random.Generator:
-    """``rng``, a Philox generator, set to what ``stream(seed, domain,
-    index)`` would build: that key at counter 0, with no buffered words.
-    A Philox stream is its key and counter (Salmon et al. 2011), so the
-    draws are the same bits, without the cost of building a generator."""
+    """``rng``, a Philox generator, set to the start of stream ``index`` of
+    a domain family under ``seed``: key ``_key(seed, domain, index)`` at
+    counter 0, with no buffered words.  A Philox stream is its key and
+    counter (Salmon et al. 2011), so whatever ``rng`` drew before, it now
+    draws that stream's bits."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": _key(seed, domain, index)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
         "uinteger": 0}
     return rng
+
+
+def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
+    """A new generator for stream ``index`` of a domain family under
+    ``seed``: a Philox generator re-keyed by ``_rekey``."""
+    return _rekey(np.random.Generator(np.random.Philox(0)), seed, domain,
+                  index)
 
 
 def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,

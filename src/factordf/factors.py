@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_matrix
+from .linalg import CodedError, _as_matrix
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,13 @@ def variance_explained(M, rows: int | None = None) -> ScreeTable:
     """Scree table: 100 * n mu_hat_k / ||M||_F^2 per factor, cumulative remainder.
 
     ``rows`` trims the table (useful when trailing singular values are
-    structurally zero, e.g. residuals of a covariate fit).
+    structurally zero, e.g. residuals of a covariate fit).  A zero M is a
+    ``NO_VARIANCE`` ``CodedError``.
     """
     M = _as_matrix(M, "M")
     if not np.any(M):
-        raise ValueError("zero matrix has no variance to explain")
+        raise CodedError("NO_VARIANCE",
+                         "zero matrix has no variance to explain")
     k = min(M.shape)
     if rows is not None:
         if not 1 <= rows <= k:

@@ -92,13 +92,11 @@ class GenerativeTruth:
 
 
 def build_generative_truth(data: DatasetBundle, k_factors: int, alpha: float,
-                           coef_index: int = 2, *,
-                           method: DofMethod = DofMethod.PROPOSED,
-                           mandel_reps: int = 1000,
-                           seed: int | None = None) -> GenerativeTruth:
-    """Fit, threshold the tested coefficients at ``alpha``, estimate variances."""
+                           coef_index: int = 2) -> GenerativeTruth:
+    """Fit, threshold the tested coefficients at ``alpha`` with the proposed
+    df, estimate variances."""
     stats = compute_direction_stats(data, k_factors)
-    df_tot = df_totals(stats, method, mandel_reps, seed)
+    df_tot = df_totals(stats, DofMethod.PROPOSED)
     _, _, _, df_resid, p = response_tests(stats, coef_index, df_tot)
     keep = p < alpha
 
@@ -170,9 +168,8 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
     Dataset d draws only from stream d, so the report is the same at any
     thread count.
     """
-    truth = build_generative_truth(
-        data, config.k_factors, config.alpha, config.coef_index,
-        mandel_reps=config.mandel_reps, seed=config.seed)
+    truth = build_generative_truth(data, config.k_factors, config.alpha,
+                                   config.coef_index)
     mask = truth.nonzero_mask
     n_signals = int(np.count_nonzero(mask))
     n_nulls = len(mask) - n_signals

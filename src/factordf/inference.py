@@ -91,30 +91,31 @@ def compute_direction_stats(bundle: DatasetBundle, r_hat: int, *,
         loadings = (E.T @ left) / sing
         adjusted = np.subtract(
             E, np.matmul(left * sing, loadings.T, out=work), out=work)
-        proj = loadings**2 / s_normsq[:, None]
+        factors = dict(proj_sq=loadings**2 / s_normsq[:, None],
+                       rss=np.einsum("ij,ij->j", adjusted, adjusted),
+                       factor_left=left, factor_sing=sing,
+                       factor_loadings=loadings)
     else:
-        sing = np.zeros(0)
-        left = np.zeros((bundle.N, 0))
-        loadings = np.zeros((bundle.M, 0))
-        adjusted = E
-        proj = np.zeros((bundle.M, 0))
-
-    rss = np.einsum("ij,ij->j", adjusted, adjusted)
+        factors = _no_factors(E)
     # X = Q1 R with R symmetric, so (X'X)^-1 = R^-2
     R_inv = np.linalg.inv(bundle.R)
-    return DirectionStats(estimates, s_normsq, proj, rss, n, m, R_inv @ R_inv,
-                          left, sing, loadings, E, coef)
+    return DirectionStats(estimates, s_normsq, n=n, m=m,
+                          xtx_inv=R_inv @ R_inv, residuals=E,
+                          coefficients=coef, **factors)
+
+
+def _no_factors(E: np.ndarray) -> dict:
+    """The factor fields of r_hat = 0 statistics with residuals E: no factor
+    is removed, so the residual sums of squares are those of E's columns."""
+    N, M = E.shape
+    return dict(proj_sq=np.zeros((M, 0)), rss=np.einsum("ij,ij->j", E, E),
+                factor_left=np.zeros((N, 0)), factor_sing=np.zeros(0),
+                factor_loadings=np.zeros((M, 0)))
 
 
 def without_factors(stats: DirectionStats) -> DirectionStats:
-    """The r_hat = 0 statistics of the same fit: no factor is removed, so the
-    residual sums of squares are those of the doubly projected residuals."""
-    E = stats.residuals
-    N, M = E.shape
-    return replace(stats, proj_sq=np.zeros((M, 0)),
-                   rss=np.einsum("ij,ij->j", E, E),
-                   factor_left=np.zeros((N, 0)), factor_sing=np.zeros(0),
-                   factor_loadings=np.zeros((M, 0)))
+    """The r_hat = 0 statistics of the same fit."""
+    return replace(stats, **_no_factors(stats.residuals))
 
 
 def constant_df_total(method: DofMethod | None, n: int, m: int, r_hat: int,

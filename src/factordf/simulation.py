@@ -461,19 +461,19 @@ STUDY_N_GRID = (5, 10, 50, 100)
 STUDY_M_GRID = (5, 10, 50, 100, 500, 1000, 5000, 10000)
 
 
-def noise_preset(seed: int, replicates: int = 10000,
-                 n_grid=STUDY_N_GRID, m_grid=STUDY_M_GRID) -> list[SimConfig]:
+def noise_preset(seed: int, replicates: int = 10000) -> list[SimConfig]:
     """Pure-noise grid (r = 0, r_hat = 1) over the reference (n, m) table."""
     return [SimConfig(n=n, m=m, r=0, r_hat=1, replicates=replicates, seed=seed)
-            for n in n_grid for m in m_grid]
+            for n in STUDY_N_GRID for m in STUDY_M_GRID]
 
 
-def basis_signal_preset(seed: int, mu: float = 3.0, replicates: int = 10000,
-                        n_grid=STUDY_N_GRID, m_grid=STUDY_M_GRID) -> list[SimConfig]:
-    """One-factor grid with the loading parallel to the test direction."""
+def basis_signal_preset(seed: int, mu: float = 3.0,
+                        replicates: int = 10000) -> list[SimConfig]:
+    """One-factor grid over the reference (n, m) table, with the loading
+    parallel to the test direction."""
     return [SimConfig(n=n, m=m, r=1, mu=(mu,), shape=SignalShape.BASIS,
                       r_hat=1, replicates=replicates, seed=seed)
-            for n in n_grid for m in m_grid]
+            for n in STUDY_N_GRID for m in STUDY_M_GRID]
 
 
 # Columns of a simulate / ks-table row in CSV; JSON adds the replicate count.
@@ -531,9 +531,9 @@ def _spike(plan: SamplingPlan, draws: list) -> tuple:
     return plan.sigma_sq * lam[:, 0] / plan.n, overlap ** 2 / lam[:, 0]
 
 
-def run_spike_sim(config: SimConfig, threads: int = 1) -> SpikeResult:
-    """Means over the replicates of a one-factor model; ``threads`` is not
-    used, as in ``run_sim``."""
+def run_spike_sim(config: SimConfig) -> SpikeResult:
+    """Means over the replicates of a one-factor model, drawn in the calling
+    thread as in ``run_sim``."""
     if config.r != 1:
         raise ValueError("spike diagnostics require exactly one true factor")
     plan = replace(sampling_plan(config), r_hat=1)

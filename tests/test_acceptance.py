@@ -270,7 +270,7 @@ def test_criterion_8_asymptotic_predictions():
     """Top eigenvalue and loading overlap at n=m=100, mu=3, 5000 replicates."""
     cfg = SimConfig(n=100, m=100, r=1, mu=(3.0,), shape=SignalShape.BASIS,
                     replicates=5000, seed=2026)
-    res = run_spike_sim(cfg, threads=THREADS)
+    res = run_spike_sim(cfg)
     mu_bar, rho2 = 16 / 3, 2 / 3
     ok1 = abs(res.mean_mu1 - mu_bar) <= 3 * res.se_mu1
     report(8, ok1, f"mean mu_hat_1={res.mean_mu1:.4f} vs {mu_bar:.4f} "

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -268,6 +269,31 @@ def test_generate_and_ingest(tmp_path, capsys):
         expected = np.array([[float("%.12g" % v) for v in row]
                              for row in written.tolist()])
         assert got.tobytes() == expected.tobytes()
+
+
+# SHA-256 of synthetic_study's Y, X, Z and signal mask (C order, native
+# bytes), taken from the fixture as it stood when its unexposed share became
+# a module constant.  M = 3 plants no signal and unexposes no gene: both of
+# its choices are zero-size.
+PINNED_STUDY_SHA256 = {
+    (3, 1): ("89cfbc24e38ae6925828d7f1faaa2a31d65567b749922ea00e0db66cfba46df4",
+             "ed1b58b63199ce69ab57d259e07ae1e5741142841516226942db2490a397490d",
+             "b1752452a78f2e41301a8b1cf314189c7c1afac21c9145a26131d68be48b21f5",
+             "709e80c88487a2411e1ee4dfb9f22a861492d20c4765150c0c794abd70f8147c"),
+    (200, 3): ("61ec093bc28f7bc45749c17dd1e57c91c2d9c2a595d31172f64f0a3e0a344abc",
+               "ed1b58b63199ce69ab57d259e07ae1e5741142841516226942db2490a397490d",
+               "3bce6eb63060590c0a64afe65927a56f5c9754cdd53ab2ba532ca706fa64fd1e",
+               "40799e8a38845b3d8989fad671659988842aa936677731b51917861ae5e5758f"),
+}
+
+
+@pytest.mark.parametrize("m, seed", list(PINNED_STUDY_SHA256))
+def test_synthetic_study_bytes_are_pinned(m, seed):
+    bundle, truth = synthetic_study(m_responses=m, seed=seed)
+    arrays = (bundle.Y, bundle.X, bundle.Z, truth.signal_mask)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes())
+                    .hexdigest() for a in arrays)
+    assert digests == PINNED_STUDY_SHA256[m, seed]
 
 
 # `test` output on a toy study, as written before the CSV writer was rebuilt
@@ -660,6 +686,53 @@ def test_cli_underflowing_y_is_coded(tmp_path, capsys, command):
                    "falls below the float64 range\n")
 
 
+def test_cli_scree_of_zero_y_is_no_variance(tmp_path, capsys):
+    zero_y = [SIX_Y[0]] + [[r[0]] + ["0"] * 4 for r in SIX_Y[1:]]
+    _, err = run_on_six(tmp_path, capsys, ["scree"], zero_y)
+    assert err == ("error [NO_VARIANCE]: zero matrix has no variance to "
+                   "explain\n")
+
+
+# every command that takes --seed, on paths nothing exists at: a fault found
+# after reading or writing them would be an IO_ERROR or leave a directory
+SEED_COMMANDS = pytest.mark.parametrize("command", [
+    ["fit", "--y", "{dir}/y.csv"], ["scree", "--y", "{dir}/y.csv"],
+    ["test", "--y", "{dir}/y.csv", "--coef-index", "0"],
+    ["simulate", "--n", "10", "--m", "20", "--replicates", "100"],
+    ["ks-table", "--replicates", "100"],
+    ["bootstrap", "--y", "{dir}/y.csv", "--coef-index", "0"],
+    ["generate", "--out-dir", "{dir}/fixture"],
+], ids=["fit", "scree", "test", "simulate", "ks-table", "bootstrap",
+        "generate"])
+
+
+@SEED_COMMANDS
+@pytest.mark.parametrize("seed", [2**64, -2**63 - 1, -2**64])
+def test_cli_seed_past_64_bits_is_seed_range(tmp_path, capsys, command,
+                                              seed):
+    # such seeds once ran, aliased to the seed of their low 64 bits
+    args = [a.format(dir=tmp_path) for a in command]
+    code, out, err = run_cli([*args, "--seed", str(seed)], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error [SEED_RANGE]: --seed must lie in [-2^63, 2^64), "
+                   f"got {seed}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_seed_range_ends_keep_their_64_bit_words(capsys):
+    # -2^63 and 2^64 - 1 are accepted, and a negative seed is its two's
+    # complement word
+    runs = {}
+    for seed in (-2**63, 2**63, -1, 2**64 - 1):
+        code, out, _ = run_cli(["simulate", "--n", "10", "--m", "20",
+                                "--replicates", "100", "--format", "csv",
+                                "--seed", str(seed)], capsys)
+        assert code == 0
+        runs[seed] = out
+    assert runs[-2**63] == runs[2**63] and runs[-1] == runs[2**64 - 1]
+    assert runs[2**63] != runs[-1]
+
+
 @pytest.mark.parametrize("width, message", [
     (6, "X must have fewer columns than rows"),
     (0, "X must have at least one row and column"),
@@ -807,9 +880,14 @@ def test_cli_bootstrap_faults_before_ingest(tmp_path, capsys, flags, line):
      "error [N_DATASETS_RANGE]: n_datasets must be >= 10, got 3"),
     (["bootstrap", "--k-factors", "0"],
      "error [K_FACTORS_RANGE]: k_factors must be >= 1, got 0"),
+    (["ks-table", "--n-list"],
+     "error [SIZE_RANGE]: --n-list must name at least one size"),
+    (["ks-table", "--m-list", "--replicates", "5"],
+     "error [SIZE_RANGE]: --m-list must name at least one size"),
 ], ids=["SIZE_RANGE", "REPLICATES_RANGE", "REPLICATES_RANGE-0",
         "SIZE_RANGE-perp-basis", "SIZE_RANGE-perp-ones", "R_HAT_RANGE",
-        "N_DATASETS_RANGE", "K_FACTORS_RANGE"])
+        "N_DATASETS_RANGE", "K_FACTORS_RANGE", "SIZE_RANGE-n-list",
+        "SIZE_RANGE-m-list"])
 def test_cli_size_argument_fault_codes(fixture_dir, capsys, command, line):
     name, *flags = command
     if name == "bootstrap":

@@ -163,8 +163,7 @@ def reference_report(cfg, bundle):
     of every scheme (Mandel included) and a fresh r_hat = 0 fit for the
     baseline."""
     truth = build_generative_truth(bundle, cfg.k_factors, cfg.alpha,
-                                   cfg.coef_index, mandel_reps=cfg.mandel_reps,
-                                   seed=cfg.seed)
+                                   cfg.coef_index)
     mask = truth.nonzero_mask
     n_signals = int(np.count_nonzero(mask))
     n_nulls = len(mask) - n_signals

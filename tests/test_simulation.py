@@ -297,7 +297,7 @@ def test_replicates_run_in_the_calling_thread(monkeypatch, entry, spike):
     monkeypatch.setattr(simulation, entry, recording)
     cfg = SimConfig(n=20, m=60, r=1, mu=(3.0,), shape=SignalShape.ONES,
                     r_hat=1, replicates=100, seed=4)
-    (run_spike_sim if spike else run_sim)(cfg, threads=8)
+    run_spike_sim(cfg) if spike else run_sim(cfg, threads=8)
     assert seen == [threading.get_ident()] * cfg.replicates
 
 
