@@ -15,8 +15,8 @@ from .inference import (DirectionStats, TestResult, compute_direction_stats,
 from .linalg import polar_factors
 from .model import CoefficientEstimates, DatasetBundle, fit_two_sided
 from .simulation import (GridCell, SignalShape, SimConfig, SimResult,
-                         SpikeResult, noise_preset, run_grid, run_replicate,
-                         run_sim, run_spike_sim)
+                         SpikeResult, run_grid, run_replicate, run_sim,
+                         run_spike_sim)
 
 __all__ = [
     "AsymptoticPrediction", "BootstrapConfig", "CoefficientEstimates",
@@ -27,7 +27,7 @@ __all__ = [
     "build_generative_truth", "chi2_cdf",
     "compute_direction_stats", "df_conservative", "df_gollob", "df_mandel",
     "df_naive", "df_noise", "df_signal_k", "df_signal_total", "evaluate",
-    "fit_two_sided", "ks_test", "noise_floor", "noise_preset", "polar_factors",
+    "fit_two_sided", "ks_test", "noise_floor", "polar_factors",
     "run_grid", "run_replicate", "run_sim", "run_spike_sim",
     "simulate_dataset", "test_all_responses", "variance_explained",
 ]

@@ -1,9 +1,11 @@
 """Command-line front door: ingestion, fitting, testing, simulation, bootstrap.
 
-Every command is a pure function of its files, flags, and seed; stochastic
-commands require an explicit --seed and emit byte-identical output on every
-run, at any bootstrap --threads setting.  Data go to stdout (or --output);
-diagnostics and errors go to stderr.
+Every command is a pure function of its files, flags, and seed.  simulate,
+ks-table, bootstrap and generate require --seed, and test reads one for
+--method mandel; output is byte-identical on every run, at any bootstrap
+--threads setting.  generate writes only its fixture files; every other
+command prints data to stdout or --output, a file that a failed command
+leaves as it was.  Diagnostics and errors go to stderr.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -24,9 +27,8 @@ from .fdr import (DEFAULT_METHODS, REPORT_COLUMNS, BootstrapConfig, evaluate,
 from .inference import compute_direction_stats, df_totals, response_tests
 from .linalg import CodedError
 from .model import DatasetBundle, fit_two_sided
-from .simulation import (CSV_COLUMNS, GridCell, SignalShape, SimConfig,
-                         basis_signal_preset, cell_columns, grid_to_json,
-                         noise_preset, run_grid, run_sim)
+from .simulation import (CSV_COLUMNS, STUDY_M_GRID, STUDY_N_GRID, SignalShape,
+                         SimConfig, cell_columns, grid_to_json, run_grid)
 
 FORMATS = ("table", "csv", "json")
 
@@ -235,20 +237,27 @@ def _emit_rows(header: list[str], columns: list, fmt: str, out) -> None:
 
 
 def _open_output(args):
+    """The data stream, and whether it is an --output file to close.  The
+    file is opened before any work, so that a bad path faults first, but it
+    is cut to the new data only once they are written (``main``)."""
     if args.output:
         try:
-            return open(args.output, "w"), True
+            return open(args.output, "w", opener=lambda path, flags: os.open(
+                path, flags & ~os.O_TRUNC, 0o666)), True
         except OSError as exc:
             raise CodedError("IO_ERROR",
                              f"cannot write {args.output}: {exc}") from exc
     return sys.stdout, False
 
 
-def _add_common(sp, stochastic: bool) -> None:
+def _add_output_args(sp) -> None:
     sp.add_argument("--format", choices=FORMATS, default="table")
     sp.add_argument("--output", default=None, help="write data here instead of stdout")
-    sp.add_argument("--seed", type=int, required=stochastic, default=None,
-                    help="random seed" + (" (required)" if stochastic else ""))
+
+
+def _add_seed_arg(sp, required: bool = True) -> None:
+    sp.add_argument("--seed", type=int, required=required, default=None,
+                    help="random seed" + (" (required)" if required else ""))
 
 
 def _add_data_args(sp) -> None:
@@ -316,25 +325,23 @@ def _emit_cells(cells, fmt, out) -> None:
 
 def cmd_simulate(args, out) -> None:
     mu = tuple(args.mu or ())
-    cfg = SimConfig(n=args.n, m=args.m, r=len(mu), mu=mu,
-                    shape=SignalShape(args.shape), sigma_sq=args.sigma_sq,
-                    r_hat=args.r_hat, replicates=args.replicates,
-                    seed=args.seed)
-    cell = GridCell(args.n, args.m, mu[0] if mu else None, args.shape,
-                    run_sim(cfg))
-    _emit_cells([cell], args.format, out)
+    cfg = SimConfig(n=args.n, m=args.m, r=len(mu), mu=mu, shape=args.shape,
+                    sigma_sq=args.sigma_sq, r_hat=args.r_hat,
+                    replicates=args.replicates, seed=args.seed)
+    _emit_cells(run_grid([cfg]), args.format, out)
 
 
 def cmd_kstable(args, out) -> None:
-    if args.preset == "paper-noise":
-        configs = noise_preset(args.seed, replicates=args.replicates)
-    elif args.preset == "paper-basis":
-        configs = basis_signal_preset(args.seed, mu=args.mu_value,
-                                      replicates=args.replicates)
+    # a preset runs the reference table at r_hat = 1, pure noise or one
+    # factor along the test direction, and reads neither the lists nor --r-hat
+    if args.preset is None:
+        ns, ms, r_hat, mu = args.n_list, args.m_list, args.r_hat, ()
     else:
-        configs = [SimConfig(n=n, m=m, r=0, r_hat=args.r_hat,
-                             replicates=args.replicates, seed=args.seed)
-                   for n in args.n_list for m in args.m_list]
+        ns, ms, r_hat = STUDY_N_GRID, STUDY_M_GRID, 1
+        mu = (args.mu_value,) if args.preset == "paper-basis" else ()
+    configs = [SimConfig(n=n, m=m, r=len(mu), mu=mu, r_hat=r_hat,
+                         replicates=args.replicates, seed=args.seed)
+               for n in ns for m in ms]
     _emit_cells(run_grid(configs), args.format, out)
 
 
@@ -388,16 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "row-id column; X rows align with Y row ids; Z rows align "
                     "with Y column names.  See docs/formats.md.")
     ap.add_argument("--version", action="version", version=__version__)
+    # a command without the flag reads as one that was not given it
+    ap.set_defaults(seed=None, output=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("fit", help="fit the two-sided model, emit coefficients")
     _add_data_args(sp)
-    _add_common(sp, stochastic=False)
+    _add_output_args(sp)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("scree", help="residual variance explained per factor")
     _add_data_args(sp)
-    _add_common(sp, stochastic=False)
+    _add_output_args(sp)
     sp.set_defaults(func=cmd_scree)
 
     sp = sub.add_parser("test", help="per-response t tests with df adjustment")
@@ -412,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(ignores --r-hat)")
     sp.add_argument("--alpha", type=float, default=0.001)
     sp.add_argument("--mandel-reps", type=int, default=1000)
-    _add_common(sp, stochastic=False)
+    _add_output_args(sp)
+    _add_seed_arg(sp, required=False)
     sp.set_defaults(func=cmd_test)
 
     sp = sub.add_parser("simulate", help="one Monte-Carlo df cell")
@@ -426,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma-sq", type=float, default=1.0)
     sp.add_argument("--r-hat", type=int, default=1)
     sp.add_argument("--replicates", type=int, default=10000)
-    _add_common(sp, stochastic=True)
+    _add_output_args(sp)
+    _add_seed_arg(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("ks-table", help="chi-squared goodness-of-fit grid")
@@ -437,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-hat", type=int, default=1)
     sp.add_argument("--mu-value", type=float, default=3.0)
     sp.add_argument("--replicates", type=int, default=10000)
-    _add_common(sp, stochastic=True)
+    _add_output_args(sp)
+    _add_seed_arg(sp)
     sp.set_defaults(func=cmd_kstable)
 
     sp = sub.add_parser("bootstrap", help="parametric-bootstrap FDR evaluation")
@@ -453,14 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=None,
                     help="threads the datasets run on; default: "
                          "FACTORDF_THREADS, else 1")
-    _add_common(sp, stochastic=True)
+    _add_output_args(sp)
+    _add_seed_arg(sp)
     sp.set_defaults(func=cmd_bootstrap)
 
     sp = sub.add_parser("generate", help="write a synthetic study fixture")
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--m", type=int, default=2000)
     sp.add_argument("--signal-fraction", type=float, default=0.03)
-    _add_common(sp, stochastic=True)
+    _add_seed_arg(sp)
     sp.set_defaults(func=cmd_generate)
     return ap
 
@@ -521,6 +534,9 @@ def main(argv=None) -> int:
         out, close = _open_output(args)
         try:
             args.func(args, out)
+            # a device such as /dev/null cannot be truncated
+            if close and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
         finally:    # write out what is buffered, so that its faults show here
             (out.close if close else out.flush)()
         return 0

@@ -99,16 +99,13 @@ def synthetic_study(m_responses: int = 2000, seed: int = 0, *,
     d = np.sqrt(factor_to_noise * N / 2.0)
     factor_term = (U * d) @ loadings.T
 
-    if n_sig > 0:
-        weights = exposure / exposure.sum() if exposure.sum() > 0 else None
-        sig_idx = rng.choice(M, size=n_sig, replace=False, p=weights)
-        sig_idx.sort()
-        lo, hi = age_effect
-        mag = rng.uniform(lo, hi, size=n_sig)
-        sign = np.where(rng.random(n_sig) < 0.5, -1.0, 1.0)
-        beta[sig_idx, AGE_COEF_INDEX] = sign * mag
-    else:
-        sig_idx = np.zeros(0, dtype=int)
+    # signals go preferentially to exposed genes (n_off < M, so some are);
+    # with no signal, each zero-size draw takes no bits
+    sig_idx = np.sort(rng.choice(M, size=n_sig, replace=False,
+                                 p=exposure / exposure.sum()))
+    mag = rng.uniform(age_effect[0], age_effect[1], size=n_sig)
+    sign = np.where(rng.random(n_sig) < 0.5, -1.0, 1.0)
+    beta[sig_idx, AGE_COEF_INDEX] = sign * mag
     mask = np.zeros(M, dtype=bool)
     mask[sig_idx] = True
 

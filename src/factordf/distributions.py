@@ -60,11 +60,16 @@ def _rekey(rng: np.random.Generator, seed: int, domain: int,
     return rng
 
 
+# The seed every new generator is built from before ``_rekey`` replaces its
+# key: built once, since a seed sequence costs more to build than to read.
+_BUILD_SEED = np.random.SeedSequence(0)
+
+
 def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """A new generator for stream ``index`` of a domain family under
     ``seed``: a Philox generator re-keyed by ``_rekey``."""
-    return _rekey(np.random.Generator(np.random.Philox(0)), seed, domain,
-                  index)
+    return _rekey(np.random.Generator(np.random.Philox(_BUILD_SEED)), seed,
+                  domain, index)
 
 
 def wishart_top_eigenvalues(rng: np.random.Generator, dim: int, dof: int,

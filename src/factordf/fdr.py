@@ -231,13 +231,7 @@ def _summarize(all_rows: list, labels: list, alpha: float,
     """Average per-dataset ``_declared_rates`` rows (one per label) into rates
     with standard errors."""
     D = len(all_rows)
-    fdr = np.zeros((D, len(labels)))
-    fpr = np.zeros((D, len(labels)))
-    tpr = np.zeros((D, len(labels)))
-    n_disc = np.zeros((D, len(labels)), dtype=int)
-    for d, rows in enumerate(all_rows):
-        for c, (f, fp_, tp_, nd) in enumerate(rows):
-            fdr[d, c], fpr[d, c], tpr[d, c], n_disc[d, c] = f, fp_, tp_, nd
+    fdr, fpr, tpr, n_disc = np.moveaxis(np.array(all_rows, dtype=float), 2, 0)
 
     root = np.sqrt(D)
     rates = {}

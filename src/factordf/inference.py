@@ -134,7 +134,7 @@ def constant_df_total(method: DofMethod | None, n: int, m: int, r_hat: int,
     if method == DofMethod.MANDEL:
         return dof_mod.df_mandel(n, m, r_hat, mandel_reps, seed).total
     if method == DofMethod.NAIVE:
-        return float(r_hat)
+        return dof_mod.df_naive(r_hat).total
     raise ValueError(f"unsupported df method: {method}")
 
 

@@ -457,23 +457,9 @@ def run_grid(configs: list[SimConfig], threads: int = 1) -> list[GridCell]:
     return cells
 
 
+# The reference (n, m) table that ks-table's presets run at r_hat = 1.
 STUDY_N_GRID = (5, 10, 50, 100)
 STUDY_M_GRID = (5, 10, 50, 100, 500, 1000, 5000, 10000)
-
-
-def noise_preset(seed: int, replicates: int = 10000) -> list[SimConfig]:
-    """Pure-noise grid (r = 0, r_hat = 1) over the reference (n, m) table."""
-    return [SimConfig(n=n, m=m, r=0, r_hat=1, replicates=replicates, seed=seed)
-            for n in STUDY_N_GRID for m in STUDY_M_GRID]
-
-
-def basis_signal_preset(seed: int, mu: float = 3.0,
-                        replicates: int = 10000) -> list[SimConfig]:
-    """One-factor grid over the reference (n, m) table, with the loading
-    parallel to the test direction."""
-    return [SimConfig(n=n, m=m, r=1, mu=(mu,), shape=SignalShape.BASIS,
-                      r_hat=1, replicates=replicates, seed=seed)
-            for n in STUDY_N_GRID for m in STUDY_M_GRID]
 
 
 # Columns of a simulate / ks-table row in CSV; JSON adds the replicate count.

@@ -273,27 +273,37 @@ def test_generate_and_ingest(tmp_path, capsys):
 
 # SHA-256 of synthetic_study's Y, X, Z and signal mask (C order, native
 # bytes), taken from the fixture as it stood when its unexposed share became
-# a module constant.  M = 3 plants no signal and unexposes no gene: both of
-# its choices are zero-size.
+# a module constant, keyed by (M, seed, signal fraction).  M = 3 plants no
+# signal and unexposes no gene: both of its choices are zero-size.  The
+# signal-free (200, 3, 0) pin was taken while no-signal studies skipped the
+# signal draws.
 PINNED_STUDY_SHA256 = {
-    (3, 1): ("89cfbc24e38ae6925828d7f1faaa2a31d65567b749922ea00e0db66cfba46df4",
+    (3, 1, 0.03): ("89cfbc24e38ae6925828d7f1faaa2a31d65567b749922ea00e0db66cfba46df4",
              "ed1b58b63199ce69ab57d259e07ae1e5741142841516226942db2490a397490d",
              "b1752452a78f2e41301a8b1cf314189c7c1afac21c9145a26131d68be48b21f5",
              "709e80c88487a2411e1ee4dfb9f22a861492d20c4765150c0c794abd70f8147c"),
-    (200, 3): ("61ec093bc28f7bc45749c17dd1e57c91c2d9c2a595d31172f64f0a3e0a344abc",
-               "ed1b58b63199ce69ab57d259e07ae1e5741142841516226942db2490a397490d",
-               "3bce6eb63060590c0a64afe65927a56f5c9754cdd53ab2ba532ca706fa64fd1e",
-               "40799e8a38845b3d8989fad671659988842aa936677731b51917861ae5e5758f"),
+    (200, 3, 0.03): (
+        "61ec093bc28f7bc45749c17dd1e57c91c2d9c2a595d31172f64f0a3e0a344abc",
+        "ed1b58b63199ce69ab57d259e07ae1e5741142841516226942db2490a397490d",
+        "3bce6eb63060590c0a64afe65927a56f5c9754cdd53ab2ba532ca706fa64fd1e",
+        "40799e8a38845b3d8989fad671659988842aa936677731b51917861ae5e5758f"),
+    (200, 3, 0.0): (
+        "9b8346a362e832afca570b9c14dfbef4475b7b422d4e299f4a08812890fc3f71",
+        "ed1b58b63199ce69ab57d259e07ae1e5741142841516226942db2490a397490d",
+        "3bce6eb63060590c0a64afe65927a56f5c9754cdd53ab2ba532ca706fa64fd1e",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
 }
 
 
-@pytest.mark.parametrize("m, seed", list(PINNED_STUDY_SHA256))
-def test_synthetic_study_bytes_are_pinned(m, seed):
-    bundle, truth = synthetic_study(m_responses=m, seed=seed)
+@pytest.mark.parametrize("m, seed, fraction", list(PINNED_STUDY_SHA256),
+                         ids=["3-1", "200-3", "200-3-no-signal"])
+def test_synthetic_study_bytes_are_pinned(m, seed, fraction):
+    bundle, truth = synthetic_study(m_responses=m, seed=seed,
+                                    signal_fraction=fraction)
     arrays = (bundle.Y, bundle.X, bundle.Z, truth.signal_mask)
     digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes())
                     .hexdigest() for a in arrays)
-    assert digests == PINNED_STUDY_SHA256[m, seed]
+    assert digests == PINNED_STUDY_SHA256[m, seed, fraction]
 
 
 # `test` output on a toy study, as written before the CSV writer was rebuilt
@@ -467,6 +477,30 @@ def test_simulate_and_ks_table_share_table_layout(capsys):
                               "alt_theoretical_df", "bracketed"]
     assert "," not in header
     assert grid == sim
+
+
+# SHA-256 of ks-table's preset CSV (100 replicates, seed 2), taken when each
+# preset had its own config builder in the simulation module
+PINNED_PRESET_SHA256 = {
+    "paper-noise":
+        "204ad7a6157daae6f035621519ea258fa5934c93f9cdb0f9c28188cde49ca937",
+    "paper-basis":
+        "866be350d7c510213380c85e90de159461d6859db326880b9c6a7b6ac717d2c6",
+}
+
+
+@pytest.mark.parametrize("preset", list(PINNED_PRESET_SHA256))
+@pytest.mark.parametrize("ignored", [[], ["--r-hat", "3", "--n-list", "7",
+                                          "--m-list", "9"]],
+                         ids=["alone", "ignored-flags"])
+def test_ks_table_presets_are_pinned(capsys, preset, ignored):
+    # a preset reads neither the size lists nor --r-hat
+    code, out, err = run_cli(["ks-table", "--preset", preset, "--replicates",
+                              "100", "--seed", "2", "--format", "csv",
+                              *ignored], capsys)
+    assert code == 0 and err == ""
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == PINNED_PRESET_SHA256[preset])
 
 
 def test_cmd_bootstrap_table_aligns_the_csv(fixture_dir, capsys):
@@ -696,14 +730,12 @@ def test_cli_scree_of_zero_y_is_no_variance(tmp_path, capsys):
 # every command that takes --seed, on paths nothing exists at: a fault found
 # after reading or writing them would be an IO_ERROR or leave a directory
 SEED_COMMANDS = pytest.mark.parametrize("command", [
-    ["fit", "--y", "{dir}/y.csv"], ["scree", "--y", "{dir}/y.csv"],
     ["test", "--y", "{dir}/y.csv", "--coef-index", "0"],
     ["simulate", "--n", "10", "--m", "20", "--replicates", "100"],
     ["ks-table", "--replicates", "100"],
     ["bootstrap", "--y", "{dir}/y.csv", "--coef-index", "0"],
     ["generate", "--out-dir", "{dir}/fixture"],
-], ids=["fit", "scree", "test", "simulate", "ks-table", "bootstrap",
-        "generate"])
+], ids=["test", "simulate", "ks-table", "bootstrap", "generate"])
 
 
 @SEED_COMMANDS
@@ -717,6 +749,30 @@ def test_cli_seed_past_64_bits_is_seed_range(tmp_path, capsys, command,
     assert err == (f"error [SEED_RANGE]: --seed must lie in [-2^63, 2^64), "
                    f"got {seed}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["fit", "--y", "{dir}/y.csv"], ["--seed", "1"]),
+    (["scree", "--y", "{dir}/y.csv"], ["--seed", "1"]),
+    (["generate", "--out-dir", "{dir}/fixture", "--seed", "1"],
+     ["--format", "json"]),
+    (["generate", "--out-dir", "{dir}/fixture", "--seed", "1"],
+     ["--output", "{dir}/kept"]),
+], ids=["fit-seed", "scree-seed", "generate-format", "generate-output"])
+def test_cli_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # each was once accepted and never read; generate --output emptied its
+    # file and wrote nothing to it
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"kept data")
+    args = [a.format(dir=tmp_path) for a in command + flag]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == ("factordf: error: unrecognized "
+                                    f"arguments: {' '.join(args[-2:])}")
+    assert kept.read_bytes() == b"kept data"
+    assert list(tmp_path.iterdir()) == [kept]
 
 
 def test_cli_seed_range_ends_keep_their_64_bit_words(capsys):
@@ -1068,6 +1124,43 @@ def test_cli_full_device_is_io_error(where):
     assert proc.returncode == 1
     assert proc.stderr.decode() == (f"error [IO_ERROR]: cannot write {target}: "
                                     "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("command, line", [
+    (["test", "--y", "{dir}/y.csv", "--coef-index", "0"],
+     "error [PARSE_ERROR]: {dir}/y.csv: unparseable number 'x' at row 2"),
+    (["simulate", "--n", "10", "--m", "20", "--replicates", "5", "--seed",
+      "1"],
+     "error [REPLICATES_RANGE]: replicates must be >= 100, got 5"),
+], ids=["test-PARSE_ERROR", "simulate-REPLICATES_RANGE"])
+def test_cli_failed_command_keeps_output_file(tmp_path, capsys, command,
+                                              line):
+    # the file is opened before the work but cut only after a success
+    write_csv(tmp_path / "y.csv", [["id", "g1", "g2"], ["s1", "x", "1"],
+                                   ["s2", "2", "3"]])
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"earlier results\n")
+    args = [a.format(dir=tmp_path) for a in command]
+    code, out, err = run_cli([*args, "--output", str(target)], capsys)
+    assert code == 1 and out == ""
+    assert err == line.format(dir=tmp_path) + "\n"
+    assert target.read_bytes() == b"earlier results\n"
+
+
+def test_cli_output_rewrite_leaves_no_tail(tmp_path, capsys):
+    _, expected, _ = run_cli(SIMULATE_ARGS, capsys)
+    target = tmp_path / "out.csv"
+    target.write_text("x" * (3 * len(expected)))
+    code, out, err = run_cli(SIMULATE_ARGS + ["--output", str(target)],
+                             capsys)
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == expected
+
+
+def test_cli_null_device_output(capsys):
+    # a device is written but not truncated: /dev/null takes the data
+    code, out, err = run_cli(SIMULATE_ARGS + ["--output", os.devnull], capsys)
+    assert (code, out, err) == (0, "", "")
 
 
 def test_cli_read_only_stdout_is_io_error(tmp_path):

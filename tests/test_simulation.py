@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 from scipy import stats
 
 from factordf.dof import df_noise, df_signal_k, noise_floor
-from factordf.cli import _fmt
+from factordf.cli import _fmt, main
 from factordf import linalg, simulation
 from factordf.linalg import top_factors
 from oracles import (_rss_after_truncation, _simulate_response,
@@ -19,7 +20,7 @@ from factordf.simulation import (CSV_COLUMNS, SignalShape,
                                  direction_vector, grid_to_json,
                                  loading_matrix, run_grid, run_replicate,
                                  run_sim, run_spike_sim, sampling_plan, solve,
-                                 noise_preset, theoretical_df)
+                                 theoretical_df)
 
 
 def noise_cfg(**kw):
@@ -456,11 +457,15 @@ def test_grid_csv_shape():
     assert all(len(col) == 2 for col in columns)
 
 
-def test_noise_preset_covers_paper_grid():
-    cfgs = noise_preset(seed=1, replicates=100)
-    assert len(cfgs) == 32
-    assert {c.n for c in cfgs} == {5, 10, 50, 100}
-    assert {c.m for c in cfgs} == {5, 10, 50, 100, 500, 1000, 5000, 10000}
+def test_noise_preset_covers_paper_grid(capsys):
+    assert main(["ks-table", "--preset", "paper-noise", "--replicates", "100",
+                 "--seed", "1", "--format", "json"]) == 0
+    cells = json.loads(capsys.readouterr().out)
+    assert [(c["n"], c["m"]) for c in cells] == [
+        (n, m) for n in (5, 10, 50, 100)
+        for m in (5, 10, 50, 100, 500, 1000, 5000, 10000)]
+    assert {(c["mu"], c["shape"], c["replicates"]) for c in cells} == {
+        (None, None, 100)}
 
 
 def test_config_validation():
