@@ -429,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--mu", type=float, nargs="*", default=[])
-    # no custom shape: its loadings cannot be given on the command line
-    sp.add_argument("--shape", choices=[s.value for s in SignalShape
-                                        if s is not SignalShape.CUSTOM],
+    sp.add_argument("--shape", choices=[s.value for s in SignalShape],
                     default="basis")
     sp.add_argument("--sigma-sq", type=float, default=1.0)
     sp.add_argument("--r-hat", type=int, default=1)

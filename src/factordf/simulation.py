@@ -5,9 +5,12 @@ and E standard normal (n x m).  A replicate fits r_hat factors and measures
 the observed df along a test direction s.  It needs only YY' and Ys, and
 draws them in reduced form instead of the n x m matrix:
 
-- W1 (m x k, k <= r + 1) is an orthonormal basis of span(V, s), fixed per
+- W1 (m x k, k <= 2) is an orthonormal basis of span(v, s), fixed per
   config.  Then Ys = Y1 a with Y1 = Y W1 and a = W1's, and
   YY' = Y1 Y1' + sigma^2 W with W ~ Wishart_n(m - k) independent of Y1.
+  Y1's law needs W1 only through V'W1 and a, which depend on v and s only
+  through the squared projection (v's)^2 / s's, so the plan holds W1 in
+  coordinates of span(v, s) (``sampling_plan``), at O(1) cost in m.
 - U is Haar and independent of the noise, whose law is invariant under
   rotations of the rows, so the RSS has the same law with U fixed to the
   first r coordinate vectors; no rotation is drawn.
@@ -47,7 +50,7 @@ dense n x m pipeline this replaces is kept as a test oracle.
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -63,7 +66,6 @@ class SignalShape(str, Enum):
     BASIS = "basis"
     PERP_ONES = "perp-ones"
     PERP_BASIS = "perp-basis"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,6 @@ class SimConfig:
     r_hat: int = 1
     replicates: int = 10000
     seed: int = 0
-    custom_loadings: np.ndarray | None = field(default=None, compare=False)
-    test_direction: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         # SignalShape("x") raises ValueError on an unknown shape
@@ -105,10 +105,7 @@ class SimConfig:
         if not 0 <= self.r_hat <= min(self.n, self.m):
             raise CodedError("R_HAT_RANGE", f"r_hat must be in [0, "
                              f"{min(self.n, self.m)}], got {self.r_hat}")
-        if self.shape is SignalShape.CUSTOM:
-            if self.r > 0 and self.custom_loadings is None:
-                raise ValueError("custom shape requires custom_loadings")
-        elif self.r > 1:
+        if self.r > 1:
             raise CodedError("MU_RANGE", f"shape {self.shape.value} defines "
                              f"one loading vector, got mu {mu}")
         elif self.r and self.m < 2 and self.shape in (SignalShape.PERP_ONES,
@@ -118,37 +115,16 @@ class SimConfig:
                                            f"m >= 2, got m={self.m}")
 
 
-def loading_matrix(config: SimConfig) -> np.ndarray:
-    """Fixed loading vectors V as an (m, r) matrix."""
-    m, r = config.m, config.r
-    if r == 0:
-        return np.zeros((m, 0))
-    if config.shape is SignalShape.CUSTOM:
-        V = np.asarray(config.custom_loadings, dtype=np.float64)
-        if V.shape != (m, r):
-            raise ValueError(f"custom_loadings must have shape ({m}, {r})")
-        return V
-    v = np.zeros(m)
-    if config.shape is SignalShape.ONES:
-        v[:] = 1.0 / np.sqrt(m)
-    elif config.shape is SignalShape.BASIS:
-        v[0] = 1.0
-    elif config.shape is SignalShape.PERP_ONES:
-        v[1:] = 1.0 / np.sqrt(m - 1)
-    elif config.shape is SignalShape.PERP_BASIS:
-        v[1] = 1.0
-    return v[:, None]
-
-
-def direction_vector(config: SimConfig) -> np.ndarray:
-    if config.test_direction is not None:
-        s = np.asarray(config.test_direction, dtype=np.float64)
-        if s.shape != (config.m,):
-            raise ValueError("test_direction has wrong length")
-        return s
-    s = np.zeros(config.m)
-    s[0] = 1.0
-    return s
+def projection(shape: SignalShape, m: int) -> float:
+    """(v's)^2 / s's for the unit loading v that ``shape`` names and the test
+    direction s = e_1 in R^m: basis's v = e_1, ones' v = (1, ..., 1) /
+    sqrt(m), and perp-ones' and perp-basis' v, orthogonal to e_1, one cell
+    in law and in draws."""
+    if shape is SignalShape.BASIS:
+        return 1.0
+    if shape is SignalShape.ONES:
+        return (1.0 / np.sqrt(m)) ** 2
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -156,40 +132,42 @@ class SamplingPlan:
     """What every replicate of one config shares.
 
     Replicates draw in units of sigma: Y1 = Y W1 / sigma is n x k, and
-    ``signal`` is its mean, carried by its first r rows.
+    ``signal`` is its mean, carried by its first r rows.  W1 is held in
+    coordinates of span(v, s) (see ``sampling_plan``).
     """
 
     n: int
-    basis: np.ndarray       # W1, (m, k)
     signal: np.ndarray      # sqrt(n) D V'W1 / sigma, (r, k)
     direction: np.ndarray   # a = W1's, (k,)
-    loading: np.ndarray     # W1'v_1, (k,); empty when r = 0
+    loading: np.ndarray     # W1'v, (k,); empty when r = 0
     dim: int                # p = min(n, m): M is p x p
     columns: int            # B's nonzero columns, min(n, m - k)
     chi_dof: np.ndarray     # dofs of the chi entries: R's when r = 0,
                             # B's diagonal's, B's k-th subdiagonal's
     chi_at: np.ndarray      # their flat places in F's band storage
     sigma_sq: float
-    s_sq: float             # s's
     r_hat: int
 
 
 def sampling_plan(config: SimConfig) -> SamplingPlan:
-    """Basis of span(V, s) and the shapes, scalings and band places
-    replicates share."""
+    """Basis of span(v, s) and the shapes, scalings and band places
+    replicates share.
+
+    In coordinates of span(v, s), v is e_1 and s is (sqrt(p), sqrt(1 - p))
+    with p = ``projection``, cut to min(m, 2) rows; without signal s alone
+    is e_1.  W1 is [v s]'s left singular vectors above the rank cut.
+    """
     n, m, r = config.n, config.m, config.r
-    if r > n:
-        raise ValueError("r must not exceed n")
-    V = loading_matrix(config)
-    s = direction_vector(config)
-    if not float(s @ s) > 0:
-        raise ValueError("test direction must be nonzero")
-    # numerical rank of [V s]: custom loadings may be collinear with s
-    left, sv, _ = np.linalg.svd(np.column_stack([V, s]), full_matrices=False)
+    if r == 0:
+        C = np.ones((1, 1))
+    else:
+        p = projection(config.shape, m)
+        C = np.array([[1.0, np.sqrt(p)], [0.0, np.sqrt(1.0 - p)]])[:min(m, 2)]
+    left, sv, _ = np.linalg.svd(C, full_matrices=False)
     k = int(np.sum(sv > RANK_TOL * sv[0]))
     W1 = left[:, :k]
     mu = np.asarray(config.mu, dtype=np.float64)
-    V_rows = V.T @ W1
+    V_rows = C[:, :r].T @ W1
     # B's column c is F's column k + c: its diagonal chi_{m-k-c} lands at
     # F[k, k + c], its subdiagonal chi_{n-k-c} at F[0, k + c].  Without
     # signal (r = 0, so k = 1) Y1 is noise alone and R = ||Y1|| ~ chi_n,
@@ -199,16 +177,14 @@ def sampling_plan(config: SimConfig) -> SamplingPlan:
     below = diag[:max(0, n - k)]
     rho = [n] if r == 0 else []
     return SamplingPlan(
-        n=n, basis=W1,
-        signal=np.sqrt(n * mu / config.sigma_sq)[:, None] * V_rows,
-        direction=W1.T @ s, loading=V_rows[0] if r > 0 else np.zeros(0),
+        n=n, signal=np.sqrt(n * mu / config.sigma_sq)[:, None] * V_rows,
+        direction=W1.T @ C[:, r], loading=V_rows[0] if r > 0 else np.zeros(0),
         dim=min(n, m), columns=len(diag),
         chi_dof=np.concatenate([rho, m - k - diag,
                                 n - k - below]).astype(np.float64),
         chi_at=np.concatenate([[0] * len(rho), k * width + k + diag,
                                k + below]).astype(np.intp),
-        sigma_sq=float(config.sigma_sq), s_sq=float(s @ s),
-        r_hat=config.r_hat)
+        sigma_sq=float(config.sigma_sq), r_hat=config.r_hat)
 
 
 def draw(plan: SamplingPlan, rng: np.random.Generator):
@@ -340,9 +316,7 @@ def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
         return float(config.n), None, False
     if config.r == 0:
         return df_noise(config.n, config.m, config.r_hat).total, None, False
-    V = loading_matrix(config)
-    s = direction_vector(config)
-    proj = (V.T @ s) ** 2 / float(s @ s)
+    proj = np.array([projection(config.shape, config.m)])
     if config.r_hat == 0:   # unmodeled signal along s inflates the RSS
         extra = -config.n * float((np.asarray(config.mu) / config.sigma_sq) @ proj)
         return df_noise(config.n, config.m, 0).total + extra, None, False
@@ -385,7 +359,7 @@ def _run_replicates(config: SimConfig, plan: SamplingPlan,
 
 def _rss_and_df(plan: SamplingPlan, draws: list) -> tuple:
     """Each draw's s' E_hat' E_hat s for the rank-r_hat truncation,
-    ||Ys||^2 - ||left' Ys||^2, and its df_obs = n - RSS / (sigma^2 s's).
+    ||Ys||^2 - ||left' Ys||^2, and its df_obs = n - RSS / sigma^2 (s's = 1).
 
     In M's coordinates Ys / sigma is [R a; 0], so left' Ys / sigma is the top
     eigenvectors' first rows against R a.  With r_hat = p the fit spans all
@@ -400,13 +374,13 @@ def _rss_and_df(plan: SamplingPlan, draws: list) -> tuple:
             coef = (Ra[:, :, None] * solve(plan, draws)[1]).sum(axis=1)
             rss -= (coef * coef).sum(axis=1)
         rss *= plan.sigma_sq
-    return rss, plan.n - rss / (plan.sigma_sq * plan.s_sq)
+    return rss, plan.n - rss / plan.sigma_sq
 
 
 def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     """Aggregate the replicates and compare against the theoretical df.
 
-    The chi-squared goodness-of-fit test compares RSS / (sigma^2 s's) with
+    The chi-squared goodness-of-fit test compares RSS / sigma^2 with
     the chi2 distribution on n - df_theory degrees of freedom.
 
     ``threads`` is not used: replicates run in the calling thread.  A
@@ -422,8 +396,7 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     chi2_df = config.n - theory
     ks = None
     if chi2_df > 0:
-        scaled = rss / (config.sigma_sq * plan.s_sq)
-        ks = ks_test(scaled, lambda q: chi2_cdf(q, chi2_df))
+        ks = ks_test(rss / config.sigma_sq, lambda q: chi2_cdf(q, chi2_df))
 
     bracketed = None
     if alt is not None:

@@ -5,8 +5,9 @@ The library works in full coordinates with one Gram-matrix factor kernel
 routes: a full SVD with canonical signs, the change of basis to the
 complements of col(X) and col(Z), the explicit factor term and adjusted
 residuals, the algebraic RSS expansion, scalar variance / t arithmetic, and
-the dense Monte-Carlo replicate (a full n x m response per draw) that the
-sufficient-statistic engine in ``factordf.simulation`` is held to, and
+the dense Monte-Carlo replicate (a full n x m response per draw) and the
+m-row sampling plan that the sufficient-statistic engine in
+``factordf.simulation`` is held to, and
 Mandel's df from dense Bartlett Wishart matrices, which the spectrum sampler
 behind ``factordf.dof.df_mandel`` is held to.  None of
 them is fast enough, or needed, for production sizes.
@@ -20,9 +21,9 @@ from scipy import special
 
 from factordf.distributions import DOMAIN_MANDEL, DOMAIN_SIM, stream
 from factordf.dof import DofEstimate, DofMethod, _estimate
-from factordf.linalg import _as_matrix, polar_factors, top_factors
+from factordf.linalg import RANK_TOL, _as_matrix, polar_factors, top_factors
 from factordf.model import DatasetBundle
-from factordf.simulation import SamplingPlan, SimConfig, loading_matrix
+from factordf.simulation import SignalShape, SimConfig, sampling_plan
 
 
 def canonical_signs(V: np.ndarray) -> np.ndarray:
@@ -329,7 +330,44 @@ def t_statistic(coef: float, contrast_var: float,
     return float(coef / se), float(var_est.df_resid)
 
 
-# Dense Monte-Carlo replicate: Y drawn in full.
+# Dense Monte-Carlo replicate: Y drawn in full, from the loading vectors V
+# and the test direction s in R^m that a config's shape names.
+
+def loading_matrix(config: SimConfig) -> np.ndarray:
+    """Fixed loading vectors V as an (m, r) matrix."""
+    m = config.m
+    if config.r == 0:
+        return np.zeros((m, 0))
+    v = np.zeros(m)
+    if config.shape is SignalShape.ONES:
+        v[:] = 1.0 / np.sqrt(m)
+    elif config.shape is SignalShape.BASIS:
+        v[0] = 1.0
+    elif config.shape is SignalShape.PERP_ONES:
+        v[1:] = 1.0 / np.sqrt(m - 1)
+    elif config.shape is SignalShape.PERP_BASIS:
+        v[1] = 1.0
+    return v[:, None]
+
+
+def direction_vector(config: SimConfig) -> np.ndarray:
+    """The test direction s = e_1, (m,)."""
+    s = np.zeros(config.m)
+    s[0] = 1.0
+    return s
+
+
+def reference_plan(config: SimConfig) -> tuple:
+    """(signal, direction, loading) of ``simulation.sampling_plan`` by the
+    m-row route: W1 from the SVD of [V s] in R^m, with the plan's rank cut."""
+    V, s = loading_matrix(config), direction_vector(config)
+    left, sv, _ = np.linalg.svd(np.column_stack([V, s]), full_matrices=False)
+    W1 = left[:, :int(np.sum(sv > RANK_TOL * sv[0]))]
+    V_rows = V.T @ W1
+    mu = np.asarray(config.mu, dtype=np.float64)
+    return (np.sqrt(config.n * mu / config.sigma_sq)[:, None] * V_rows,
+            W1.T @ s, V_rows[0] if config.r > 0 else np.zeros(0))
+
 
 def _uniform_orthonormal(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     """Haar-uniform n x r column-orthonormal matrix with the sign convention."""
@@ -371,19 +409,25 @@ def _reflector(x: np.ndarray) -> np.ndarray:
     return H
 
 
-def band_reduce(plan: SamplingPlan, Y: np.ndarray):
-    """``simulation.draw``'s (R, F) for a dense response Y, computed instead
-    of drawn.
+def band_reduce(config: SimConfig, Y: np.ndarray):
+    """``simulation.draw``'s (R, F) for a dense response Y drawn from
+    ``config``, computed instead of drawn.
 
-    In units of sigma, R comes from the full QR Y1 = Y W1 = Q [R; 0].
+    W1 is the m x k basis of span(V, s) in which V and s have the plan's
+    coordinates, V'W1 = ``loading`` and W1's = ``direction``: the least-norm
+    solution of those equations.  In units of sigma, R comes from the full
+    QR Y1 = Y W1 = Q [R; 0].
     Q'(Y W2), W2 the complement of the basis W1, is reduced to the lower band
     factor B by Householder reflections on its columns and on its rows past
     the first k, so the rotation they make fixes e_1 ... e_k.  Then YY' is
     similar, under Q and that rotation, to F F' with F = [R B] (R padded
     with zero rows), restricted to its first min(n, m) rows.
     """
+    plan = sampling_plan(config)
+    A = np.column_stack([loading_matrix(config), direction_vector(config)])
+    coords = [plan.loading] * config.r + [plan.direction]
+    W1 = np.linalg.pinv(A.T) @ np.array(coords)
     n, m = Y.shape
-    W1 = plan.basis
     k = W1.shape[1]
     Y = Y / np.sqrt(plan.sigma_sq)
     Q, R = np.linalg.qr(Y @ W1, mode="complete")

@@ -74,6 +74,6 @@ def test_mc_grid_cells_make_no_lapack_call(monkeypatch):
                         lambda *args: calls.append(args))
     for kw in workloads.MC_CELLS.values():
         cfg = SimConfig(r_hat=1, replicates=100, seed=3, **kw)
-        assert simulation.sampling_plan(cfg).basis.shape[1] == 1
+        assert len(simulation.sampling_plan(cfg).direction) == 1
         simulation.run_sim(cfg)
     assert calls == []

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -1039,7 +1040,7 @@ def test_cli_bootstrap_methods_are_choices(capsys, method):
 
 
 def test_cli_simulate_has_no_custom_shape(capsys):
-    # custom loadings cannot be given on the command line
+    # no shape takes loadings from the command line
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--n", "10", "--m", "20", "--mu", "3",
               "--shape", "custom", "--seed", "1"])
@@ -1092,6 +1093,22 @@ def cli_process(args, **kwargs):
 
 SIMULATE_ARGS = ["simulate", "--n", "10", "--m", "20", "--replicates", "100",
                  "--seed", "1", "--format", "csv"]
+
+
+@pytest.mark.parametrize("mu", [[], ["--mu", "3"]], ids=["noise", "basis"])
+def test_cli_simulate_huge_m_runs_in_bounded_memory(mu):
+    # a cell's plan and draws take O(1) memory in m: m = 10^12 runs under a
+    # 4 GiB address-space cap, which one float64 m-vector (8 TB) would break
+    cap = 4 << 30
+    proc = cli_process(
+        ["simulate", "--n", "5", "--m", "1000000000000", "--replicates", "100",
+         "--seed", "1", "--format", "json", *mu], stdout=subprocess.PIPE,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    [row] = json.loads(proc.stdout)
+    assert np.isfinite(row["mean_df"])
 
 
 @pytest.mark.parametrize("command", ["simulate", "test"])

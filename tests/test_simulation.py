@@ -13,14 +13,14 @@ from factordf.cli import _fmt, main
 from factordf import linalg, simulation
 from factordf.linalg import top_factors
 from oracles import (_rss_after_truncation, _simulate_response,
-                     adjusted_residuals, band_reduce, extract_factors, rss)
+                     adjusted_residuals, band_reduce, direction_vector,
+                     extract_factors, loading_matrix, reference_plan, rss)
 from oracles import TestDirection as Direction
 from factordf.simulation import (CSV_COLUMNS, SignalShape,
                                  SimConfig, cell_columns, cell_record,
-                                 direction_vector, grid_to_json,
-                                 loading_matrix, run_grid, run_replicate,
-                                 run_sim, run_spike_sim, sampling_plan, solve,
-                                 theoretical_df)
+                                 grid_to_json, projection, run_grid,
+                                 run_replicate, run_sim, run_spike_sim,
+                                 sampling_plan, solve, theoretical_df)
 
 
 def noise_cfg(**kw):
@@ -30,12 +30,14 @@ def noise_cfg(**kw):
 
 
 def test_shapes_are_unit_vectors():
-    for shape in (SignalShape.ONES, SignalShape.BASIS,
-                  SignalShape.PERP_ONES, SignalShape.PERP_BASIS):
+    for shape in SignalShape:
         cfg = SimConfig(n=5, m=12, r=1, mu=(2.0,), shape=shape,
                         replicates=100, seed=0)
         v = loading_matrix(cfg)[:, 0]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        # the engine's projection is the dense vectors' (v's)^2 / s's
+        s = direction_vector(cfg)
+        assert projection(shape, cfg.m) == (v @ s) ** 2 / float(s @ s)
     perp = loading_matrix(SimConfig(n=5, m=12, r=1, mu=(2.0,),
                                     shape=SignalShape.PERP_BASIS,
                                     replicates=100, seed=0))[:, 0]
@@ -47,6 +49,39 @@ def rss_of(plan, draws):
     return simulation._rss_and_df(plan, draws)[0]
 
 
+def test_plan_matches_m_row_reference():
+    # the plan's coordinates of span(v, s) against the SVD of [V s] in R^m:
+    # k = 1 plans byte for byte; k = 2 plans up to a rotation of the plane,
+    # so through their inner products, to 1e-12 relative (the m-row SVD's own
+    # rounding reaches 3e-13 at m = 17862)
+    for sigma_sq in (1.0, 2.5):
+        for m in (1, 2, 3, 50, 500, 17862):
+            cells = [SimConfig(n=7, m=m, r=0, sigma_sq=sigma_sq)] + [
+                SimConfig(n=7, m=m, r=1, mu=(3.0,), shape=shape,
+                          sigma_sq=sigma_sq)
+                for shape in SignalShape if m > 1 or "perp" not in shape.value]
+            for cfg in cells:
+                plan = sampling_plan(cfg)
+                signal, direction, loading = reference_plan(cfg)
+                assert len(plan.direction) == len(direction)
+                if cfg.r == 0 or cfg.shape is SignalShape.BASIS:
+                    assert plan.signal.tobytes() == signal.tobytes()
+                    assert plan.direction.tobytes() == direction.tobytes()
+                    assert plan.loading.tobytes() == loading.tobytes()
+                    continue
+                for got, want in [
+                        (plan.signal @ plan.signal.T, signal @ signal.T),
+                        (plan.signal @ plan.direction, signal @ direction),
+                        (plan.direction @ plan.direction,
+                         direction @ direction)]:
+                    np.testing.assert_allclose(got, want, rtol=1e-12,
+                                               atol=1e-12)
+    # the two perp shapes are one cell
+    kw = dict(n=20, m=60, r=1, mu=(3.0,), replicates=200, seed=5)
+    assert run_sim(SimConfig(shape=SignalShape.PERP_ONES, **kw)) == \
+        run_sim(SimConfig(shape=SignalShape.PERP_BASIS, **kw))
+
+
 def test_replicate_deterministic():
     cfg = noise_cfg()
     (R, F), (R2, F2) = run_replicate(cfg, 7), run_replicate(cfg, 7)
@@ -54,14 +89,10 @@ def test_replicate_deterministic():
     assert run_replicate(cfg, 8)[1].tobytes() != F.tobytes()
 
 
-def custom_cell(n, m, **kw):
-    # one loading, a direction outside its span: span(V, s) has k = 2
-    rng = np.random.default_rng(n * 100 + m)
-    v = rng.standard_normal(m)
-    s = rng.standard_normal(m)
-    return SimConfig(n=n, m=m, r=1, mu=(2.5,), shape=SignalShape.CUSTOM,
-                     custom_loadings=(v / np.linalg.norm(v))[:, None],
-                     test_direction=s, replicates=20, **kw)
+def k2_cell(n, m, shape, **kw):
+    # one loading, the direction outside its span: span(v, s) has k = 2
+    return SimConfig(n=n, m=m, r=1, mu=(2.5,), shape=shape, replicates=20,
+                     **kw)
 
 
 def assert_solve_matches_dense(cfg, indices=range(4)):
@@ -69,7 +100,7 @@ def assert_solve_matches_dense(cfg, indices=range(4)):
     s = direction_vector(cfg)
     for i in indices:
         Y = _simulate_response(cfg, i)
-        got = rss_of(plan, [band_reduce(plan, Y)])[0]
+        got = rss_of(plan, [band_reduce(cfg, Y)])[0]
         want = _rss_after_truncation(Y, s, cfg.r_hat)
         assert got == pytest.approx(want, rel=1e-8)
         if cfg.r_hat > 0:   # and the explicit truncation pipeline
@@ -90,15 +121,15 @@ def test_replicate_matches_factor_module():
         SimConfig(n=10, m=10, r=1, mu=(2.0,), shape=SignalShape.BASIS,
                   sigma_sq=2.5, r_hat=1, replicates=20, seed=2),
         SimConfig(n=6, m=20, r=0, r_hat=2, replicates=20, seed=3),
-        custom_cell(7, 25, r_hat=1, seed=4),
-        custom_cell(7, 25, r_hat=2, seed=5),
+        k2_cell(7, 25, SignalShape.PERP_ONES, r_hat=1, seed=4),
+        k2_cell(7, 25, SignalShape.ONES, r_hat=2, seed=5),
     ]
     for cfg in cells:
         plan = assert_solve_matches_dense(cfg)
         assert plan.dim == cfg.n
-    assert sampling_plan(cells[-1]).basis.shape == (25, 2)
-    assert sampling_plan(cells[0]).basis.shape == (14, 2)
-    assert sampling_plan(cells[2]).basis.shape == (10, 1)   # v = s
+    assert len(sampling_plan(cells[-1]).direction) == 2
+    assert len(sampling_plan(cells[0]).direction) == 2
+    assert len(sampling_plan(cells[2]).direction) == 1   # v = s
 
 
 def test_replicate_matches_factor_module_tall():
@@ -109,8 +140,8 @@ def test_replicate_matches_factor_module_tall():
         SimConfig(n=15, m=6, r=1, mu=(2.5,), shape=SignalShape.ONES,
                   sigma_sq=0.5, r_hat=2, replicates=20, seed=4),
         SimConfig(n=20, m=7, r=0, r_hat=2, replicates=20, seed=5),
-        custom_cell(12, 5, r_hat=1, seed=6),
-        custom_cell(12, 5, r_hat=2, seed=7),
+        k2_cell(12, 5, SignalShape.PERP_BASIS, r_hat=1, seed=6),
+        k2_cell(12, 5, SignalShape.PERP_ONES, r_hat=2, seed=7),
     ]
     for cfg in cells:
         assert assert_solve_matches_dense(cfg).dim == cfg.m
@@ -127,32 +158,27 @@ def test_spike_solve_matches_dense():
             left, sing = top_factors(Y, 1)
             vhat = Y.T @ left[:, 0] / sing[0]
             [mu1], [overlap_sq] = simulation._spike(
-                replace(plan, r_hat=1), [band_reduce(plan, Y)])
+                replace(plan, r_hat=1), [band_reduce(cfg, Y)])
             assert mu1 * n == pytest.approx(sing[0] ** 2, rel=1e-10)
             assert overlap_sq == pytest.approx((vhat @ v) ** 2, rel=1e-8)
 
 
 # Engine vs dense oracle in law.  Seeds fixed before the first run; the
 # oracle uses other seeds than the engine, so the two samples share no draws.
-# k = dim span(V, s) is M's bandwidth.
+# k = dim span(v, s) is M's bandwidth.
 LAW_CELLS = [
-    # (label, k, config keywords): noise, signal along s, near-square,
-    # n > m, n > m with two factors and s outside their span (k = 3)
+    # (label, k, config keywords): noise, signal along s, near-square, n > m
     ("primal-noise", 1, dict(n=10, m=60, r=0, r_hat=1)),
     ("primal-basis", 1, dict(n=20, m=80, r=1, mu=(3.0,), r_hat=1)),
     ("near-square", 1, dict(n=12, m=12, r=1, mu=(2.0,), r_hat=1)),
     ("dual-basis", 1, dict(n=30, m=10, r=1, mu=(2.0,), r_hat=1)),
-    ("dual-dense", 3, dict(n=11, m=10, r=2, mu=(4.0, 2.0), r_hat=2,
-                           shape=SignalShape.CUSTOM)),
-    # the band at k = 2: ones, perp-basis with n > m, a custom loading with
-    # s outside its span, two fitted factors, sigma^2 != 1, a band cut short
-    # by m - k < n, and m = k, where M = R R' has no Wishart part
+    # the band at k = 2: ones, perp-basis with n > m, two fitted factors,
+    # sigma^2 != 1, a band cut short by m - k < n, and m = k, where M = R R'
+    # has no Wishart part
     ("ones-k2", 2, dict(n=20, m=60, r=1, mu=(3.0,), r_hat=1,
                         shape=SignalShape.ONES)),
     ("perp-basis-tall", 2, dict(n=30, m=12, r=1, mu=(2.0,), r_hat=1,
                                 shape=SignalShape.PERP_BASIS)),
-    ("custom-outside", 2, dict(n=15, m=40, r=1, mu=(2.5,), r_hat=1,
-                               shape=SignalShape.CUSTOM)),
     ("r-hat-2", 2, dict(n=15, m=40, r=1, mu=(3.0,), r_hat=2,
                         shape=SignalShape.ONES)),
     ("sigma-sq", 1, dict(n=20, m=60, r=1, mu=(2.0,), r_hat=1,
@@ -166,18 +192,6 @@ LAW_SEED, ORACLE_SEED, LAW_REPS = 7100, 7200, 1000
 
 
 def law_config(kw, seed):
-    kw = dict(kw)
-    if kw.get("shape") is SignalShape.CUSTOM:
-        m, r = kw["m"], kw["r"]
-        V = np.zeros((m, r))
-        if r == 2:
-            V[0, 0] = V[1, 1] = 1.0
-            kw["test_direction"] = np.eye(m)[0] + np.eye(m)[2]
-        else:
-            V[:, 0] = np.cos(np.arange(m))
-            V /= np.linalg.norm(V)
-            kw["test_direction"] = np.eye(m)[0] + np.eye(m)[1]
-        kw["custom_loadings"] = V
     return SimConfig(replicates=LAW_REPS, seed=seed, **kw)
 
 
@@ -186,7 +200,7 @@ def law_config(kw, seed):
 def test_engine_rss_law_matches_dense_oracle(label, k, kw):
     cfg = law_config(kw, LAW_SEED)
     plan = sampling_plan(cfg)
-    assert plan.basis.shape[1] == k
+    assert len(plan.direction) == k
     assert plan.dim == min(cfg.n, cfg.m)
     engine = rss_of(plan, [run_replicate(cfg, i, plan)
                            for i in range(LAW_REPS)])
@@ -490,7 +504,7 @@ def test_runs_need_min_replicates(runner):
 
 
 def test_config_shape_string_is_the_enum():
-    # a plain string once matched none of loading_matrix's `is` branches and
+    # a plain string once matched none of the shape's `is` branches and
     # gave a signal-free cell
     kw = dict(n=100, m=50, r=1, mu=(21.0,), replicates=200, seed=1)
     by_name = SimConfig(shape="basis", **kw)
