@@ -1,8 +1,8 @@
 """Command-line front door: ingestion, fitting, testing, simulation, bootstrap.
 
 Every command is a pure function of its files, flags, and seed.  simulate,
-ks-table, bootstrap and generate require --seed, and test reads one for
---method mandel; output is byte-identical on every run, at any bootstrap
+bootstrap and generate require --seed, and test reads one for --method
+mandel; output is byte-identical on every run, at any bootstrap
 --threads setting.  generate writes only its fixture files; every other
 command prints data to stdout or --output, a file that a failed command
 leaves as it was.  Diagnostics and errors go to stderr.
@@ -27,8 +27,8 @@ from .fdr import (DEFAULT_METHODS, REPORT_COLUMNS, BootstrapConfig, evaluate,
 from .inference import compute_direction_stats, df_totals, response_tests
 from .linalg import CodedError
 from .model import DatasetBundle, fit_two_sided
-from .simulation import (CSV_COLUMNS, STUDY_M_GRID, STUDY_N_GRID, SignalShape,
-                         SimConfig, cell_columns, grid_to_json, run_grid)
+from .simulation import (CSV_COLUMNS, SignalShape, SimConfig, cell_columns,
+                         grid_to_json, run_grid)
 
 FORMATS = ("table", "csv", "json")
 
@@ -316,33 +316,18 @@ def cmd_test(args, out) -> None:
           file=sys.stderr)
 
 
-def _emit_cells(cells, fmt, out) -> None:
-    if fmt == "json":
+def cmd_simulate(args, out) -> None:
+    # one cell per (n, m), n the outer loop
+    mu = tuple(args.mu or ())
+    configs = [SimConfig(n=n, m=m, r=len(mu), mu=mu, shape=args.shape,
+                         sigma_sq=args.sigma_sq, r_hat=args.r_hat,
+                         replicates=args.replicates, seed=args.seed)
+               for n in args.n for m in args.m]
+    cells = run_grid(configs)
+    if args.format == "json":
         out.write(grid_to_json(cells))
     else:
-        _emit_rows(list(CSV_COLUMNS), cell_columns(cells), fmt, out)
-
-
-def cmd_simulate(args, out) -> None:
-    mu = tuple(args.mu or ())
-    cfg = SimConfig(n=args.n, m=args.m, r=len(mu), mu=mu, shape=args.shape,
-                    sigma_sq=args.sigma_sq, r_hat=args.r_hat,
-                    replicates=args.replicates, seed=args.seed)
-    _emit_cells(run_grid([cfg]), args.format, out)
-
-
-def cmd_kstable(args, out) -> None:
-    # a preset runs the reference table at r_hat = 1, pure noise or one
-    # factor along the test direction, and reads neither the lists nor --r-hat
-    if args.preset is None:
-        ns, ms, r_hat, mu = args.n_list, args.m_list, args.r_hat, ()
-    else:
-        ns, ms, r_hat = STUDY_N_GRID, STUDY_M_GRID, 1
-        mu = (args.mu_value,) if args.preset == "paper-basis" else ()
-    configs = [SimConfig(n=n, m=m, r=len(mu), mu=mu, r_hat=r_hat,
-                         replicates=args.replicates, seed=args.seed)
-               for n in ns for m in ms]
-    _emit_cells(run_grid(configs), args.format, out)
+        _emit_rows(list(CSV_COLUMNS), cell_columns(cells), args.format, out)
 
 
 def cmd_bootstrap(args, out) -> None:
@@ -425,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_arg(sp, required=False)
     sp.set_defaults(func=cmd_test)
 
-    sp = sub.add_parser("simulate", help="one Monte-Carlo df cell")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp = sub.add_parser("simulate",
+                        help="Monte-Carlo df cells, one per (n, m) pair")
+    sp.add_argument("--n", type=int, nargs="+", required=True)
+    sp.add_argument("--m", type=int, nargs="+", required=True)
     sp.add_argument("--mu", type=float, nargs="*", default=[])
     sp.add_argument("--shape", choices=[s.value for s in SignalShape],
                     default="basis")
@@ -437,18 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sp)
     _add_seed_arg(sp)
     sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("ks-table", help="chi-squared goodness-of-fit grid")
-    sp.add_argument("--preset", choices=["paper-noise", "paper-basis"],
-                    default=None)
-    sp.add_argument("--n-list", type=int, nargs="*", default=[50])
-    sp.add_argument("--m-list", type=int, nargs="*", default=[500])
-    sp.add_argument("--r-hat", type=int, default=1)
-    sp.add_argument("--mu-value", type=float, default=3.0)
-    sp.add_argument("--replicates", type=int, default=10000)
-    _add_output_args(sp)
-    _add_seed_arg(sp)
-    sp.set_defaults(func=cmd_kstable)
 
     sp = sub.add_parser("bootstrap", help="parametric-bootstrap FDR evaluation")
     _add_data_args(sp)
@@ -460,9 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=[m.value for m in DEFAULT_METHODS],
                     default=[m.value for m in DEFAULT_METHODS])
     sp.add_argument("--mandel-reps", type=int, default=1000)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="threads the datasets run on; default: "
-                         "FACTORDF_THREADS, else 1")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="threads the datasets run on; default: 1")
     _add_output_args(sp)
     _add_seed_arg(sp)
     sp.set_defaults(func=cmd_bootstrap)
@@ -488,37 +461,15 @@ def _drop_stdout() -> None:
     os.close(null)
 
 
-def _env_threads() -> int:
-    """The thread count FACTORDF_THREADS sets: 1 when it is unset or empty."""
-    env = os.environ.get("FACTORDF_THREADS", "")
-    try:
-        threads = int(env) if env else 1
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise CodedError("THREADS_RANGE",
-                         f"FACTORDF_THREADS must be an integer >= 1, got {env!r}")
-    return threads
-
-
 def _check_ranges(args) -> None:
     """Reject flag values outside their ranges, before any work is done."""
     # the library keys on the seed's 64-bit word, so wider seeds would alias
     if args.seed is not None and not -2**63 <= args.seed < 2**64:
         raise CodedError("SEED_RANGE",
                          f"--seed must lie in [-2^63, 2^64), got {args.seed}")
-    if args.command == "ks-table" and args.preset is None:
-        for flag, sizes in (("--n-list", args.n_list),
-                            ("--m-list", args.m_list)):
-            if not sizes:
-                raise CodedError("SIZE_RANGE",
-                                 f"{flag} must name at least one size")
-    if args.command == "bootstrap":
-        if args.threads is None:
-            args.threads = _env_threads()
-        if args.threads < 1:
-            raise CodedError("THREADS_RANGE",
-                             f"--threads must be >= 1, got {args.threads}")
+    if args.command == "bootstrap" and args.threads < 1:
+        raise CodedError("THREADS_RANGE",
+                         f"--threads must be >= 1, got {args.threads}")
     if args.command == "test" and not 0 < args.alpha < 1:
         raise CodedError("ALPHA_RANGE",
                          f"alpha must lie in (0, 1), got {args.alpha:g}")

@@ -89,9 +89,9 @@ class SimConfig:
         if self.r < 0 or len(self.mu) != self.r:
             raise ValueError("mu must have length r")
         mu = " ".join(f"{v:g}" for v in self.mu)
-        if self.r > 1 and any(np.diff(self.mu) >= 0):
-            raise CodedError("MU_RANGE",
-                             f"mu must be strictly decreasing, got {mu}")
+        if self.r > 1:
+            raise CodedError("MU_RANGE", f"shape {self.shape.value} defines "
+                             f"one loading vector, got mu {mu}")
         if not all(v > 0 for v in self.mu):     # NaN too
             raise CodedError("MU_RANGE", f"mu must be positive, got {mu}")
         if not np.isfinite(self.mu).all():
@@ -105,11 +105,8 @@ class SimConfig:
         if not 0 <= self.r_hat <= min(self.n, self.m):
             raise CodedError("R_HAT_RANGE", f"r_hat must be in [0, "
                              f"{min(self.n, self.m)}], got {self.r_hat}")
-        if self.r > 1:
-            raise CodedError("MU_RANGE", f"shape {self.shape.value} defines "
-                             f"one loading vector, got mu {mu}")
-        elif self.r and self.m < 2 and self.shape in (SignalShape.PERP_ONES,
-                                                      SignalShape.PERP_BASIS):
+        if self.r and self.m < 2 and self.shape in (SignalShape.PERP_ONES,
+                                                    SignalShape.PERP_BASIS):
             # a loading orthogonal to s = e_1 needs a second coordinate
             raise CodedError("SIZE_RANGE", f"shape {self.shape.value} needs "
                                            f"m >= 2, got m={self.m}")
@@ -358,12 +355,14 @@ def _run_replicates(config: SimConfig, plan: SamplingPlan,
 
 
 def _rss_and_df(plan: SamplingPlan, draws: list) -> tuple:
-    """Each draw's s' E_hat' E_hat s for the rank-r_hat truncation,
-    ||Ys||^2 - ||left' Ys||^2, and its df_obs = n - RSS / sigma^2 (s's = 1).
+    """Each draw's RSS / sigma^2, where the RSS is s' E_hat' E_hat s for the
+    rank-r_hat truncation, ||Ys||^2 - ||left' Ys||^2, and its
+    df_obs = n - RSS / sigma^2 (s's = 1).
 
     In M's coordinates Ys / sigma is [R a; 0], so left' Ys / sigma is the top
     eigenvectors' first rows against R a.  With r_hat = p the fit spans all
-    of M's coordinates and the RSS is 0.
+    of M's coordinates and the RSS is 0.  The RSS is kept in units of
+    sigma^2, so that no finite sigma^2 can overflow it.
     """
     if plan.r_hat == plan.dim:
         rss = np.zeros(len(draws))
@@ -373,8 +372,7 @@ def _rss_and_df(plan: SamplingPlan, draws: list) -> tuple:
         if plan.r_hat > 0:
             coef = (Ra[:, :, None] * solve(plan, draws)[1]).sum(axis=1)
             rss -= (coef * coef).sum(axis=1)
-        rss *= plan.sigma_sq
-    return rss, plan.n - rss / plan.sigma_sq
+    return rss, plan.n - rss
 
 
 def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
@@ -396,7 +394,7 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
     chi2_df = config.n - theory
     ks = None
     if chi2_df > 0:
-        ks = ks_test(rss / config.sigma_sq, lambda q: chi2_cdf(q, chi2_df))
+        ks = ks_test(rss, lambda q: chi2_cdf(q, chi2_df))
 
     bracketed = None
     if alt is not None:
@@ -430,18 +428,13 @@ def run_grid(configs: list[SimConfig], threads: int = 1) -> list[GridCell]:
     return cells
 
 
-# The reference (n, m) table that ks-table's presets run at r_hat = 1.
-STUDY_N_GRID = (5, 10, 50, 100)
-STUDY_M_GRID = (5, 10, 50, 100, 500, 1000, 5000, 10000)
-
-
-# Columns of a simulate / ks-table row in CSV; JSON adds the replicate count.
+# Columns of a simulate row in CSV; JSON adds the replicate count.
 CSV_COLUMNS = ("n", "m", "mu", "shape", "mean_df", "se_df", "theoretical_df",
                "ks_D", "ks_p", "conjectural", "alt_theoretical_df", "bracketed")
 
 
 def cell_record(cell: GridCell) -> dict:
-    """The one row builder behind every simulate and ks-table output."""
+    """The one row builder behind every simulate output."""
     r = cell.result
     # a noise cell has no loading, so no loading shape
     shape = None if cell.mu is None else cell.shape

@@ -308,8 +308,9 @@ def test_criterion_9_determinism(tmp_path):
     commands = {
         "simulate": ["simulate", "--n", "20", "--m", "100", "--r-hat", "1",
                      "--replicates", "400", "--seed", "11", "--format", "csv"],
-        "ks-table": ["ks-table", "--n-list", "10", "20", "--m-list", "50",
-                     "--replicates", "300", "--seed", "12", "--format", "csv"],
+        "simulate-grid": ["simulate", "--n", "10", "20", "--m", "50",
+                          "--replicates", "300", "--seed", "12",
+                          "--format", "csv"],
         "test-mandel": ["test"] + data + ["--coef-index", "2", "--r-hat", "2",
                                           "--method", "mandel", "--seed", "13",
                                           "--mandel-reps", "300",

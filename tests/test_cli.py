@@ -456,32 +456,50 @@ def test_cmd_simulate_flags_conjectural_cell(capsys, fmt):
 
 
 def test_simulate_and_ks_table_rows_agree(capsys):
-    # one row builder: the same cell prints the same columns in both commands
-    cell = ["--n", "12", "--m", "40", "--r-hat", "1", "--replicates", "150",
-            "--seed", "6", "--format", "csv"]
-    _, sim, _ = run_cli(["simulate"] + cell, capsys)
-    _, grid, _ = run_cli(["ks-table", "--n-list", "12", "--m-list", "40",
-                          "--r-hat", "1", "--replicates", "150", "--seed", "6",
-                          "--format", "csv"], capsys)
-    assert sim == grid
-    assert sim.splitlines()[0].endswith(",ks_p,conjectural,alt_theoretical_df,bracketed")
+    # a grid prints each cell's row as a one-cell run does, n the outer loop
+    # and m the inner
+    flags = ["--r-hat", "1", "--replicates", "150", "--seed", "6",
+             "--format", "csv"]
+    _, grid, _ = run_cli(["simulate", "--n", "12", "9", "--m", "40", "30",
+                          *flags], capsys)
+    header, *rows = grid.splitlines()
+    assert header.endswith(",ks_p,conjectural,alt_theoretical_df,bracketed")
+    cells = []
+    for n in ("12", "9"):
+        for m in ("40", "30"):
+            _, sim, _ = run_cli(["simulate", "--n", n, "--m", m, *flags],
+                                capsys)
+            assert sim.splitlines()[0] == header
+            cells += sim.splitlines()[1:]
+    assert rows == cells
+    assert [r.split(",")[:2] for r in rows] == [
+        ["12", "40"], ["12", "30"], ["9", "40"], ["9", "30"]]
 
 
 def test_simulate_and_ks_table_share_table_layout(capsys):
+    # a grid's table is its CSV aligned, one line per cell
+    sizes = ["--n", "10", "20", "--m", "30"]
     cell = ["--r-hat", "1", "--replicates", "120", "--seed", "2"]
-    _, sim, _ = run_cli(["simulate", "--n", "10", "--m", "30"] + cell, capsys)
-    _, grid, _ = run_cli(["ks-table", "--n-list", "10", "--m-list", "30"]
-                         + cell, capsys)
-    header = sim.splitlines()[0]
+    _, table, _ = run_cli(["simulate", *sizes, *cell], capsys)
+    _, csv_out, _ = run_cli(["simulate", *sizes, *cell, "--format", "csv"],
+                            capsys)
+    header, *rows = table.splitlines()
     assert header.split() == ["n", "m", "mu", "shape", "mean_df", "se_df",
                               "theoretical_df", "ks_D", "ks_p", "conjectural",
                               "alt_theoretical_df", "bracketed"]
     assert "," not in header
-    assert grid == sim
+    assert [row.split() for row in rows] == [
+        [v for v in line.split(",") if v]
+        for line in csv_out.splitlines()[1:]]
+    start = header.index("mean_df")
+    assert all(row[start - 1] == " " != row[start] for row in rows)
 
 
-# SHA-256 of ks-table's preset CSV (100 replicates, seed 2), taken when each
-# preset had its own config builder in the simulation module
+# SHA-256 of the paper's (n, m) grid in CSV (100 replicates, seed 2), pure
+# noise and one basis factor at mu = 3, taken when each grid had its own
+# config builder in the simulation module
+PAPER_GRID = ["--n", "5", "10", "50", "100",
+              "--m", "5", "10", "50", "100", "500", "1000", "5000", "10000"]
 PINNED_PRESET_SHA256 = {
     "paper-noise":
         "204ad7a6157daae6f035621519ea258fa5934c93f9cdb0f9c28188cde49ca937",
@@ -491,14 +509,11 @@ PINNED_PRESET_SHA256 = {
 
 
 @pytest.mark.parametrize("preset", list(PINNED_PRESET_SHA256))
-@pytest.mark.parametrize("ignored", [[], ["--r-hat", "3", "--n-list", "7",
-                                          "--m-list", "9"]],
-                         ids=["alone", "ignored-flags"])
-def test_ks_table_presets_are_pinned(capsys, preset, ignored):
-    # a preset reads neither the size lists nor --r-hat
-    code, out, err = run_cli(["ks-table", "--preset", preset, "--replicates",
-                              "100", "--seed", "2", "--format", "csv",
-                              *ignored], capsys)
+def test_ks_table_presets_are_pinned(capsys, preset):
+    mu = ["--mu", "3"] if preset == "paper-basis" else []
+    code, out, err = run_cli(["simulate", *PAPER_GRID, *mu, "--replicates",
+                              "100", "--seed", "2", "--format", "csv"],
+                             capsys)
     assert code == 0 and err == ""
     assert (hashlib.sha256(out.encode()).hexdigest()
             == PINNED_PRESET_SHA256[preset])
@@ -613,9 +628,9 @@ def test_monte_carlo_output_independent_of_blas_threads(tmp_path):
         "simulate-k2": ["simulate", "--n", "400", "--m", "2000", "--mu", "3",
                         "--shape", "ones", "--r-hat", "2", "--replicates",
                         "100", "--seed", "3", "--format", "json"],
-        "ks-table": ["ks-table", "--n-list", "30", "100", "--m-list", "60",
-                     "500", "--replicates", "150",
-                     "--seed", "4", "--format", "csv"],
+        "simulate-grid": ["simulate", "--n", "30", "100", "--m", "60", "500",
+                          "--replicates", "150", "--seed", "4",
+                          "--format", "csv"],
     }
     for name, args in commands.items():
         outs = []
@@ -733,10 +748,10 @@ def test_cli_scree_of_zero_y_is_no_variance(tmp_path, capsys):
 SEED_COMMANDS = pytest.mark.parametrize("command", [
     ["test", "--y", "{dir}/y.csv", "--coef-index", "0"],
     ["simulate", "--n", "10", "--m", "20", "--replicates", "100"],
-    ["ks-table", "--replicates", "100"],
+    ["simulate", "--n", "10", "20", "--m", "20", "30", "--replicates", "100"],
     ["bootstrap", "--y", "{dir}/y.csv", "--coef-index", "0"],
     ["generate", "--out-dir", "{dir}/fixture"],
-], ids=["test", "simulate", "ks-table", "bootstrap", "generate"])
+], ids=["test", "simulate", "simulate-grid", "bootstrap", "generate"])
 
 
 @SEED_COMMANDS
@@ -869,7 +884,7 @@ def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
     (["simulate", "--mu", "-1"],
      "error [MU_RANGE]: mu must be positive, got -1"),
     (["simulate", "--mu", "1", "2"],
-     "error [MU_RANGE]: mu must be strictly decreasing, got 1 2"),
+     "error [MU_RANGE]: shape basis defines one loading vector, got mu 1 2"),
     (["simulate", "--mu", "3", "2"],
      "error [MU_RANGE]: shape basis defines one loading vector, got mu 3 2"),
     (["simulate", "--sigma-sq", "0"],
@@ -937,10 +952,11 @@ def test_cli_bootstrap_faults_before_ingest(tmp_path, capsys, flags, line):
      "error [N_DATASETS_RANGE]: n_datasets must be >= 10, got 3"),
     (["bootstrap", "--k-factors", "0"],
      "error [K_FACTORS_RANGE]: k_factors must be >= 1, got 0"),
-    (["ks-table", "--n-list"],
-     "error [SIZE_RANGE]: --n-list must name at least one size"),
-    (["ks-table", "--m-list", "--replicates", "5"],
-     "error [SIZE_RANGE]: --m-list must name at least one size"),
+    # every cell of a grid is checked before any runs
+    (["simulate", "--n", "10", "0", "--m", "20"],
+     "error [SIZE_RANGE]: n and m must be >= 1, got n=0, m=20"),
+    (["simulate", "--n", "10", "--m", "20", "0", "--replicates", "5"],
+     "error [SIZE_RANGE]: n and m must be >= 1, got n=10, m=0"),
 ], ids=["SIZE_RANGE", "REPLICATES_RANGE", "REPLICATES_RANGE-0",
         "SIZE_RANGE-perp-basis", "SIZE_RANGE-perp-ones", "R_HAT_RANGE",
         "N_DATASETS_RANGE", "K_FACTORS_RANGE", "SIZE_RANGE-n-list",
@@ -968,28 +984,8 @@ def test_cli_x_required(fixture_dir, capsys, command):
                    "the row covariates (--x)\n")
 
 
-def bootstrap_args(fixture_dir):
-    return ["bootstrap", "--y", str(fixture_dir / "y.csv"),
-            "--x", str(fixture_dir / "x.csv"), "--coef-index", "2",
-            "--n-datasets", "10", "--methods", "naive", "--seed", "1",
-            "--format", "csv"]
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "abc"])
-def test_cli_threads_variable_out_of_range(fixture_dir, capsys, monkeypatch,
-                                           value):
-    monkeypatch.setenv("FACTORDF_THREADS", value)
-    code, out, err = run_cli(bootstrap_args(fixture_dir), capsys)
-    assert code == 1 and out == ""
-    assert err == ("error [THREADS_RANGE]: FACTORDF_THREADS must be an "
-                   f"integer >= 1, got {value!r}\n")
-    # no other command reads the variable
-    assert run_cli(SIMULATE_ARGS, capsys)[0] == 0
-
-
-def test_cli_threads_variable_default_and_override(fixture_dir, capsys,
-                                                   monkeypatch):
-    # unset or empty means one thread; --threads overrides the variable
+def test_cli_bootstrap_threads_default_to_one(fixture_dir, capsys,
+                                              monkeypatch):
     seen = []
     real = cli.evaluate
 
@@ -998,24 +994,58 @@ def test_cli_threads_variable_default_and_override(fixture_dir, capsys,
         return real(cfg, data)
 
     monkeypatch.setattr(cli, "evaluate", spy)
-    for value, flags in ((None, []), ("", []), ("3", []),
-                         ("abc", ["--threads", "2"])):
-        if value is None:
-            monkeypatch.delenv("FACTORDF_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FACTORDF_THREADS", value)
-        code, _, err = run_cli([*bootstrap_args(fixture_dir), *flags], capsys)
+    args = ["bootstrap", "--y", str(fixture_dir / "y.csv"),
+            "--x", str(fixture_dir / "x.csv"), "--coef-index", "2",
+            "--n-datasets", "10", "--methods", "naive", "--seed", "1",
+            "--format", "csv"]
+    for flags in ([], ["--threads", "2"]):
+        code, _, err = run_cli([*args, *flags], capsys)
         assert code == 0 and err == ""
-    assert seen == [1, 1, 3, 2]
+    assert seen == [1, 2]
+
+
+@pytest.mark.parametrize("command, line", [
+    (["ks-table", "--n-list", "30", "--m-list", "60", "--seed", "4"],
+     "factordf: error: argument command: invalid choice: 'ks-table'"),
+    (["simulate", "--n", "--m", "5", "--seed", "1"],
+     "factordf simulate: error: argument --n: expected at least one argument"),
+    (["simulate", "--n", "5", "--m", "--seed", "1"],
+     "factordf simulate: error: argument --m: expected at least one argument"),
+], ids=["ks-table", "empty-n", "empty-m"])
+def test_cli_grid_usage_errors(capsys, command, line):
+    # simulate is the one Monte-Carlo command, and each size list names at
+    # least one size
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith(line)
+
+
+def test_cli_simulate_sigma_sq_near_float64_max(capsys):
+    # the RSS is kept in units of sigma^2: a noise cell's row does not depend
+    # on sigma^2, and no value overflows on the way
+    args = ["simulate", "--n", "10", "--m", "20", "--replicates", "100",
+            "--seed", "1", "--format", "csv"]
+    _, unit, _ = run_cli(args + ["--sigma-sq", "1"], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(args + ["--sigma-sq", "1e308"], capsys)
+        assert code == 0 and err == "" and out == unit
+        code, out, err = run_cli(args + ["--sigma-sq", "1e308", "--mu", "3"],
+                                 capsys)
+    assert code == 0 and err == ""
+    row, = csv.DictReader(io.StringIO(out))
+    assert np.isfinite([float(row["mean_df"]), float(row["se_df"])]).all()
 
 
 @pytest.mark.parametrize("command", [
     ["fit", "--y", "y.csv"], ["scree", "--y", "y.csv"],
     ["test", "--y", "y.csv", "--coef-index", "0"],
     ["simulate", "--n", "10", "--m", "20", "--seed", "1"],
-    ["ks-table", "--seed", "1"],
+    ["simulate", "--n", "10", "20", "--m", "20", "30", "--seed", "1"],
     ["generate", "--out-dir", "out", "--seed", "1"],
-], ids=["fit", "scree", "test", "simulate", "ks-table", "generate"])
+], ids=["fit", "scree", "test", "simulate", "simulate-grid", "generate"])
 def test_cli_threads_only_on_bootstrap(capsys, command):
     # the other commands run on the calling thread and take no --threads
     with pytest.raises(SystemExit) as exc:

@@ -221,10 +221,10 @@ def test_batched_band_solve_matches_per_draw_solve(cfg):
                                    rtol=0, atol=1e-10)
         Ra = R.dot(plan.direction)
         coef = Ra.dot(vecs[:len(Ra)])
-        # relative to sigma^2 ||Ra||^2, the term the fitted part is taken from
-        scale = cfg.sigma_sq * Ra.dot(Ra)
-        assert abs(rss[i] - scale + cfg.sigma_sq * coef.dot(coef)) \
-            <= 1e-10 * scale
+        # RSS / sigma^2, relative to ||Ra||^2, the term the fitted part is
+        # taken from
+        scale = Ra.dot(Ra)
+        assert abs(rss[i] - scale + coef.dot(coef)) <= 1e-10 * scale
 
 
 @st.composite

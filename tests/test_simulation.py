@@ -45,7 +45,7 @@ def test_shapes_are_unit_vectors():
 
 
 def rss_of(plan, draws):
-    """The RSS run_sim takes from each of ``draws``."""
+    """The RSS / sigma^2 that run_sim takes from each of ``draws``."""
     return simulation._rss_and_df(plan, draws)[0]
 
 
@@ -100,7 +100,7 @@ def assert_solve_matches_dense(cfg, indices=range(4)):
     s = direction_vector(cfg)
     for i in indices:
         Y = _simulate_response(cfg, i)
-        got = rss_of(plan, [band_reduce(cfg, Y)])[0]
+        got = rss_of(plan, [band_reduce(cfg, Y)])[0] * cfg.sigma_sq
         want = _rss_after_truncation(Y, s, cfg.r_hat)
         assert got == pytest.approx(want, rel=1e-8)
         if cfg.r_hat > 0:   # and the explicit truncation pipeline
@@ -207,7 +207,8 @@ def test_engine_rss_law_matches_dense_oracle(label, k, kw):
     ref_cfg = law_config(kw, ORACLE_SEED)
     s = direction_vector(ref_cfg)
     dense = [_rss_after_truncation(_simulate_response(ref_cfg, i), s,
-                                   cfg.r_hat) for i in range(LAW_REPS)]
+                                   cfg.r_hat) / cfg.sigma_sq
+             for i in range(LAW_REPS)]
     assert stats.ks_2samp(engine, dense).pvalue > 0.01
 
 
@@ -472,8 +473,10 @@ def test_grid_csv_shape():
 
 
 def test_noise_preset_covers_paper_grid(capsys):
-    assert main(["ks-table", "--preset", "paper-noise", "--replicates", "100",
-                 "--seed", "1", "--format", "json"]) == 0
+    # the paper's noise grid: one cell per (n, m), n the outer loop
+    assert main(["simulate", "--n", "5", "10", "50", "100",
+                 "--m", "5", "10", "50", "100", "500", "1000", "5000", "10000",
+                 "--replicates", "100", "--seed", "1", "--format", "json"]) == 0
     cells = json.loads(capsys.readouterr().out)
     assert [(c["n"], c["m"]) for c in cells] == [
         (n, m) for n in (5, 10, 50, 100)
