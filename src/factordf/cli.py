@@ -320,8 +320,8 @@ def cmd_simulate(args, out) -> None:
     # one cell per (n, m), n the outer loop
     mu = tuple(args.mu or ())
     configs = [SimConfig(n=n, m=m, r=len(mu), mu=mu, shape=args.shape,
-                         sigma_sq=args.sigma_sq, r_hat=args.r_hat,
-                         replicates=args.replicates, seed=args.seed)
+                         r_hat=args.r_hat, replicates=args.replicates,
+                         seed=args.seed)
                for n in args.n for m in args.m]
     cells = run_grid(configs)
     if args.format == "json":
@@ -399,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coef-index", type=int, required=True,
                     help="0-based column of X to test")
     sp.add_argument("--r-hat", type=int, default=0)
-    sp.add_argument("--method",
-                    choices=["proposed", "gollob", "mandel", "naive", "none"],
+    sp.add_argument("--method", choices=[m.value for m in DofMethod] + ["none"],
                     default="proposed",
                     help="df scheme; 'none' skips factor adjustment "
                          "(ignores --r-hat)")
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=float, nargs="*", default=[])
     sp.add_argument("--shape", choices=[s.value for s in SignalShape],
                     default="basis")
-    sp.add_argument("--sigma-sq", type=float, default=1.0)
     sp.add_argument("--r-hat", type=int, default=1)
     sp.add_argument("--replicates", type=int, default=10000)
     _add_output_args(sp)

@@ -21,8 +21,6 @@ class DofMethod(str, Enum):
     GOLLOB = "gollob"
     MANDEL = "mandel"
     NAIVE = "naive"
-    THEORETICAL_NOISE = "theoretical-noise"
-    THEORETICAL_SIGNAL = "theoretical-signal"
 
 
 @dataclass(frozen=True)
@@ -31,16 +29,14 @@ class DofEstimate:
 
     per_factor: np.ndarray
     total: float
-    method: DofMethod
     conjectural: bool = False      # below-transition values are a conjecture
     mc_se: float | None = None     # Monte-Carlo SE of the total (Mandel only)
 
 
-def _estimate(per_factor, method, conjectural=False,
-              mc_se=None) -> DofEstimate:
+def _estimate(per_factor, conjectural=False, mc_se=None) -> DofEstimate:
     per_factor = np.asarray(per_factor, dtype=np.float64)
-    return DofEstimate(per_factor, float(per_factor.sum()), method,
-                       conjectural, mc_se)
+    return DofEstimate(per_factor, float(per_factor.sum()), conjectural,
+                       mc_se)
 
 
 def noise_floor(n: int, m: int) -> float:
@@ -61,7 +57,7 @@ def df_noise(n: int, m: int, r_hat: int) -> DofEstimate:
     """Asymptotic df when the data are pure noise: r_hat copies of the floor."""
     if n < 1 or m < 1 or r_hat < 0:
         raise ValueError("n, m must be >= 1 and r_hat >= 0")
-    return _estimate(np.full(r_hat, noise_floor(n, m)), DofMethod.THEORETICAL_NOISE)
+    return _estimate(np.full(r_hat, noise_floor(n, m)))
 
 
 def df_signal_k(n: int, m: int, mu_k: float, sigma_sq: float,
@@ -118,7 +114,7 @@ def df_signal_total(n: int, m: int, mu, sigma_sq: float, proj_sqs,
         per[-1] += err
     conj = any(not is_above_transition(mu[k], n, m, sigma_sq)
                for k in range(min(r, r_hat)))
-    return _estimate(per, DofMethod.THEORETICAL_SIGNAL, conjectural=conj)
+    return _estimate(per, conjectural=conj)
 
 
 def df_conservative(n: int, m: int, vhat_proj_sqs) -> DofEstimate:
@@ -133,7 +129,7 @@ def df_conservative(n: int, m: int, vhat_proj_sqs) -> DofEstimate:
     if proj.sum() > 1 + 1e-9:
         raise ValueError("projections sum to more than 1")
     proj = np.clip(proj, 0.0, 1.0)
-    return _estimate(n * proj + noise_floor(n, m), DofMethod.PROPOSED)
+    return _estimate(n * proj + noise_floor(n, m))
 
 
 def df_gollob(n: int, m: int, r_hat: int) -> DofEstimate:
@@ -145,7 +141,7 @@ def df_gollob(n: int, m: int, r_hat: int) -> DofEstimate:
     if r_hat >= min(n, m):
         raise ValueError("r_hat must be below min(n, m)")
     k = np.arange(1, r_hat + 1)
-    return _estimate(((n - k + 1) + (m - k + 1) - 1) / m, DofMethod.GOLLOB)
+    return _estimate(((n - k + 1) + (m - k + 1) - 1) / m)
 
 
 # Most Mandel draws sampled and solved at once: their tridiagonals and the
@@ -186,7 +182,7 @@ def df_mandel(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     per = top.mean(axis=0)
     # SE of the per-draw totals: the top eigenvalues are correlated
     se = float(np.sqrt(top.sum(axis=1).var(ddof=1) / mc_reps))
-    return _estimate(per, DofMethod.MANDEL, mc_se=se)
+    return _estimate(per, mc_se=se)
 
 
 def _check_mandel_reps(mc_reps: int) -> None:
@@ -200,7 +196,7 @@ def df_naive(r_hat: int) -> DofEstimate:
     """One df per estimated factor, as if U_hat were observed covariates."""
     if r_hat < 0:
         raise ValueError("r_hat must be >= 0")
-    return _estimate(np.ones(r_hat), DofMethod.NAIVE)
+    return _estimate(np.ones(r_hat))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Monte-Carlo engine for the degrees-of-freedom simulation study.
 
 The model is Y = sqrt(n) U D V' + sigma E with D and V fixed, U Haar-uniform
-and E standard normal (n x m).  A replicate fits r_hat factors and measures
-the observed df along a test direction s.  It needs only YY' and Ys, and
+and E standard normal (n x m).  The df depends on D and sigma only through
+mu = D^2 / sigma^2, the factor strength in units of sigma^2, so the engine
+takes mu and draws Y / sigma: every quantity below is in units of sigma
+(of sigma^2 for squares).  A replicate fits r_hat factors and measures the
+observed df along a test direction s.  It needs only YY' and Ys, and
 draws them in reduced form instead of the n x m matrix:
 
 - W1 (m x k, k <= 2) is an orthonormal basis of span(v, s), fixed per
   config.  Then Ys = Y1 a with Y1 = Y W1 and a = W1's, and
-  YY' = Y1 Y1' + sigma^2 W with W ~ Wishart_n(m - k) independent of Y1.
+  YY' = Y1 Y1' + W with W ~ Wishart_n(m - k) independent of Y1.
   Y1's law needs W1 only through V'W1 and a, which depend on v and s only
   through the squared projection (v's)^2 / s's, so the plan holds W1 in
   coordinates of span(v, s) (``sampling_plan``), at O(1) cost in m.
@@ -20,12 +23,11 @@ draws them in reduced form instead of the n x m matrix:
   2002, generalised from k = 1): B is lower banded with independent entries,
   chi_{m-k-j} at B[j, j], chi_{n-k-j} at B[j+k, j], N(0, 1) between them,
   and nothing outside the n x (m - k) matrix.
-- So YY' is similar to sigma^2 M with M = B B' + [R R' 0; 0 0] (R taken
-  from Y1 / sigma), a band matrix of bandwidth k and order p = min(n, m)
-  (B's rows past m are zero), under a rotation that fixes the first k
-  coordinates, where Ys / sigma is [R a; 0].  The RSS is sigma^2 times
-  ||R a||^2 minus the squares of the top eigenvectors' first k coordinates
-  against R a.
+- So YY' is similar to M = B B' + [R R' 0; 0 0], a band matrix of
+  bandwidth k and order p = min(n, m) (B's rows past m are zero), under a
+  rotation that fixes the first k coordinates, where Ys is [R a; 0].  The
+  RSS is ||R a||^2 minus the squares of the top eigenvectors' first k
+  coordinates against R a.
 
 A replicate draws about 2p chi's and (k - 1) p normals for B, and Y1
 (n k normals; without signal, R = ||Y1|| is one more chi): ``run_replicate``
@@ -64,8 +66,13 @@ from .linalg import RANK_TOL, CodedError, _checked, top_band_eigenpairs
 class SignalShape(str, Enum):
     ONES = "ones"
     BASIS = "basis"
-    PERP_ONES = "perp-ones"
     PERP_BASIS = "perp-basis"
+
+
+# Largest n mu a cell takes.  The RSS is a difference of terms of size n mu,
+# so its rounding grows with n mu until, near 1 / ulp(1) = 4.5e15, it shows
+# in mean_df; 1e12 stays well short of that.
+MAX_N_MU = 1e12
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,6 @@ class SimConfig:
     r: int
     mu: tuple = ()
     shape: SignalShape = SignalShape.BASIS
-    sigma_sq: float = 1.0
     r_hat: int = 1
     replicates: int = 10000
     seed: int = 0
@@ -96,17 +102,13 @@ class SimConfig:
             raise CodedError("MU_RANGE", f"mu must be positive, got {mu}")
         if not np.isfinite(self.mu).all():
             raise CodedError("MU_RANGE", f"mu must be finite, got {mu}")
-        if not self.sigma_sq > 0:
-            raise CodedError("SIGMA_SQ_RANGE", f"sigma_sq must be positive, "
-                                               f"got {self.sigma_sq:g}")
-        if not np.isfinite(self.sigma_sq):
-            raise CodedError("SIGMA_SQ_RANGE", f"sigma_sq must be finite, "
-                                               f"got {self.sigma_sq:g}")
+        if any(v > MAX_N_MU / self.n for v in self.mu):
+            raise CodedError("MU_RANGE", f"n mu must be <= {MAX_N_MU:g}, "
+                             f"got n={self.n}, mu {mu}")
         if not 0 <= self.r_hat <= min(self.n, self.m):
             raise CodedError("R_HAT_RANGE", f"r_hat must be in [0, "
                              f"{min(self.n, self.m)}], got {self.r_hat}")
-        if self.r and self.m < 2 and self.shape in (SignalShape.PERP_ONES,
-                                                    SignalShape.PERP_BASIS):
+        if self.r and self.m < 2 and self.shape is SignalShape.PERP_BASIS:
             # a loading orthogonal to s = e_1 needs a second coordinate
             raise CodedError("SIZE_RANGE", f"shape {self.shape.value} needs "
                                            f"m >= 2, got m={self.m}")
@@ -115,8 +117,8 @@ class SimConfig:
 def projection(shape: SignalShape, m: int) -> float:
     """(v's)^2 / s's for the unit loading v that ``shape`` names and the test
     direction s = e_1 in R^m: basis's v = e_1, ones' v = (1, ..., 1) /
-    sqrt(m), and perp-ones' and perp-basis' v, orthogonal to e_1, one cell
-    in law and in draws."""
+    sqrt(m) and perp-basis' v = e_2.  A cell depends on v only through this
+    projection."""
     if shape is SignalShape.BASIS:
         return 1.0
     if shape is SignalShape.ONES:
@@ -128,13 +130,13 @@ def projection(shape: SignalShape, m: int) -> float:
 class SamplingPlan:
     """What every replicate of one config shares.
 
-    Replicates draw in units of sigma: Y1 = Y W1 / sigma is n x k, and
-    ``signal`` is its mean, carried by its first r rows.  W1 is held in
-    coordinates of span(v, s) (see ``sampling_plan``).
+    Replicates draw in units of sigma (mu is in units of sigma^2): Y1 =
+    Y W1 is n x k, and ``signal`` is its mean, carried by its first r rows.
+    W1 is held in coordinates of span(v, s) (see ``sampling_plan``).
     """
 
     n: int
-    signal: np.ndarray      # sqrt(n) D V'W1 / sigma, (r, k)
+    signal: np.ndarray      # sqrt(n mu) V'W1, (r, k)
     direction: np.ndarray   # a = W1's, (k,)
     loading: np.ndarray     # W1'v, (k,); empty when r = 0
     dim: int                # p = min(n, m): M is p x p
@@ -142,7 +144,6 @@ class SamplingPlan:
     chi_dof: np.ndarray     # dofs of the chi entries: R's when r = 0,
                             # B's diagonal's, B's k-th subdiagonal's
     chi_at: np.ndarray      # their flat places in F's band storage
-    sigma_sq: float
     r_hat: int
 
 
@@ -174,14 +175,14 @@ def sampling_plan(config: SimConfig) -> SamplingPlan:
     below = diag[:max(0, n - k)]
     rho = [n] if r == 0 else []
     return SamplingPlan(
-        n=n, signal=np.sqrt(n * mu / config.sigma_sq)[:, None] * V_rows,
+        n=n, signal=np.sqrt(n * mu)[:, None] * V_rows,
         direction=W1.T @ C[:, r], loading=V_rows[0] if r > 0 else np.zeros(0),
         dim=min(n, m), columns=len(diag),
         chi_dof=np.concatenate([rho, m - k - diag,
                                 n - k - below]).astype(np.float64),
         chi_at=np.concatenate([[0] * len(rho), k * width + k + diag,
                                k + below]).astype(np.intp),
-        sigma_sq=float(config.sigma_sq), r_hat=config.r_hat)
+        r_hat=config.r_hat)
 
 
 def draw(plan: SamplingPlan, rng: np.random.Generator):
@@ -315,15 +316,16 @@ def theoretical_df(config: SimConfig) -> tuple[float, float | None, bool]:
         return df_noise(config.n, config.m, config.r_hat).total, None, False
     proj = np.array([projection(config.shape, config.m)])
     if config.r_hat == 0:   # unmodeled signal along s inflates the RSS
-        extra = -config.n * float((np.asarray(config.mu) / config.sigma_sq) @ proj)
+        extra = -config.n * float(np.asarray(config.mu) @ proj)
         return df_noise(config.n, config.m, 0).total + extra, None, False
-    est = df_signal_total(config.n, config.m, config.mu, config.sigma_sq,
-                          proj, config.r_hat)
+    # mu is in units of sigma^2: the formulas at sigma^2 = 1
+    est = df_signal_total(config.n, config.m, config.mu, 1.0, proj,
+                          config.r_hat)
     alt = None
     if config.r == 1 and proj[0] < 1e-12 and \
-            is_above_transition(config.mu[0], config.n, config.m, config.sigma_sq):
+            is_above_transition(config.mu[0], config.n, config.m):
         # competing published value for the orthogonal case
-        alt = 1.0 + (config.sigma_sq / config.mu[0]) ** 2
+        alt = 1.0 + (1.0 / config.mu[0]) ** 2
         alt += est.total - est.per_factor[0]
     return est.total, alt, est.conjectural
 
@@ -359,10 +361,9 @@ def _rss_and_df(plan: SamplingPlan, draws: list) -> tuple:
     rank-r_hat truncation, ||Ys||^2 - ||left' Ys||^2, and its
     df_obs = n - RSS / sigma^2 (s's = 1).
 
-    In M's coordinates Ys / sigma is [R a; 0], so left' Ys / sigma is the top
-    eigenvectors' first rows against R a.  With r_hat = p the fit spans all
-    of M's coordinates and the RSS is 0.  The RSS is kept in units of
-    sigma^2, so that no finite sigma^2 can overflow it.
+    In M's coordinates Ys is [R a; 0], so left' Ys is the top eigenvectors'
+    first rows against R a.  With r_hat = p the fit spans all
+    of M's coordinates and the RSS is 0.
     """
     if plan.r_hat == plan.dim:
         rss = np.zeros(len(draws))
@@ -409,23 +410,15 @@ def run_sim(config: SimConfig, threads: int = 1) -> SimResult:
 
 @dataclass(frozen=True)
 class GridCell:
-    n: int
-    m: int
-    mu: float | None
-    shape: str
+    config: SimConfig
     result: SimResult
 
 
 def run_grid(configs: list[SimConfig], threads: int = 1) -> list[GridCell]:
-    """Run every config and key the results by (n, m, mu, shape)."""
+    """Run every config and pair each with its result."""
     if not configs:
         raise ValueError("no configurations given")
-    cells = []
-    for cfg in configs:
-        res = run_sim(cfg, threads=threads)
-        mu = cfg.mu[0] if cfg.r > 0 else None
-        cells.append(GridCell(cfg.n, cfg.m, mu, cfg.shape.value, res))
-    return cells
+    return [GridCell(cfg, run_sim(cfg, threads=threads)) for cfg in configs]
 
 
 # Columns of a simulate row in CSV; JSON adds the replicate count.
@@ -435,11 +428,11 @@ CSV_COLUMNS = ("n", "m", "mu", "shape", "mean_df", "se_df", "theoretical_df",
 
 def cell_record(cell: GridCell) -> dict:
     """The one row builder behind every simulate output."""
-    r = cell.result
-    # a noise cell has no loading, so no loading shape
-    shape = None if cell.mu is None else cell.shape
+    cfg, r = cell.config, cell.result
+    # a noise cell has no loading, so no strength and no loading shape
+    mu, shape = (cfg.mu[0], cfg.shape.value) if cfg.r else (None, None)
     return {
-        "n": cell.n, "m": cell.m, "mu": cell.mu, "shape": shape,
+        "n": cfg.n, "m": cfg.m, "mu": mu, "shape": shape,
         "mean_df": r.mean_df, "se_df": r.se_df,
         "theoretical_df": r.theoretical_df,
         "alt_theoretical_df": r.alt_theoretical_df,
@@ -468,26 +461,27 @@ class SpikeResult:
     se_mu1: float
     mean_overlap_sq: float
     se_overlap_sq: float
-    replicates_used: int
 
 
 def _spike(plan: SamplingPlan, draws: list) -> tuple:
-    """Each draw's (mu_hat_1, (vhat_1' v_1)^2), mu_hat_1 = sigma^2 lambda_1 / n.
+    """Each draw's (mu_hat_1, (vhat_1' v_1)^2), mu_hat_1 = lambda_1 / n in
+    units of sigma^2.
 
-    vhat_1' v_1 = left_1' Y v_1 / sing_1, and Y v_1 / sigma = Y1 (W1'v_1) is
+    vhat_1' v_1 = left_1' Y v_1 / sing_1, and Y v_1 = Y1 (W1'v_1) is
     [R W1'v_1; 0] in M's coordinates.
     """
     lam, weights = solve(plan, draws)
     Rv = np.array([R for R, _ in draws]).dot(plan.loading)
     overlap = (Rv * weights[:, :, 0]).sum(axis=1)
-    return plan.sigma_sq * lam[:, 0] / plan.n, overlap ** 2 / lam[:, 0]
+    return lam[:, 0] / plan.n, overlap ** 2 / lam[:, 0]
 
 
 def run_spike_sim(config: SimConfig) -> SpikeResult:
     """Means over the replicates of a one-factor model, drawn in the calling
-    thread as in ``run_sim``."""
+    thread as in ``run_sim``: mu_hat_1, the top eigenvalue of YY' / n, is in
+    units of sigma^2 like ``config.mu``."""
     if config.r != 1:
         raise ValueError("spike diagnostics require exactly one true factor")
     plan = replace(sampling_plan(config), r_hat=1)
     (_, mu1, se_mu1), (_, ovl, se_ovl) = _run_replicates(config, plan, _spike)
-    return SpikeResult(mu1, se_mu1, ovl, se_ovl, config.replicates)
+    return SpikeResult(mu1, se_mu1, ovl, se_ovl)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from factordf.distributions import DOMAIN_MANDEL, DOMAIN_SIM, stream
-from factordf.dof import DofEstimate, DofMethod, _estimate
+from factordf.dof import DofEstimate, _estimate
 from factordf.linalg import RANK_TOL, _as_matrix, polar_factors, top_factors
 from factordf.model import DatasetBundle
 from factordf.simulation import SignalShape, SimConfig, sampling_plan
@@ -330,8 +330,9 @@ def t_statistic(coef: float, contrast_var: float,
     return float(coef / se), float(var_est.df_resid)
 
 
-# Dense Monte-Carlo replicate: Y drawn in full, from the loading vectors V
-# and the test direction s in R^m that a config's shape names.
+# Dense Monte-Carlo replicate: Y drawn in full at sigma = 1 (mu in units of
+# sigma^2), from the loading vectors V and the test direction s in R^m that
+# a config's shape names.
 
 def loading_matrix(config: SimConfig) -> np.ndarray:
     """Fixed loading vectors V as an (m, r) matrix."""
@@ -343,8 +344,6 @@ def loading_matrix(config: SimConfig) -> np.ndarray:
         v[:] = 1.0 / np.sqrt(m)
     elif config.shape is SignalShape.BASIS:
         v[0] = 1.0
-    elif config.shape is SignalShape.PERP_ONES:
-        v[1:] = 1.0 / np.sqrt(m - 1)
     elif config.shape is SignalShape.PERP_BASIS:
         v[1] = 1.0
     return v[:, None]
@@ -365,7 +364,7 @@ def reference_plan(config: SimConfig) -> tuple:
     W1 = left[:, :int(np.sum(sv > RANK_TOL * sv[0]))]
     V_rows = V.T @ W1
     mu = np.asarray(config.mu, dtype=np.float64)
-    return (np.sqrt(config.n * mu / config.sigma_sq)[:, None] * V_rows,
+    return (np.sqrt(config.n * mu)[:, None] * V_rows,
             W1.T @ s, V_rows[0] if config.r > 0 else np.zeros(0))
 
 
@@ -378,13 +377,12 @@ def _uniform_orthonormal(rng: np.random.Generator, n: int, r: int) -> np.ndarray
 def _simulate_response(config: SimConfig, index: int) -> np.ndarray:
     rng = stream(config.seed, DOMAIN_SIM, index)
     n, m = config.n, config.m
-    sigma = np.sqrt(config.sigma_sq)
     if config.r > 0:
         U = _uniform_orthonormal(rng, n, config.r)
         V = loading_matrix(config)
         scale = np.sqrt(n * np.asarray(config.mu))
-        return (U * scale) @ V.T + sigma * rng.standard_normal((n, m))
-    return sigma * rng.standard_normal((n, m))
+        return (U * scale) @ V.T + rng.standard_normal((n, m))
+    return rng.standard_normal((n, m))
 
 
 def _rss_after_truncation(Y: np.ndarray, s: np.ndarray, r_hat: int) -> float:
@@ -415,8 +413,8 @@ def band_reduce(config: SimConfig, Y: np.ndarray):
 
     W1 is the m x k basis of span(V, s) in which V and s have the plan's
     coordinates, V'W1 = ``loading`` and W1's = ``direction``: the least-norm
-    solution of those equations.  In units of sigma, R comes from the full
-    QR Y1 = Y W1 = Q [R; 0].
+    solution of those equations.  R comes from the full QR Y1 = Y W1 =
+    Q [R; 0].
     Q'(Y W2), W2 the complement of the basis W1, is reduced to the lower band
     factor B by Householder reflections on its columns and on its rows past
     the first k, so the rotation they make fixes e_1 ... e_k.  Then YY' is
@@ -429,7 +427,6 @@ def band_reduce(config: SimConfig, Y: np.ndarray):
     W1 = np.linalg.pinv(A.T) @ np.array(coords)
     n, m = Y.shape
     k = W1.shape[1]
-    Y = Y / np.sqrt(plan.sigma_sq)
     Q, R = np.linalg.qr(Y @ W1, mode="complete")
     W2 = np.linalg.qr(W1, mode="complete")[0][:, k:]
     B = Q.T @ (Y @ W2)
@@ -525,35 +522,7 @@ def df_mandel_bartlett(n: int, m: int, r_hat: int, mc_reps: int = 1000,
     per = top.mean(axis=0)
     # SE of the per-draw totals: the top eigenvalues are correlated
     se = float(np.sqrt(top.sum(axis=1).var(ddof=1) / mc_reps))
-    return _estimate(per, DofMethod.MANDEL, mc_se=se)
-
-
-# Stream helpers src/ has no use for.
-
-@dataclass(frozen=True)
-class SeededGenerator:
-    """Value-like handle for one reproducible random stream: Philox keyed by
-    ``(seed, stream_id)``, each masked to 64 bits, through numpy's keyed
-    constructor."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = np.array((self.seed & 0xFFFFFFFFFFFFFFFF,
-                        self.stream_id & 0xFFFFFFFFFFFFFFFF), np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_standard_normal(gen: SeededGenerator, count: int) -> np.ndarray:
-    """``count`` i.i.d. N(0,1) draws from the stream ``gen`` identifies."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return gen.generator().standard_normal(count)
-
-
-def spawn(self: SeededGenerator, stream_id: int) -> SeededGenerator:
-    return SeededGenerator(self.seed, stream_id)
+    return _estimate(per, mc_se=se)
 
 
 # Distribution helpers src/ has no use for.

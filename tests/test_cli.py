@@ -887,23 +887,15 @@ def test_cli_argument_fault_codes(tmp_path, capsys, flags, line):
      "error [MU_RANGE]: shape basis defines one loading vector, got mu 1 2"),
     (["simulate", "--mu", "3", "2"],
      "error [MU_RANGE]: shape basis defines one loading vector, got mu 3 2"),
-    (["simulate", "--sigma-sq", "0"],
-     "error [SIGMA_SQ_RANGE]: sigma_sq must be positive, got 0"),
-    (["simulate", "--sigma-sq", "nan"],
-     "error [SIGMA_SQ_RANGE]: sigma_sq must be positive, got nan"),
     (["simulate", "--mu", "nan"],
      "error [MU_RANGE]: mu must be positive, got nan"),
     (["simulate", "--mu", "inf"],
      "error [MU_RANGE]: mu must be finite, got inf"),
-    (["simulate", "--sigma-sq", "inf"],
-     "error [SIGMA_SQ_RANGE]: sigma_sq must be finite, got inf"),
 ], ids=["bootstrap-ALPHA_RANGE", "bootstrap-THREADS_RANGE",
         "bootstrap-THREADS_RANGE-neg", "bootstrap-METHODS_RANGE-repeated",
         "simulate-MU_RANGE-positive",
         "simulate-MU_RANGE-decreasing", "simulate-MU_RANGE-shape",
-        "simulate-SIGMA_SQ_RANGE", "simulate-SIGMA_SQ_RANGE-nan",
-        "simulate-MU_RANGE-nan", "simulate-MU_RANGE-inf",
-        "simulate-SIGMA_SQ_RANGE-inf"])
+        "simulate-MU_RANGE-nan", "simulate-MU_RANGE-inf"])
 def test_cli_stochastic_argument_fault_codes(fixture_dir, capsys, command,
                                              line):
     name, *flags = command
@@ -943,9 +935,6 @@ def test_cli_bootstrap_faults_before_ingest(tmp_path, capsys, flags, line):
     (["simulate", "--n", "10", "--m", "1", "--mu", "3", "--shape",
       "perp-basis"],
      "error [SIZE_RANGE]: shape perp-basis needs m >= 2, got m=1"),
-    (["simulate", "--n", "10", "--m", "1", "--mu", "3", "--shape",
-      "perp-ones"],
-     "error [SIZE_RANGE]: shape perp-ones needs m >= 2, got m=1"),
     (["simulate", "--n", "10", "--m", "20", "--r-hat", "11"],
      "error [R_HAT_RANGE]: r_hat must be in [0, 10], got 11"),
     (["bootstrap", "--n-datasets", "3"],
@@ -958,7 +947,7 @@ def test_cli_bootstrap_faults_before_ingest(tmp_path, capsys, flags, line):
     (["simulate", "--n", "10", "--m", "20", "0", "--replicates", "5"],
      "error [SIZE_RANGE]: n and m must be >= 1, got n=10, m=0"),
 ], ids=["SIZE_RANGE", "REPLICATES_RANGE", "REPLICATES_RANGE-0",
-        "SIZE_RANGE-perp-basis", "SIZE_RANGE-perp-ones", "R_HAT_RANGE",
+        "SIZE_RANGE-perp-basis", "R_HAT_RANGE",
         "N_DATASETS_RANGE", "K_FACTORS_RANGE", "SIZE_RANGE-n-list",
         "SIZE_RANGE-m-list"])
 def test_cli_size_argument_fault_codes(fixture_dir, capsys, command, line):
@@ -1011,10 +1000,17 @@ def test_cli_bootstrap_threads_default_to_one(fixture_dir, capsys,
      "factordf simulate: error: argument --n: expected at least one argument"),
     (["simulate", "--n", "5", "--m", "--seed", "1"],
      "factordf simulate: error: argument --m: expected at least one argument"),
-], ids=["ks-table", "empty-n", "empty-m"])
+    (["simulate", "--n", "5", "--m", "5", "--seed", "1", "--sigma-sq", "1"],
+     "factordf: error: unrecognized arguments: --sigma-sq 1"),
+    (["simulate", "--n", "5", "--m", "5", "--seed", "1", "--mu", "3",
+      "--shape", "perp-ones"],
+     "factordf simulate: error: argument --shape: invalid choice: "
+     "'perp-ones'"),
+], ids=["ks-table", "empty-n", "empty-m", "sigma-sq", "perp-ones"])
 def test_cli_grid_usage_errors(capsys, command, line):
-    # simulate is the one Monte-Carlo command, and each size list names at
-    # least one size
+    # simulate is the one Monte-Carlo command, each size list names at least
+    # one size, and a cell is named by mu in units of sigma^2 and one of the
+    # three shapes
     with pytest.raises(SystemExit) as exc:
         main(command)
     assert exc.value.code == 2
@@ -1022,21 +1018,25 @@ def test_cli_grid_usage_errors(capsys, command, line):
     assert out == "" and err.splitlines()[-1].startswith(line)
 
 
-def test_cli_simulate_sigma_sq_near_float64_max(capsys):
-    # the RSS is kept in units of sigma^2: a noise cell's row does not depend
-    # on sigma^2, and no value overflows on the way
-    args = ["simulate", "--n", "10", "--m", "20", "--replicates", "100",
-            "--seed", "1", "--format", "csv"]
-    _, unit, _ = run_cli(args + ["--sigma-sq", "1"], capsys)
+@pytest.mark.parametrize("flags, line", [
+    (["--n", "40", "--m", "60", "--mu", "1e200", "--shape", "ones"],
+     "error [MU_RANGE]: n mu must be <= 1e+12, got n=40, mu 1e+200"),
+    (["--n", "40", "--m", "60", "--mu", "1e308"],
+     "error [MU_RANGE]: n mu must be <= 1e+12, got n=40, mu 1e+308"),
+    # every cell of a grid is checked before any runs
+    (["--n", "5", "400", "--m", "60", "--mu", "3e9"],
+     "error [MU_RANGE]: n mu must be <= 1e+12, got n=400, mu 3e+09"),
+], ids=["ones-1e200", "basis-1e308", "grid"])
+def test_cli_simulate_mu_past_bound(capsys, flags, line):
+    # the RSS is a difference of terms of size n mu, which rounding spoils
+    # long before they overflow: such a cell is an argument fault, with no
+    # row and no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(args + ["--sigma-sq", "1e308"], capsys)
-        assert code == 0 and err == "" and out == unit
-        code, out, err = run_cli(args + ["--sigma-sq", "1e308", "--mu", "3"],
-                                 capsys)
-    assert code == 0 and err == ""
-    row, = csv.DictReader(io.StringIO(out))
-    assert np.isfinite([float(row["mean_df"]), float(row["se_df"])]).all()
+        code, out, err = run_cli(["simulate", *flags, "--replicates", "100",
+                                  "--seed", "5"], capsys)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -6,8 +6,7 @@ from factordf.distributions import (DOMAIN_MANDEL, stream,
                                     wishart_top_eigenvalues)
 from factordf.dof import (asymptotic_predictions, df_conservative, df_gollob,
                           df_mandel, df_naive, df_noise, df_signal_k,
-                          df_signal_total, is_above_transition, noise_floor,
-                          DofMethod)
+                          df_signal_total, is_above_transition, noise_floor)
 from oracles import df_mandel_bartlett
 
 STUDY_N, STUDY_M = 36, 17862
@@ -16,7 +15,6 @@ STUDY_N, STUDY_M = 36, 17862
 def test_noise_symmetric_case():
     est = df_noise(10, 10, 1)
     assert est.total == pytest.approx(4.0)
-    assert est.method is DofMethod.THEORETICAL_NOISE
 
 
 def test_noise_wide_limit():
@@ -113,7 +111,6 @@ def test_conservative_orthogonal_lower_envelope():
     est = df_conservative(STUDY_N, STUDY_M, [0.0, 0.0])
     assert est.total == pytest.approx(2 * noise_floor(STUDY_N, STUDY_M))
     assert est.total == pytest.approx(2.184, abs=1e-3)
-    assert est.method is DofMethod.PROPOSED
 
 
 def test_conservative_direct_evaluation():

@@ -253,10 +253,8 @@ def test_config_methods_by_name():
 
 
 @pytest.mark.parametrize("methods, got", [
-    (("proposed", "theoretical-noise"), "proposed theoretical-noise"),
-    (("theoretical-signal",), "theoretical-signal"),
     (("naive", "gollob", "naive"), "naive gollob naive"),
-], ids=["theoretical-noise", "theoretical-signal", "repeated"])
+], ids=["repeated"])
 def test_config_methods_adjusting_and_distinct(methods, got):
     with pytest.raises(ValueError) as err:
         BootstrapConfig(methods=methods)

@@ -195,13 +195,15 @@ def test_tridiagonal_top_row_is_its_draw_alone(case):
 @st.composite
 def band_cells(draw):
     """A noise or basis cell (M tridiagonal) with r_hat up to 3, sizes down
-    to n = 1 and m = 1, on either side of n = m."""
+    to n = 1 and m = 1, on either side of n = m, and a strength drawn at
+    sigma^2 = 1 or 2.5, in units of sigma^2."""
     n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     mu = (draw(st.floats(0.5, 25.0)),) if draw(st.booleans()) else ()
+    r_hat = draw(st.integers(1, min(n, m, 3)))
+    sigma_sq = draw(st.sampled_from([1.0, 2.5]))
     return simulation.SimConfig(
-        n=n, m=m, r=len(mu), mu=mu, r_hat=draw(st.integers(1, min(n, m, 3))),
-        sigma_sq=draw(st.sampled_from([1.0, 2.5])), replicates=6,
-        seed=draw(st.integers(0, 2**32 - 1)))
+        n=n, m=m, r=len(mu), mu=tuple(v / sigma_sq for v in mu), r_hat=r_hat,
+        replicates=6, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=120, deadline=None)

@@ -53,12 +53,11 @@ def test_plan_matches_m_row_reference():
     # the plan's coordinates of span(v, s) against the SVD of [V s] in R^m:
     # k = 1 plans byte for byte; k = 2 plans up to a rotation of the plane,
     # so through their inner products, to 1e-12 relative (the m-row SVD's own
-    # rounding reaches 3e-13 at m = 17862)
-    for sigma_sq in (1.0, 2.5):
+    # rounding reaches 3e-13 at m = 17862); mu = 1.2 is 3 at sigma^2 = 2.5
+    for mu in (3.0, 1.2):
         for m in (1, 2, 3, 50, 500, 17862):
-            cells = [SimConfig(n=7, m=m, r=0, sigma_sq=sigma_sq)] + [
-                SimConfig(n=7, m=m, r=1, mu=(3.0,), shape=shape,
-                          sigma_sq=sigma_sq)
+            cells = [SimConfig(n=7, m=m, r=0)] + [
+                SimConfig(n=7, m=m, r=1, mu=(mu,), shape=shape)
                 for shape in SignalShape if m > 1 or "perp" not in shape.value]
             for cfg in cells:
                 plan = sampling_plan(cfg)
@@ -76,10 +75,6 @@ def test_plan_matches_m_row_reference():
                          direction @ direction)]:
                     np.testing.assert_allclose(got, want, rtol=1e-12,
                                                atol=1e-12)
-    # the two perp shapes are one cell
-    kw = dict(n=20, m=60, r=1, mu=(3.0,), replicates=200, seed=5)
-    assert run_sim(SimConfig(shape=SignalShape.PERP_ONES, **kw)) == \
-        run_sim(SimConfig(shape=SignalShape.PERP_BASIS, **kw))
 
 
 def test_replicate_deterministic():
@@ -100,7 +95,7 @@ def assert_solve_matches_dense(cfg, indices=range(4)):
     s = direction_vector(cfg)
     for i in indices:
         Y = _simulate_response(cfg, i)
-        got = rss_of(plan, [band_reduce(cfg, Y)])[0] * cfg.sigma_sq
+        got = rss_of(plan, [band_reduce(cfg, Y)])[0]
         want = _rss_after_truncation(Y, s, cfg.r_hat)
         assert got == pytest.approx(want, rel=1e-8)
         if cfg.r_hat > 0:   # and the explicit truncation pipeline
@@ -116,12 +111,12 @@ def test_replicate_matches_factor_module():
     cells = [
         SimConfig(n=8, m=14, r=1, mu=(3.0,), shape=SignalShape.ONES,
                   r_hat=2, replicates=20, seed=0),
-        SimConfig(n=8, m=14, r=1, mu=(3.0,), shape=SignalShape.PERP_ONES,
+        SimConfig(n=8, m=14, r=1, mu=(3.0,), shape=SignalShape.PERP_BASIS,
                   r_hat=1, replicates=20, seed=1),
-        SimConfig(n=10, m=10, r=1, mu=(2.0,), shape=SignalShape.BASIS,
-                  sigma_sq=2.5, r_hat=1, replicates=20, seed=2),
+        SimConfig(n=10, m=10, r=1, mu=(0.8,), shape=SignalShape.BASIS,
+                  r_hat=1, replicates=20, seed=2),
         SimConfig(n=6, m=20, r=0, r_hat=2, replicates=20, seed=3),
-        k2_cell(7, 25, SignalShape.PERP_ONES, r_hat=1, seed=4),
+        k2_cell(7, 25, SignalShape.PERP_BASIS, r_hat=1, seed=4),
         k2_cell(7, 25, SignalShape.ONES, r_hat=2, seed=5),
     ]
     for cfg in cells:
@@ -137,11 +132,11 @@ def test_replicate_matches_factor_module_tall():
     cells = [
         SimConfig(n=15, m=6, r=1, mu=(2.5,), shape=SignalShape.BASIS,
                   r_hat=1, replicates=20, seed=3),
-        SimConfig(n=15, m=6, r=1, mu=(2.5,), shape=SignalShape.ONES,
-                  sigma_sq=0.5, r_hat=2, replicates=20, seed=4),
+        SimConfig(n=15, m=6, r=1, mu=(5.0,), shape=SignalShape.ONES,
+                  r_hat=2, replicates=20, seed=4),
         SimConfig(n=20, m=7, r=0, r_hat=2, replicates=20, seed=5),
         k2_cell(12, 5, SignalShape.PERP_BASIS, r_hat=1, seed=6),
-        k2_cell(12, 5, SignalShape.PERP_ONES, r_hat=2, seed=7),
+        k2_cell(12, 5, SignalShape.PERP_BASIS, r_hat=2, seed=7),
     ]
     for cfg in cells:
         assert assert_solve_matches_dense(cfg).dim == cfg.m
@@ -173,16 +168,15 @@ LAW_CELLS = [
     ("near-square", 1, dict(n=12, m=12, r=1, mu=(2.0,), r_hat=1)),
     ("dual-basis", 1, dict(n=30, m=10, r=1, mu=(2.0,), r_hat=1)),
     # the band at k = 2: ones, perp-basis with n > m, two fitted factors,
-    # sigma^2 != 1, a band cut short by m - k < n, and m = k, where M = R R'
-    # has no Wishart part
+    # mu = 2 at sigma^2 = 2.5 (so 0.8 in units of sigma^2), a band cut short
+    # by m - k < n, and m = k, where M = R R' has no Wishart part
     ("ones-k2", 2, dict(n=20, m=60, r=1, mu=(3.0,), r_hat=1,
                         shape=SignalShape.ONES)),
     ("perp-basis-tall", 2, dict(n=30, m=12, r=1, mu=(2.0,), r_hat=1,
                                 shape=SignalShape.PERP_BASIS)),
     ("r-hat-2", 2, dict(n=15, m=40, r=1, mu=(3.0,), r_hat=2,
                         shape=SignalShape.ONES)),
-    ("sigma-sq", 1, dict(n=20, m=60, r=1, mu=(2.0,), r_hat=1,
-                         sigma_sq=2.5)),
+    ("sigma-sq", 1, dict(n=20, m=60, r=1, mu=(0.8,), r_hat=1)),
     ("truncated-band", 2, dict(n=20, m=21, r=1, mu=(2.0,), r_hat=1,
                                shape=SignalShape.ONES)),
     ("m-equals-k", 2, dict(n=10, m=2, r=1, mu=(2.0,), r_hat=1,
@@ -207,8 +201,7 @@ def test_engine_rss_law_matches_dense_oracle(label, k, kw):
     ref_cfg = law_config(kw, ORACLE_SEED)
     s = direction_vector(ref_cfg)
     dense = [_rss_after_truncation(_simulate_response(ref_cfg, i), s,
-                                   cfg.r_hat) / cfg.sigma_sq
-             for i in range(LAW_REPS)]
+                                   cfg.r_hat) for i in range(LAW_REPS)]
     assert stats.ks_2samp(engine, dense).pvalue > 0.01
 
 
@@ -283,12 +276,6 @@ def test_noise_df_matches_theory():
     theory = df_noise(20, 100, 1).total
     assert res.theoretical_df == pytest.approx(theory)
     assert abs(res.mean_df - theory) <= 3 * res.se_df
-
-
-def test_sigma_invariance_paired_seed():
-    a = run_sim(noise_cfg(replicates=300))
-    b = run_sim(noise_cfg(replicates=300, sigma_sq=4.0))
-    assert abs(a.mean_df - b.mean_df) <= 1e-6 * max(1.0, abs(a.mean_df))
 
 
 def test_thread_count_does_not_change_bytes():
@@ -381,8 +368,7 @@ def test_run_sim_builds_at_most_one_generator_per_thread(monkeypatch):
 def test_single_cell_grid_equals_run_sim():
     cfg = noise_cfg(replicates=300)
     cell = run_grid([cfg])[0]
-    assert cell.result == run_sim(cfg)
-    assert (cell.n, cell.m, cell.mu, cell.shape) == (20, 100, None, "basis")
+    assert cell.config == cfg and cell.result == run_sim(cfg)
 
 
 def test_theoretical_df_routes_to_dof_module():
@@ -453,7 +439,7 @@ def test_noise_cell_record_has_no_shape():
         noise_cfg(replicates=100),
         SimConfig(n=20, m=100, r=1, mu=(3.0,), shape=SignalShape.ONES,
                   replicates=100, seed=9)])
-    assert noise.shape == "basis"           # the config's shape is kept
+    assert noise.config.shape is SignalShape.BASIS  # the config is kept
     assert cell_record(noise)["shape"] is None
     assert cell_record(signal)["shape"] == "ones"
     assert '"shape": null' in grid_to_json([noise])
@@ -492,6 +478,10 @@ def test_config_validation():
         SimConfig(n=10, m=10, r=2, mu=(1.0, 2.0), replicates=100, seed=0)
     with pytest.raises(ValueError):
         SimConfig(n=10, m=10, r=0, r_hat=11, replicates=100, seed=0)
+    # n mu up to 1e12 is a cell
+    SimConfig(n=100, m=10, r=1, mu=(1e10,))
+    with pytest.raises(simulation.CodedError, match="MU_RANGE: n mu must be"):
+        SimConfig(n=100, m=10, r=1, mu=(1.0000001e10,))
 
 
 @pytest.mark.parametrize("runner", [run_sim, run_spike_sim])
