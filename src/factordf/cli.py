@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import AGE_COEF_INDEX, synthetic_study
-from .dof import DofMethod, df_mandel
+from .dof import DofMethod, df_shared
 from .factors import variance_explained
 from .fdr import (DEFAULT_METHODS, REPORT_COLUMNS, BootstrapConfig, evaluate,
                   report_columns, report_to_json)
@@ -295,14 +295,13 @@ def cmd_test(args, out) -> None:
     if method is DofMethod.MANDEL and args.seed is None:
         raise CodedError("SEED_REQUIRED", "--method mandel requires --seed")
     stats = compute_direction_stats(bundle, r_hat)
-    if method is DofMethod.MANDEL:
+    shared = df_shared(method, stats.n, stats.m, r_hat, args.mandel_reps,
+                       args.seed)
+    if shared is not None and shared.mc_se is not None:
         # Mandel's df is one Monte-Carlo number: report where it came from
-        mandel = df_mandel(stats.n, stats.m, r_hat, args.mandel_reps, args.seed)
-        df_tot = np.full(bundle.M, mandel.total)
-        print(f"mandel df: total={mandel.total:.10g} mc_se={mandel.mc_se:.10g} "
+        print(f"mandel df: total={shared.total:.10g} mc_se={shared.mc_se:.10g} "
               f"draws={args.mandel_reps} seed={args.seed}", file=sys.stderr)
-    else:
-        df_tot = df_totals(stats, method, args.mandel_reps, args.seed)
+    df_tot = df_totals(stats, shared)
     est, se, t, df_resid, p = response_tests(stats, args.coef_index, df_tot)
     order = np.lexsort((np.array(bundle.col_ids), p))
     header = ["response", "estimate", "se", "t", "df_resid", "p", "method"]

@@ -3,8 +3,9 @@
 Implements every scheme under comparison: the asymptotic noise value, the
 asymptotic signal-case values (with the below-transition conjecture branch),
 the proposed conservative estimator, and the classical Gollob, Mandel, and
-naive parameter-counting rules.  All inputs are post-reduction sizes
-(n = N - p rows, m = M - q columns).
+naive parameter-counting rules, which ``df_shared`` dispatches to (None
+means the proposed df, each response's own).  All inputs are post-reduction
+sizes (n = N - p rows, m = M - q columns).
 """
 
 from dataclasses import dataclass
@@ -53,6 +54,19 @@ def is_above_transition(mu_k: float, n: int, m: int, sigma_sq: float = 1.0) -> b
     return mu_k / sigma_sq > np.sqrt(m / n)
 
 
+_T_MAX = float(np.sqrt(np.finfo(np.float64).max))   # the largest t with finite t**2
+
+
+def _strength(mu_k: float, sigma_sq: float) -> float:
+    """t = mu_k / sigma_sq, if both are positive and t**2 is finite."""
+    if mu_k <= 0 or sigma_sq <= 0:
+        raise ValueError("mu_k and sigma_sq must be positive")
+    if not (t := mu_k / sigma_sq) <= _T_MAX:
+        raise ValueError(f"t = mu_k / sigma_sq must be at most {_T_MAX:.5g} "
+                         f"so that t**2 is finite, got {t:.5g}")
+    return t
+
+
 def df_noise(n: int, m: int, r_hat: int) -> DofEstimate:
     """Asymptotic df when the data are pure noise: r_hat copies of the floor."""
     if n < 1 or m < 1 or r_hat < 0:
@@ -69,17 +83,15 @@ def df_signal_k(n: int, m: int, mu_k: float, sigma_sq: float,
     signal-case expression applies; at or below it the conjectured value
     (noise floor minus the captured signal energy) is returned.
     """
-    if mu_k <= 0 or sigma_sq <= 0:
-        raise ValueError("mu_k and sigma_sq must be positive")
+    t = _strength(mu_k, sigma_sq)
     if not -1e-12 <= proj_sq <= 1 + 1e-12:
         raise ValueError("proj_sq must lie in [0, 1]")
     proj_sq = min(max(proj_sq, 0.0), 1.0)
-    if is_above_transition(mu_k, n, m, sigma_sq):
-        parallel = n * (1.0 - m * sigma_sq / (n * mu_k)
-                        - m * sigma_sq**2 / (n * mu_k**2))
-        perp = (1.0 + sigma_sq / mu_k) ** 2
+    if is_above_transition(t, n, m):
+        parallel = n * (1.0 - m / (n * t) - m / (n * t**2))
+        perp = (1.0 + 1.0 / t) ** 2
         return parallel * proj_sq + perp * (1.0 - proj_sq)
-    return noise_floor(n, m) - n * (mu_k / sigma_sq) * proj_sq
+    return noise_floor(n, m) - n * t * proj_sq
 
 
 def df_signal_total(n: int, m: int, mu, sigma_sq: float, proj_sqs,
@@ -138,8 +150,8 @@ def df_gollob(n: int, m: int, r_hat: int) -> DofEstimate:
     Factor k is charged (n - k + 1) + (m - k + 1) - 1 parameters in total,
     i.e. that amount divided by m per direction.
     """
-    if r_hat >= min(n, m):
-        raise ValueError("r_hat must be below min(n, m)")
+    if not 0 <= r_hat < min(n, m):
+        raise ValueError("r_hat must lie in [0, min(n, m))")
     k = np.arange(1, r_hat + 1)
     return _estimate(((n - k + 1) + (m - k + 1) - 1) / m)
 
@@ -199,6 +211,22 @@ def df_naive(r_hat: int) -> DofEstimate:
     return _estimate(np.ones(r_hat))
 
 
+def df_shared(method: DofMethod | None, n: int, m: int, r_hat: int,
+              mc_reps: int, seed: int | None) -> DofEstimate | None:
+    """The df a scheme gives every response alike, or None for the proposed
+    df, each response's own (and at r_hat = 0, where none is charged).  Only
+    Mandel reads ``mc_reps`` and ``seed``; datasets of one shape share it."""
+    if r_hat == 0 or method == DofMethod.PROPOSED:
+        return None
+    if method == DofMethod.GOLLOB:
+        return df_gollob(n, m, r_hat)
+    if method == DofMethod.MANDEL:
+        return df_mandel(n, m, r_hat, mc_reps, seed)
+    if method == DofMethod.NAIVE:
+        return df_naive(r_hat)
+    raise ValueError(f"unsupported df method: {method}")
+
+
 @dataclass(frozen=True)
 class AsymptoticPrediction:
     """Predicted top-eigenvalue location and squared loading overlap."""
@@ -217,10 +245,8 @@ def asymptotic_predictions(mu_k: float, n: int, m: int,
     At or below it the eigenvalue sticks to the bulk edge and the overlap
     is clamped to zero.
     """
-    if mu_k <= 0 or sigma_sq <= 0:
-        raise ValueError("mu_k and sigma_sq must be positive")
-    t = mu_k / sigma_sq
-    above = is_above_transition(mu_k, n, m, sigma_sq)
+    t = _strength(mu_k, sigma_sq)
+    above = is_above_transition(t, n, m)
     if above:
         mu_bar = (t + 1.0) * (m / (n * t) + 1.0) * sigma_sq
         rho2 = (1.0 - m / (n * t**2)) / (1.0 + m / (n * t))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DOMAIN_FDR_DATASET, stream
-from .dof import DofMethod, _check_mandel_reps
-from .inference import (compute_direction_stats, constant_df_total, df_totals,
-                        response_tests, significant, without_factors)
+from .dof import DofMethod, _check_mandel_reps, df_shared
+from .inference import (compute_direction_stats, df_totals, response_tests,
+                        significant, without_factors)
 from .linalg import CodedError
 from .model import DatasetBundle
 
@@ -94,7 +94,7 @@ def build_generative_truth(data: DatasetBundle, k_factors: int, alpha: float,
     """Fit, threshold the tested coefficients at ``alpha`` with the proposed
     df, estimate variances."""
     stats = compute_direction_stats(data, k_factors)
-    df_tot = df_totals(stats, DofMethod.PROPOSED)
+    df_tot = df_totals(stats, None)
     _, _, _, df_resid, p = response_tests(stats, coef_index, df_tot)
     keep = p < alpha
 
@@ -173,15 +173,11 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
     n_nulls = len(mask) - n_signals
     labels = [m.value for m in config.methods] + [BASELINE]
 
-    # Every dataset shares X, Z and the shape, so the df of the schemes that
-    # give all responses one value is computed once here, not per dataset.
+    # Every dataset shares X, Z and the shape, so each method's shared df is
+    # computed once here, not per dataset.
     n, m = data.N - data.p, data.M - data.q
-    constant = {}
-    for meth in config.methods:
-        total = constant_df_total(meth, n, m, config.k_factors,
-                                  config.mandel_reps, config.seed)
-        if total is not None:
-            constant[meth] = np.full(data.M, total)
+    shared = {meth: df_shared(meth, n, m, config.k_factors, config.mandel_reps,
+                              config.seed) for meth in config.methods}
 
     # Each worker thread draws and fits every dataset in one set of (N, M)
     # buffers: Y, the residuals E and a scratch matrix.  A dataset's bundle.Y
@@ -197,18 +193,12 @@ def evaluate(config: BootstrapConfig, data: DatasetBundle) -> FdrReport:
         bundle = simulate_dataset(truth, config.seed, d, out=bufs[0])
         stats = compute_direction_stats(bundle, config.k_factors,
                                         out=bufs[1:])
-        rows = []
-        for meth in config.methods:
-            df_tot = constant.get(meth)
-            if df_tot is None:
-                df_tot = df_totals(stats, meth, config.mandel_reps, config.seed)
-            rows.append(_declared_rates(significant(
-                stats, config.coef_index, df_tot, config.alpha), mask,
-                n_signals, n_nulls))
-        rows.append(_declared_rates(significant(
-            without_factors(stats), config.coef_index, np.zeros(bundle.M),
-            config.alpha), mask, n_signals, n_nulls))
-        return rows
+        tests = [(stats, df_totals(stats, shared[meth]))
+                 for meth in config.methods]
+        tests.append((without_factors(stats), np.zeros(bundle.M)))
+        return [_declared_rates(significant(s, config.coef_index, df_tot,
+                                            config.alpha), mask, n_signals,
+                                n_nulls) for s, df_tot in tests]
 
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))

@@ -4,7 +4,8 @@ The per-response pipeline works in full coordinates: the factor truncation of
 the doubly projected residual matrix equals the reduced-model truncation
 rotated back, so no explicit complement bases are materialized.  A single
 ``DirectionStats`` holds everything the tests need for all responses at once;
-the degrees-of-freedom schemes then differ only in arithmetic on top of it.
+the df schemes then differ only in ``df_totals``: the ``dof.df_shared``
+value for every response, or each one's proposed df where that is None.
 """
 
 from dataclasses import dataclass, replace
@@ -118,36 +119,14 @@ def without_factors(stats: DirectionStats) -> DirectionStats:
     return replace(stats, **_no_factors(stats.residuals))
 
 
-def constant_df_total(method: DofMethod | None, n: int, m: int, r_hat: int,
-                      mandel_reps: int = 1000,
-                      seed: int | None = None) -> float | None:
-    """Total df of a scheme that gives every response the same value.
-
-    Such a df depends only on the shape ``(n, m)``, ``r_hat`` and, for Mandel,
-    the draw count and seed, so it is shared by all datasets of that shape.
-    Returns None for the proposed scheme, whose df depends on the data.
-    """
-    if method == DofMethod.PROPOSED:
-        return None
-    if method == DofMethod.GOLLOB:
-        return dof_mod.df_gollob(n, m, r_hat).total
-    if method == DofMethod.MANDEL:
-        return dof_mod.df_mandel(n, m, r_hat, mandel_reps, seed).total
-    if method == DofMethod.NAIVE:
-        return dof_mod.df_naive(r_hat).total
-    raise ValueError(f"unsupported df method: {method}")
-
-
-def df_totals(stats: DirectionStats, method: DofMethod | None,
-              mandel_reps: int = 1000, seed: int | None = None) -> np.ndarray:
-    """Total df per response for one scheme (length-M array)."""
+def df_totals(stats: DirectionStats, shared: dof_mod.DofEstimate | None
+              ) -> np.ndarray:
+    """Total df per response (length-M array): ``shared.total`` for every
+    response, or each response's proposed df where ``shared`` is None, as
+    ``dof.df_shared`` returns it."""
+    if shared is not None:
+        return np.full(stats.rss.shape[0], shared.total)
     r_hat = stats.proj_sq.shape[1]
-    M = stats.rss.shape[0]
-    if r_hat == 0:
-        return np.zeros(M)
-    total = constant_df_total(method, stats.n, stats.m, r_hat, mandel_reps, seed)
-    if total is not None:
-        return np.full(M, total)
     floor = dof_mod.noise_floor(stats.n, stats.m)
     return stats.n * stats.proj_sq.sum(axis=1) + r_hat * floor
 
@@ -213,6 +192,7 @@ def test_all_responses(bundle: DatasetBundle, coef_index: int, r_hat: int,
     regression t test on each projected response.
     """
     stats = compute_direction_stats(bundle, r_hat)
-    df_tot = df_totals(stats, method, mandel_reps, seed)
+    df_tot = df_totals(stats, dof_mod.df_shared(method, stats.n, stats.m, r_hat,
+                                                mandel_reps, seed))
     ids = bundle.col_ids if bundle.col_ids else tuple(str(j) for j in range(bundle.M))
     return TestResult(ids, *response_tests(stats, coef_index, df_tot), method)

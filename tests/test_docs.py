@@ -1,13 +1,14 @@
 """The command lines the documentation shows parse under the CLI's parser,
-and the error codes it lists are the ones the program prints, so that a
-deleted command, flag or code cannot linger in the docs, nor a new code go
-unlisted."""
+the error codes it lists are the ones the program prints, and README's
+library quick start runs, so that a deleted command, flag, code or call
+cannot linger in the docs, nor a new code go unlisted."""
 
 import glob
 import inspect
 import os
 import re
 import shlex
+import warnings
 
 import pytest
 
@@ -97,3 +98,16 @@ def test_documented_error_codes_are_the_printed_ones():
     assert documented == printed, (
         f"printed but not documented: {sorted(printed - documented)}; "
         f"documented but not printed: {sorted(documented - printed)}")
+
+
+def test_readme_quick_start_runs_without_warnings():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(),
+                            flags=re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert [str(w.message) for w in caught] == []
+    assert len(namespace["results"].p_value) == 2000

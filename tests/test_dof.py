@@ -4,9 +4,10 @@ import pytest
 from factordf import dof
 from factordf.distributions import (DOMAIN_MANDEL, stream,
                                     wishart_top_eigenvalues)
-from factordf.dof import (asymptotic_predictions, df_conservative, df_gollob,
-                          df_mandel, df_naive, df_noise, df_signal_k,
-                          df_signal_total, is_above_transition, noise_floor)
+from factordf.dof import (DofMethod, asymptotic_predictions, df_conservative,
+                          df_gollob, df_mandel, df_naive, df_noise, df_shared,
+                          df_signal_k, df_signal_total, is_above_transition,
+                          noise_floor)
 from oracles import df_mandel_bartlett
 
 STUDY_N, STUDY_M = 36, 17862
@@ -70,6 +71,23 @@ def test_signal_k_sigma_rescaling():
 def test_signal_k_rejects_bad_projection():
     with pytest.raises(ValueError):
         df_signal_k(10, 10, 1.0, 1.0, 1.5)
+
+
+# the strength t = mu_k / sigma^2 whose square overflows is a ValueError
+# that names t, as any other bad argument is, not a bare OverflowError
+HUGE_T = ("t = mu_k / sigma_sq must be at most 1.3408e+154 so that t**2 is "
+          "finite, got 1e+200")
+
+
+def test_signal_k_rejects_a_strength_whose_square_overflows():
+    with pytest.raises(ValueError) as exc:
+        df_signal_k(40, 60, 1e200, 1.0, 1 / 60)
+    assert str(exc.value) == HUGE_T
+
+
+def test_signal_k_takes_a_huge_mu_of_finite_strength():
+    # t = 1e100: parallel n(1 - m/(nt) - m/(nt^2)) = 40, perp (1 + 1/t)^2 = 1
+    assert df_signal_k(40, 60, 1e200, 1e100, 0.5) == 20.5
 
 
 def test_signal_total_matched_rank():
@@ -171,6 +189,13 @@ def test_gollob_rank_guard():
         df_gollob(5, 10, 5)
 
 
+def test_gollob_rejects_negative_r_hat():
+    # as df_naive, df_noise and df_mandel do
+    with pytest.raises(ValueError) as exc:
+        df_gollob(10, 10, -1)
+    assert str(exc.value) == "r_hat must lie in [0, min(n, m))"
+
+
 def test_mandel_scalar_wishart():
     est = df_mandel(1, 1, 1, mc_reps=2000, seed=7)
     assert est.mc_se is not None
@@ -264,6 +289,25 @@ def test_naive():
     assert len(df_naive(3).per_factor) == 3
 
 
+def test_df_shared_dispatches_each_scheme():
+    n, m = 36, 500
+    for method, want in [(DofMethod.GOLLOB, df_gollob(n, m, 2)),
+                         (DofMethod.NAIVE, df_naive(2)),
+                         (DofMethod.MANDEL, df_mandel(n, m, 2, 300, 4))]:
+        got = df_shared(method, n, m, 2, 300, 4)
+        assert got.per_factor.tobytes() == want.per_factor.tobytes()
+        assert (got.total, got.mc_se) == (want.total, want.mc_se)
+    # the proposed df is each response's own, and at r_hat = 0 no scheme,
+    # nor a missing one, charges a factor
+    assert df_shared(DofMethod.PROPOSED, n, m, 2, 100, None) is None
+    for method in (*DofMethod, None):
+        assert df_shared(method, n, m, 0, 50, None) is None
+    with pytest.raises(ValueError, match="^unsupported df method: None$"):
+        df_shared(None, n, m, 2, 100, None)
+    with pytest.raises(ValueError, match="r_hat"):
+        df_shared(DofMethod.GOLLOB, n, m, -1, 100, None)
+
+
 def test_large_m_methods_agree():
     # Gollob, Mandel, and the noise value all land in [2.0, 2.2] at study scale
     totals = [df_gollob(STUDY_N, STUDY_M, 2).total,
@@ -284,6 +328,12 @@ def test_asymptotic_predictions_mu3_square():
     assert pred.mu_bar_k == pytest.approx(16 / 3, rel=1e-12)
     assert pred.rho_bar_kk_sq == pytest.approx(2 / 3, rel=1e-12)
     assert pred.above_transition
+
+
+def test_asymptotic_predictions_rejects_a_strength_whose_square_overflows():
+    with pytest.raises(ValueError) as exc:
+        asymptotic_predictions(1e200, 40, 60)
+    assert str(exc.value) == HUGE_T
 
 
 def test_asymptotic_predictions_sigma_scaling():

@@ -8,7 +8,7 @@ import pytest
 from factordf import dof as dof_mod
 from factordf import inference, model
 from factordf.datasets import AGE_COEF_INDEX, synthetic_study
-from factordf.dof import DofMethod
+from factordf.dof import DofMethod, df_shared
 from factordf.fdr import (BASELINE, BootstrapConfig, _declared_rates, _summarize,
                           build_generative_truth, evaluate, report_to_json,
                           simulate_dataset)
@@ -173,7 +173,9 @@ def reference_report(cfg, bundle):
         stats = compute_direction_stats(data, cfg.k_factors)
         rows = []
         for meth in cfg.methods:
-            df_tot = df_totals(stats, meth, cfg.mandel_reps, cfg.seed)
+            df_tot = df_totals(stats, df_shared(meth, stats.n, stats.m,
+                                                cfg.k_factors, cfg.mandel_reps,
+                                                cfg.seed))
             p = response_tests(stats, cfg.coef_index, df_tot)[4]
             rows.append(_declared_rates(p < cfg.alpha, mask, n_signals,
                                         n_nulls))

@@ -6,7 +6,7 @@ from scipy import special
 
 from factordf import inference
 from factordf.datasets import AGE_COEF_INDEX, synthetic_study
-from factordf.dof import DofMethod, df_naive, df_noise
+from factordf.dof import DofMethod, df_naive, df_noise, df_shared
 from factordf.fdr import build_generative_truth, simulate_dataset
 from factordf.inference import (compute_direction_stats, df_totals,
                                 response_tests, significant, without_factors)
@@ -145,6 +145,12 @@ def test_direction_scale_invariance_in_formulas():
     assert df1 == df2
 
 
+def test_unknown_method_is_a_value_error(contaminated):
+    bundle, _ = contaminated
+    with pytest.raises(ValueError, match="^unsupported df method: None$"):
+        run_all_tests(bundle, AGE_COEF_INDEX, 2, None)
+
+
 def test_mandel_requires_seed(contaminated):
     bundle, _ = contaminated
     with pytest.raises(ValueError):
@@ -156,11 +162,11 @@ def test_df_totals_per_method(contaminated):
     bundle, _ = contaminated
     stats = compute_direction_stats(bundle, 2)
     n, m = stats.n, stats.m
-    prop = df_totals(stats, DofMethod.PROPOSED)
+    prop = df_totals(stats, df_shared(DofMethod.PROPOSED, n, m, 2, 1000, None))
     assert np.all(prop >= 2 * (1 + np.sqrt(n / m)) ** 2 - 1e-12)
-    naive = df_totals(stats, DofMethod.NAIVE)
+    naive = df_totals(stats, df_shared(DofMethod.NAIVE, n, m, 2, 1000, None))
     np.testing.assert_allclose(naive, 2.0)
-    gollob = df_totals(stats, DofMethod.GOLLOB)
+    gollob = df_totals(stats, df_shared(DofMethod.GOLLOB, n, m, 2, 1000, None))
     assert np.all(gollob == gollob[0])
 
 
@@ -174,7 +180,8 @@ def test_response_tests_exhaustion_guard():
     Y[:, 0] += 50 * u
     bundle = DatasetBundle(Y, X=X)
     stats = compute_direction_stats(bundle, 1)
-    df_tot = df_totals(stats, DofMethod.PROPOSED)
+    df_tot = df_totals(stats, df_shared(DofMethod.PROPOSED, stats.n, stats.m,
+                                        1, 1000, None))
     if np.any(stats.n - df_tot <= 0):
         with pytest.raises(ValueError, match="exhausted"):
             response_tests(stats, 1, df_tot)
@@ -234,7 +241,8 @@ def bootstrap_stats():
     for d in range(24):
         stats = compute_direction_stats(simulate_dataset(truth, 77, d), 2)
         for meth in ALL_METHODS:
-            cases.append((stats, df_totals(stats, meth, 200, seed=5)))
+            cases.append((stats, df_totals(stats, df_shared(
+                meth, stats.n, stats.m, 2, 200, 5))))
         cases.append((without_factors(stats), np.zeros(bundle.M)))
     return cases
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from factordf import distributions, inference, simulation
 from factordf.distributions import DOMAIN_SIM, stream
-from factordf.dof import DofMethod
+from factordf.dof import DofMethod, df_shared
 from factordf.fdr import GenerativeTruth, simulate_dataset
 from factordf.inference import (DirectionStats, compute_direction_stats,
                                 df_totals, response_tests)
@@ -285,7 +285,8 @@ def test_columnar_result_is_the_response_arrays(layout):
     bundle = DatasetBundle(Y, X, Z, col_ids=ids)
     stats = compute_direction_stats(bundle, r_hat)
     try:
-        arrays = response_tests(stats, coef_index, df_totals(stats, method))
+        shared = df_shared(method, stats.n, stats.m, r_hat, 1000, None)
+        arrays = response_tests(stats, coef_index, df_totals(stats, shared))
     except CodedError as exc:   # a df scheme may leave no residual df
         with pytest.raises(CodedError, match=exc.code):
             inference.test_all_responses(bundle, coef_index, r_hat, method)
